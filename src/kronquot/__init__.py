@@ -5,9 +5,12 @@ one factor, how do you recover the other, and which algebraic rules can
 such a recovery obey? It provides the product itself, a taxonomy of
 left-quotient schemes (entrywise averages, weighted averages, the
 Frobenius-optimal factor, an operator-norm variant, a trace-based rule,
-and general linear rules), right quotients by perfect-shuffle
-reduction, remainders and divisor tests, plus a seeded randomized suite
-that verifies or refutes the candidate algebraic laws per scheme.
+and general linear rules), right quotients, remainders and divisor
+tests, plus a seeded randomized suite that verifies or refutes the
+candidate algebraic laws per scheme. Every scheme but the general
+linear rules is uniform, A quot M = pfp(Q(A), M), and evaluates through
+one pipeline; a right quotient reindexes its dividend by a reshape that
+swaps the Kronecker factor order and then divides on the left.
 """
 
 from .axioms import (
@@ -72,7 +75,6 @@ from .quotients import (
     trace_realization,
     trace_scheme_realization,
     uniform_quotient,
-    vanloan_factor,
     weighted_quotient,
     weighted_realization,
 )
@@ -145,7 +147,6 @@ __all__ = [
     "trace_realization",
     "trace_scheme_realization",
     "uniform_quotient",
-    "vanloan_factor",
     "weighted_quotient",
     "weighted_realization",
     "write_matrix",

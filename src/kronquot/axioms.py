@@ -24,12 +24,11 @@ from .errors import ConfigurationError, SingularRealizationError, ZeroDivisorErr
 from .matrix import FactorShape, Matrix, kron, relative_residual
 from .pfp import pfp_scalar
 from .quotients import (
+    BUILTIN_SCHEMES,
     QuotientScheme,
     Realization,
     frobenius_realization,
-    frobenius_weights,
     left_quotient,
-    leopardi_weights,
     realization_for,
     trace_realization,
 )
@@ -173,63 +172,38 @@ def _random_nonzero(rng: np.random.Generator, rows: int, cols: int, *,
         return Matrix.from_array(arr)
 
 
-@dataclasses.dataclass(frozen=True)
-class _DrawFlags:
-    square: bool
-    need_trace: bool
-    sparsify_schemes: bool  # a third of trials zero out part of the divisor
-
-
-def _default_flags(scheme_like) -> _DrawFlags:
-    if isinstance(scheme_like, QuotientScheme):
-        kind, label = scheme_like.kind, scheme_like.label or scheme_like.kind
-    else:
-        kind, label = "uniform", scheme_like.label
-    trace_like = kind == "trace" or label == "trace"
-    nz_sensitive = kind in ("leopardi", "weighted") or label in ("leopardi",) \
-        or (kind == "uniform" and "weight" in str(label))
-    return _DrawFlags(square=trace_like, need_trace=trace_like, sparsify_schemes=nz_sensitive)
-
-
-_BUILTIN_SCHEMES: dict[str, QuotientScheme] = {
-    "leopardi": QuotientScheme.leopardi(),
-    "frobenius": QuotientScheme.frobenius(),
-    "operator": QuotientScheme.operator(),
-    "trace": QuotientScheme.trace(),
-}
-
-
 def _resolve_scheme(scheme_like):
+    """A scheme object, or the built-in scheme a name or report descriptor denotes."""
     if isinstance(scheme_like, (QuotientScheme, Realization)):
         return scheme_like
-    if isinstance(scheme_like, str):
-        if scheme_like in _BUILTIN_SCHEMES:
-            return _BUILTIN_SCHEMES[scheme_like]
-        if scheme_like == "weighted(leopardi_weights)":
-            return QuotientScheme.weighted(leopardi_weights)
-        if scheme_like == "weighted(frobenius_weights)":
-            return QuotientScheme.weighted(frobenius_weights)
-        for name, scheme in _BUILTIN_SCHEMES.items():
-            if scheme_like == f"uniform({name})":
-                return realization_for(scheme)
+    for name, builtin in BUILTIN_SCHEMES.items():
+        if scheme_like == name:
+            return QuotientScheme(kind=name)
+        if scheme_like == builtin.realization.describe():
+            return builtin.realization
+        if builtin.weights is not None \
+                and scheme_like == QuotientScheme.weighted(builtin.weights).describe():
+            return QuotientScheme.weighted(builtin.weights)
     raise ConfigurationError(f"unknown scheme {scheme_like!r}")
 
 
-def _describe(scheme_like) -> str:
-    return scheme_like.describe()
+def _realization_of(scheme_obj) -> Realization:
+    """The realization a uniform scheme evaluates through; linear schemes have none."""
+    return scheme_obj if isinstance(scheme_obj, Realization) else realization_for(scheme_obj)
 
 
-def _draw_inputs(axiom: str, flags: _DrawFlags, rng: np.random.Generator,
+def _draw_inputs(axiom: str, realization: Realization | None, rng: np.random.Generator,
                  max_dim: int, restricted: bool, scalars, trial: int) -> dict:
-    sparsify = flags.sparsify_schemes and trial % 3 == 0
+    square = realization is not None and realization.square_only
+    # a third of the trials zero out part of a support-sensitive divisor
+    sparsify = realization is not None and realization.support_sensitive and trial % 3 == 0
 
     def divisor(rows, cols):
-        return _random_nonzero(rng, rows, cols, sparsify=sparsify,
-                               need_trace=flags.need_trace)
+        return _random_nonzero(rng, rows, cols, sparsify=sparsify, need_trace=square)
 
     if axiom in ("Q1", "Q2a", "Q2b"):
         m = _dim(rng, max_dim)
-        n = m if flags.square else _dim(rng, max_dim)
+        n = m if square else _dim(rng, max_dim)
         s = _dim(rng, max_dim)
         t = _dim(rng, max_dim)
         a = divisor(m, n)
@@ -248,9 +222,9 @@ def _draw_inputs(axiom: str, flags: _DrawFlags, rng: np.random.Generator,
 
     if axiom == "Q3":
         m = _dim(rng, max_dim)
-        n = m if flags.square else _dim(rng, max_dim)
+        n = m if square else _dim(rng, max_dim)
         s2 = _dim(rng, max_dim)
-        t2 = s2 if flags.square else _dim(rng, max_dim)
+        t2 = s2 if square else _dim(rng, max_dim)
         p = _dim(rng, max_dim)
         q = _dim(rng, max_dim)
         a = divisor(m, n)
@@ -264,7 +238,7 @@ def _draw_inputs(axiom: str, flags: _DrawFlags, rng: np.random.Generator,
     if axiom == "Q5R":
         m = _dim(rng, max_dim)
         s = _dim(rng, max_dim)
-        a = _random_nonzero(rng, m, m, sparsify=sparsify, need_trace=flags.need_trace)
+        a = divisor(m, m)
         if restricted:
             mat = kron(a, _random_matrix(rng, s, s))
         else:
@@ -352,21 +326,45 @@ def _validate_common(trials: int, seed: int, max_dim: int) -> None:
         raise ConfigurationError(f"max_dim must lie in 1..6, got {max_dim}")
 
 
+def _report(axiom: str, scheme: str, trials: int, seed: int, worst: float,
+            worst_trial: int, worst_inputs: dict, details, verdict: str | None = None
+            ) -> AxiomReport:
+    """A report whose worst residual came from ``worst_inputs`` at ``worst_trial``.
+
+    The verdict defaults to comparing the worst residual with TOLERANCE;
+    a failing report carries the serialized worst inputs.
+    """
+    if verdict is None:
+        verdict = "holds" if worst <= TOLERANCE else "fails"
+    counterexample = None
+    if verdict == "fails":
+        counterexample = Counterexample(trial=worst_trial, residual=worst,
+                                        inputs=_serialize_inputs(worst_inputs))
+    return AxiomReport(axiom=axiom, scheme=scheme, trials=trials, seed=seed,
+                       max_residual=worst, verdict=verdict,
+                       counterexample=counterexample, details=tuple(details))
+
+
 def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
-                restricted: bool = False, scalars: Sequence[complex] = SCALARS,
-                flags: _DrawFlags | None = None) -> AxiomReport:
+                restricted: bool = False, scalars: Sequence[complex] = SCALARS) -> AxiomReport:
     """Randomized check of one quotient axiom for one scheme.
 
     ``scheme`` may be a QuotientScheme, a Realization (checked through
-    its induced uniform quotient), or a built-in scheme name.
-    ``restricted=True`` draws the dividend as an exact Kronecker product
-    of the matching form, the regime where every quotient must comply.
+    its induced uniform quotient), or a built-in scheme name. Divisors
+    are drawn square with nonzero trace for a ``square_only``
+    realization, and partly zero in a third of the trials for a
+    ``support_sensitive`` one. ``restricted=True`` draws the dividend
+    as an exact Kronecker product of the matching form, the regime
+    where every quotient must comply.
     """
     if axiom not in _CHECKED_AXIOMS:
         raise ConfigurationError(f"unknown axiom {axiom!r}; expected one of {_CHECKED_AXIOMS}")
     _validate_common(trials, seed, max_dim)
     scheme_obj = _resolve_scheme(scheme)
-    draw_flags = flags or _default_flags(scheme_obj)
+    linear = isinstance(scheme_obj, QuotientScheme) and scheme_obj.kind == "linear"
+    realization = None if linear else _realization_of(scheme_obj)
+    # trials evaluate through the realization, so none looks the scheme up again
+    evaluator = scheme_obj if linear else realization
     is_operator = isinstance(scheme_obj, QuotientScheme) and scheme_obj.kind == "operator"
 
     worst = -1.0
@@ -378,8 +376,8 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
 
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
-        inputs = _draw_inputs(axiom, draw_flags, rng, max_dim, restricted, scalars, trial)
-        residual = _eval_axiom(axiom, scheme_obj, inputs)
+        inputs = _draw_inputs(axiom, realization, rng, max_dim, restricted, scalars, trial)
+        residual = _eval_axiom(axiom, evaluator, inputs)
         if is_operator:
             degenerate += sum(1 for key in _DIVISOR_KEYS[axiom]
                               if _near_degenerate_leading(inputs[key]))
@@ -401,15 +399,8 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
             details.append(("max_residual_complex_k", complex_k_max))
     if is_operator:
         details.append(("degenerate_leading_pairs", degenerate))
-
-    verdict = "holds" if worst <= TOLERANCE else "fails"
-    counterexample = None
-    if verdict == "fails":
-        counterexample = Counterexample(trial=worst_trial, residual=worst,
-                                        inputs=_serialize_inputs(worst_inputs))
-    return AxiomReport(axiom=axiom, scheme=_describe(scheme_obj), trials=trials,
-                       seed=seed, max_residual=worst, verdict=verdict,
-                       counterexample=counterexample, details=tuple(details))
+    return _report(axiom, scheme_obj.describe(), trials, seed, worst, worst_trial,
+                   worst_inputs, details)
 
 
 # -- weight and realization condition checks ----------------------------
@@ -460,15 +451,8 @@ def check_weight_conditions(weight_rule, trials: int, seed: int, max_dim: int = 
         ("transpose_iff_q1", transpose_holds == q1.holds),
         ("kron_iff_q3", kron_holds == q3.holds),
     )
-    worst = max(worst_t, worst_k)
-    verdict = "holds" if worst <= TOLERANCE else "fails"
-    counterexample = None
-    if verdict == "fails":
-        counterexample = Counterexample(trial=worst_trial, residual=worst,
-                                        inputs=_serialize_inputs(worst_inputs))
-    return AxiomReport(axiom="Wcond", scheme=f"weighted({label})", trials=trials,
-                       seed=seed, max_residual=worst, verdict=verdict,
-                       counterexample=counterexample, details=details)
+    return _report("Wcond", f"weighted({label})", trials, seed, max(worst_t, worst_k),
+                   worst_trial, worst_inputs, details)
 
 
 def _realization_condition_residuals(realization: Realization, a: Matrix, b: Matrix,
@@ -482,19 +466,17 @@ def _realization_condition_residuals(realization: Realization, a: Matrix, b: Mat
 
 def check_realization_conditions(realization: Realization, trials: int, seed: int,
                                  max_dim: int = 4, *,
-                                 scalars: Sequence[complex] = SCALARS,
-                                 square_only: bool | None = None) -> AxiomReport:
+                                 scalars: Sequence[complex] = SCALARS) -> AxiomReport:
     """Check the three Q(.) identities characterizing Q1, Q2b and Q3.
 
     Each identity is evaluated directly on random draws, then cross-run
     through check_axiom on the induced uniform quotient with the same
     seed; a one-sided disagreement would flag a bug in the suite itself
-    and is recorded under the ``*_iff_*`` detail keys.
+    and is recorded under the ``*_iff_*`` detail keys. Divisors are
+    square with nonzero trace when the realization is ``square_only``.
     """
     _validate_common(trials, seed, max_dim)
-    if square_only is None:
-        square_only = realization.label == "trace"
-    need_trace = square_only
+    square_only = realization.square_only
 
     worst_t = worst_s = worst_k = -1.0
     real_scale_max: float | None = None
@@ -507,8 +489,8 @@ def check_realization_conditions(realization: Realization, trials: int, seed: in
         n = m if square_only else _dim(rng, max_dim)
         s = _dim(rng, max_dim)
         t = s if square_only else _dim(rng, max_dim)
-        a = _random_nonzero(rng, m, n, need_trace=need_trace)
-        b = _random_nonzero(rng, s, t, need_trace=need_trace)
+        a = _random_nonzero(rng, m, n, need_trace=square_only)
+        b = _random_nonzero(rng, s, t, need_trace=square_only)
         k = complex(rng.choice(scalars))
         res_t, res_s, res_k = _realization_condition_residuals(realization, a, b, k)
         if k.imag == 0.0:
@@ -522,10 +504,11 @@ def check_realization_conditions(realization: Realization, trials: int, seed: in
         worst_s = max(worst_s, res_s)
         worst_k = max(worst_k, res_k)
 
-    flags = _DrawFlags(square=square_only, need_trace=need_trace, sparsify_schemes=False)
-    q1 = check_axiom("Q1", realization, trials, seed, max_dim, flags=flags)
-    q2b = check_axiom("Q2b", realization, trials, seed, max_dim, scalars=scalars, flags=flags)
-    q3 = check_axiom("Q3", realization, trials, seed, min(max_dim, 3), flags=flags)
+    # the cross-runs draw dense divisors, like the identity checks above
+    dense = dataclasses.replace(realization, support_sensitive=False)
+    q1 = check_axiom("Q1", dense, trials, seed, max_dim)
+    q2b = check_axiom("Q2b", dense, trials, seed, max_dim, scalars=scalars)
+    q3 = check_axiom("Q3", dense, trials, seed, min(max_dim, 3))
     t_holds = worst_t <= TOLERANCE
     s_holds = worst_s <= TOLERANCE
     k_holds = worst_k <= TOLERANCE
@@ -546,15 +529,8 @@ def check_realization_conditions(realization: Realization, trials: int, seed: in
         ("scale_iff_q2b", s_holds == q2b.holds),
         ("kron_iff_q3", k_holds == q3.holds),
     ])
-    worst = max(worst_t, worst_s, worst_k)
-    verdict = "holds" if worst <= TOLERANCE else "fails"
-    counterexample = None
-    if verdict == "fails":
-        counterexample = Counterexample(trial=worst_trial, residual=worst,
-                                        inputs=_serialize_inputs(worst_inputs))
-    return AxiomReport(axiom="Rcond", scheme=realization.describe(), trials=trials,
-                       seed=seed, max_residual=worst, verdict=verdict,
-                       counterexample=counterexample, details=tuple(details))
+    return _report("Rcond", realization.describe(), trials, seed,
+                   max(worst_t, worst_s, worst_k), worst_trial, worst_inputs, details)
 
 
 # -- projection / basis expansion check ----------------------------------
@@ -565,6 +541,31 @@ def _numerical_rank(mat: Matrix) -> int:
         return 0
     cutoff = max(mat.rows, mat.cols) * _EPS * sigma[0]
     return int(sum(1 for x in sigma if x > cutoff))
+
+
+def _biorthonormal_residual(realization: Realization,
+                            basis: Sequence[Matrix]) -> tuple[float, tuple[int, int]]:
+    """Worst |pfp_scalar(Q(A_j), A_k) - delta_jk| and its 1-based (j, k)."""
+    q_mats = [realization.q_of(mat) for mat in basis]
+    worst = -1.0
+    worst_pair = (1, 1)
+    for j, k in product(range(len(basis)), repeat=2):
+        expected = 1.0 if j == k else 0.0
+        residual = abs(pfp_scalar(q_mats[j], basis[k]) - expected)
+        if residual > worst:
+            worst, worst_pair = residual, (j + 1, k + 1)
+    return worst, worst_pair
+
+
+def _reconstruction_residual(realization: Realization, basis: Sequence[Matrix],
+                             mat: Matrix) -> float:
+    """Relative distance between M and sum_j kron(A_j, A_j quot M)."""
+    m, n = basis[0].rows, basis[0].cols
+    shape = FactorShape(m, n, mat.rows // m, mat.cols // n)
+    total = Matrix.zero(mat.rows, mat.cols)
+    for elem in basis:
+        total = total + kron(elem, left_quotient(realization, elem, mat, shape))
+    return (mat - total).frobenius_norm() / max(mat.frobenius_norm(), 1e-300)
 
 
 def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
@@ -590,17 +591,8 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
         raise ConfigurationError("basis does not span the matrix space")
 
     scheme_obj = _resolve_scheme(scheme)
-    realization = scheme_obj if isinstance(scheme_obj, Realization) \
-        else realization_for(scheme_obj)
-    q_mats = [realization.q_of(mat) for mat in basis]
-
-    biorth_worst = -1.0
-    worst_pair = (1, 1)
-    for j, k in product(range(len(basis)), repeat=2):
-        expected = 1.0 if j == k else 0.0
-        residual = abs(pfp_scalar(q_mats[j], basis[k]) - expected)
-        if residual > biorth_worst:
-            biorth_worst, worst_pair = residual, (j + 1, k + 1)
+    realization = _realization_of(scheme_obj)
+    biorth_worst, worst_pair = _biorthonormal_residual(realization, basis)
 
     recon_worst = -1.0
     worst_trial = -1
@@ -610,11 +602,7 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
         s = _dim(rng, max_dim)
         t = _dim(rng, max_dim)
         mat = _random_matrix(rng, m * s, n * t)
-        shape = FactorShape(m, n, s, t)
-        total = Matrix.zero(m * s, n * t)
-        for elem in basis:
-            total = total + kron(elem, left_quotient(scheme_obj, elem, mat, shape))
-        residual = (mat - total).frobenius_norm() / max(mat.frobenius_norm(), 1e-300)
+        residual = _reconstruction_residual(realization, basis, mat)
         if residual > recon_worst:
             recon_worst, worst_trial, worst_m = residual, trial, mat
 
@@ -629,17 +617,11 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
         ("reconstruction_verdict", "holds" if recon_holds else "fails"),
         ("iff_consistent", biorth_holds == recon_holds),
     )
-    worst = max(biorth_worst, recon_worst)
-    verdict = "holds" if biorth_holds and recon_holds else "fails"
-    counterexample = None
-    if verdict == "fails":
-        inputs = {f"basis.{idx + 1}": mat for idx, mat in enumerate(basis)}
-        inputs["M"] = worst_m
-        counterexample = Counterexample(trial=worst_trial, residual=worst,
-                                        inputs=_serialize_inputs(inputs))
-    return AxiomReport(axiom="PROJ", scheme=_describe(scheme_obj), trials=trials,
-                       seed=seed, max_residual=worst, verdict=verdict,
-                       counterexample=counterexample, details=details)
+    inputs = {f"basis.{idx + 1}": mat for idx, mat in enumerate(basis)}
+    inputs["M"] = worst_m
+    return _report("PROJ", scheme_obj.describe(), trials, seed,
+                   max(biorth_worst, recon_worst), worst_trial, inputs, details,
+                   verdict="holds" if biorth_holds and recon_holds else "fails")
 
 
 # -- the structural impossibility demonstrations -------------------------
@@ -652,6 +634,40 @@ def _q4_forced_value(scheme, a: Matrix, c: Matrix, b1: Matrix, b2: Matrix) -> Ma
     return left @ right
 
 
+def _q4_residuals(values: dict) -> dict[str, float]:
+    """Per built-in scheme, the gap between the two values multiplicativity forces.
+
+    A square-only scheme uses the witness pair A2, C2, whose traces are
+    nonzero; the others use A, C.
+    """
+    out = {}
+    for name, builtin in BUILTIN_SCHEMES.items():
+        a, c = (values["A2"], values["C2"]) if builtin.realization.square_only \
+            else (values["A"], values["C"])
+        scheme = QuotientScheme(kind=name)
+        out[name] = relative_residual(
+            _q4_forced_value(scheme, a, c, values["B1"], values["B2"]),
+            _q4_forced_value(scheme, a, c, values["B1p"], values["B2p"]))
+    return out
+
+
+def _q5_residuals(values: dict) -> dict[str, float]:
+    """Per built-in scheme defined off square domains, the trace-rule residual."""
+    a, mat = values["A"], values["M"]
+    shape = _shape_for(a, mat)
+    return {name: _scalar_residual(mat.trace(), a.trace() * left_quotient(
+                QuotientScheme(kind=name), a, mat, shape).trace())
+            for name, builtin in BUILTIN_SCHEMES.items()
+            if not builtin.realization.square_only}
+
+
+def _rank_gap_sides(values: dict) -> tuple[Matrix, Matrix]:
+    """Q(J) under the trace rule, and the value composition over col x row forces."""
+    q_frob = frobenius_realization().q_of
+    return (trace_realization(values["J"]),
+            kron(q_frob(values["col"]), q_frob(values["row"])))
+
+
 def _demo_q4() -> AxiomReport:
     a = Matrix.unit(2, 2, 1, 2)
     c = Matrix.unit(2, 2, 1, 2)
@@ -661,85 +677,51 @@ def _demo_q4() -> AxiomReport:
     b2 = Matrix.identity(2)
     b1p = 2 * Matrix.identity(2)
     b2p = Matrix.identity(2)
+    inputs = {"A": a, "C": c, "A2": a2, "C2": c2,
+              "B1": b1, "B2": b2, "B1p": b1p, "B2p": b2p}
 
+    residuals = _q4_residuals(inputs)
     details: list[tuple[str, object]] = [("product_of_divisors_is_zero", (a @ c).is_zero())]
-    worst = -1.0
-    for name in ("leopardi", "frobenius", "operator"):
-        scheme = _BUILTIN_SCHEMES[name]
-        forced1 = _q4_forced_value(scheme, a, c, b1, b2)
-        forced2 = _q4_forced_value(scheme, a, c, b1p, b2p)
-        residual = relative_residual(forced1, forced2)
-        details.append((f"{name}_residual", residual))
-        worst = max(worst, residual)
-    trace_res = relative_residual(
-        _q4_forced_value(_BUILTIN_SCHEMES["trace"], a2, c2, b1, b2),
-        _q4_forced_value(_BUILTIN_SCHEMES["trace"], a2, c2, b1p, b2p))
-    details.append(("trace_residual", trace_res))
-    worst = max(worst, trace_res)
+    details.extend((f"{name}_residual", residual) for name, residual in residuals.items())
     try:
-        left_quotient(_BUILTIN_SCHEMES["frobenius"], a @ c, kron(a, b1) @ kron(c, b2),
+        left_quotient(QuotientScheme.frobenius(), a @ c, kron(a, b1) @ kron(c, b2),
                       FactorShape(2, 2, 2, 2))
         details.append(("right_hand_side", "defined"))
     except ZeroDivisorError:
         details.append(("right_hand_side", "undefined (zero divisor)"))
-
-    inputs = {"A": a, "C": c, "A2": a2, "C2": c2,
-              "B1": b1, "B2": b2, "B1p": b1p, "B2p": b2p}
-    return AxiomReport(
-        axiom="Q4", scheme="all-builtins", trials=1, seed=0, max_residual=worst,
-        verdict="fails",
-        counterexample=Counterexample(trial=0, residual=worst,
-                                      inputs=_serialize_inputs(inputs)),
-        details=tuple(details))
+    return _report("Q4", "all-builtins", 1, 0, max(residuals.values()), 0, inputs, details,
+                   verdict="fails")
 
 
 def _demo_q5() -> AxiomReport:
     a = Matrix.diagonal([1, -1])
     mat = Matrix.identity(4)
-    shape = FactorShape(2, 2, 2, 2)
+    inputs = {"A": a, "M": mat}
+    residuals = _q5_residuals(inputs)
     details: list[tuple[str, object]] = [("trace_of_divisor", 0.0),
                                          ("trace_of_dividend", 4.0)]
-    worst = -1.0
-    for name in ("leopardi", "frobenius", "operator"):
-        quotient = left_quotient(_BUILTIN_SCHEMES[name], a, mat, shape)
-        residual = _scalar_residual(mat.trace(), a.trace() * quotient.trace())
-        details.append((f"{name}_residual", residual))
-        worst = max(worst, residual)
+    details.extend((f"{name}_residual", residual) for name, residual in residuals.items())
     try:
-        left_quotient(_BUILTIN_SCHEMES["trace"], a, mat, shape)
+        left_quotient(QuotientScheme.trace(), a, mat, FactorShape(2, 2, 2, 2))
         details.append(("trace_scheme", "defined"))
     except SingularRealizationError:
         details.append(("trace_scheme", "outside domain (tr A = 0)"))
     details.append(("leading_pair_degenerate", _near_degenerate_leading(a)))
-
-    return AxiomReport(
-        axiom="Q5", scheme="all-builtins", trials=1, seed=0, max_residual=worst,
-        verdict="fails",
-        counterexample=Counterexample(trial=0, residual=worst,
-                                      inputs=_serialize_inputs({"A": a, "M": mat})),
-        details=tuple(details))
+    return _report("Q5", "all-builtins", 1, 0, max(residuals.values()), 0, inputs, details,
+                   verdict="fails")
 
 
 def _demo_q3_vs_trace() -> AxiomReport:
     ones = Matrix.ones(4, 4)  # equals kron(col, row) and kron(J2, J2)
-    col = Matrix.ones(4, 1)
-    row = Matrix.ones(1, 4)
-    q_trace = trace_realization(ones)
-    q_frob = frobenius_realization().q_of
-    tensor_value = kron(q_frob(col), q_frob(row))
-    residual = relative_residual(q_trace, tensor_value)
+    inputs = {"J": ones, "col": Matrix.ones(4, 1), "row": Matrix.ones(1, 4)}
+    q_trace, tensor_value = _rank_gap_sides(inputs)
     details = (
         ("rank_under_trace_rule", _numerical_rank(q_trace)),
         ("rank_of_tensor_factorized_value", _numerical_rank(tensor_value)),
         ("vector_realization", "frobenius"),
     )
-    return AxiomReport(
-        axiom="Q3xTR", scheme="trace", trials=1, seed=0, max_residual=residual,
-        verdict="fails",
-        counterexample=Counterexample(trial=0, residual=residual,
-                                      inputs=_serialize_inputs(
-                                          {"J": ones, "col": col, "row": row})),
-        details=details)
+    return _report("Q3xTR", "trace", 1, 0, relative_residual(q_trace, tensor_value), 0,
+                   inputs, details, verdict="fails")
 
 
 def demo_counterexamples() -> list[AxiomReport]:
@@ -762,76 +744,37 @@ def demo_counterexamples() -> list[AxiomReport]:
 def replay_counterexample(report: AxiomReport, scheme=None) -> float:
     """Re-evaluate a report's counterexample through the public API.
 
-    Returns the reproduced residual. ``scheme`` is only needed when the
-    report's scheme descriptor does not name a built-in rule.
+    Returns the reproduced residual, computed by the same evaluator as
+    the check or demo that wrote the report. ``scheme`` is only needed
+    when the report's scheme descriptor does not name a built-in rule.
     """
     if report.counterexample is None:
         raise ConfigurationError("report carries no counterexample")
     values = report.counterexample.values()
 
+    if report.axiom == "Q4":
+        return max(_q4_residuals(values).values())
+    if report.axiom == "Q5":
+        return max(_q5_residuals(values).values())
+    if report.axiom == "Q3xTR":
+        return relative_residual(*_rank_gap_sides(values))
+
+    scheme_obj = scheme if scheme is not None else _resolve_scheme(report.scheme)
     if report.axiom in _CHECKED_AXIOMS:
-        scheme_obj = scheme if scheme is not None else _resolve_scheme(report.scheme)
         return _eval_axiom(report.axiom, scheme_obj, values)
-
     if report.axiom == "Wcond":
-        if scheme is None:
-            scheme = _resolve_scheme(report.scheme)
-        rule = scheme.weight_rule if isinstance(scheme, QuotientScheme) else scheme
-        res_t, res_k = _weight_condition_residuals(rule, values["A"], values["B"])
-        return max(res_t, res_k)
-
+        rule = scheme_obj.weight_rule if isinstance(scheme_obj, QuotientScheme) else scheme_obj
+        return max(_weight_condition_residuals(rule, values["A"], values["B"]))
     if report.axiom == "Rcond":
-        realization = scheme if scheme is not None else _resolve_scheme(report.scheme)
-        res = _realization_condition_residuals(realization, values["A"], values["B"],
-                                               complex(values["k"]))
-        return max(res)
-
+        return max(_realization_condition_residuals(scheme_obj, values["A"], values["B"],
+                                                    complex(values["k"])))
     if report.axiom == "PROJ":
-        scheme_obj = scheme if scheme is not None else _resolve_scheme(report.scheme)
-        realization = scheme_obj if isinstance(scheme_obj, Realization) \
-            else realization_for(scheme_obj)
+        realization = _realization_of(scheme_obj)
         basis = [values[key] for key in sorted(
             (k for k in values if k.startswith("basis.")),
             key=lambda name: int(name.split(".")[1]))]
-        worst = max(abs(pfp_scalar(realization.q_of(bj), bk) - (1.0 if j == k else 0.0))
-                    for j, bj in enumerate(basis) for k, bk in enumerate(basis))
+        worst = _biorthonormal_residual(realization, basis)[0]
         if "M" in values:
-            mat = values["M"]
-            m, n = basis[0].rows, basis[0].cols
-            shape = FactorShape(m, n, mat.rows // m, mat.cols // n)
-            total = Matrix.zero(mat.rows, mat.cols)
-            for elem in basis:
-                total = total + kron(elem, left_quotient(scheme_obj, elem, mat, shape))
-            worst = max(worst, (mat - total).frobenius_norm()
-                        / max(mat.frobenius_norm(), 1e-300))
+            worst = max(worst, _reconstruction_residual(realization, basis, values["M"]))
         return worst
-
-    if report.axiom == "Q4":
-        worst = -1.0
-        for name, (a_key, c_key) in (("leopardi", ("A", "C")),
-                                     ("frobenius", ("A", "C")),
-                                     ("operator", ("A", "C")),
-                                     ("trace", ("A2", "C2"))):
-            sch = _BUILTIN_SCHEMES[name]
-            forced1 = _q4_forced_value(sch, values[a_key], values[c_key],
-                                       values["B1"], values["B2"])
-            forced2 = _q4_forced_value(sch, values[a_key], values[c_key],
-                                       values["B1p"], values["B2p"])
-            worst = max(worst, relative_residual(forced1, forced2))
-        return worst
-
-    if report.axiom == "Q5":
-        a, mat = values["A"], values["M"]
-        shape = _shape_for(a, mat)
-        worst = -1.0
-        for name in ("leopardi", "frobenius", "operator"):
-            quotient = left_quotient(_BUILTIN_SCHEMES[name], a, mat, shape)
-            worst = max(worst, _scalar_residual(mat.trace(), a.trace() * quotient.trace()))
-        return worst
-
-    if report.axiom == "Q3xTR":
-        q_frob = frobenius_realization().q_of
-        return relative_residual(trace_realization(values["J"]),
-                                 kron(q_frob(values["col"]), q_frob(values["row"])))
-
     raise ConfigurationError(f"cannot replay axiom {report.axiom!r}")

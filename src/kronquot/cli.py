@@ -31,22 +31,13 @@ from .errors import ConvergenceError, KronError
 from .matrix import FactorShape, Matrix, kron
 from .pfp import pfp
 from .quotients import (
+    BUILTIN_SCHEMES,
     QuotientScheme,
-    frobenius_weights,
     left_quotient,
-    leopardi_weights,
+    negligible_remainder,
     remainder,
     right_quotient,
 )
-
-_SCHEMES = {
-    "leopardi": QuotientScheme.leopardi,
-    "frobenius": QuotientScheme.frobenius,
-    "operator": QuotientScheme.operator,
-    "trace": QuotientScheme.trace,
-}
-
-_WEIGHT_RULES = {"leopardi": leopardi_weights, "frobenius": frobenius_weights}
 
 
 def _shape_arg(text: str) -> FactorShape:
@@ -81,28 +72,25 @@ def _cmd_kron(args) -> int:
 
 
 def _cmd_quot(args) -> int:
-    scheme = _SCHEMES[args.scheme]()
-    result = left_quotient(scheme, matfile.read_matrix(args.a),
+    result = left_quotient(QuotientScheme(kind=args.scheme), matfile.read_matrix(args.a),
                            matfile.read_matrix(args.m), args.shape)
     _emit(result, args.output)
     return 0
 
 
 def _cmd_rquot(args) -> int:
-    scheme = _SCHEMES[args.scheme]()
-    result = right_quotient(scheme, matfile.read_matrix(args.m),
+    result = right_quotient(QuotientScheme(kind=args.scheme), matfile.read_matrix(args.m),
                             matfile.read_matrix(args.b), args.shape)
     _emit(result, args.output)
     return 0
 
 
 def _cmd_rem(args) -> int:
-    scheme = _SCHEMES[args.scheme]()
     m = matfile.read_matrix(args.m)
-    rem = remainder(scheme, matfile.read_matrix(args.a), m, args.shape)
-    residual = rem.frobenius_norm()
-    divides = residual <= 1e-12 + 1e-10 * m.frobenius_norm()
-    trailer = f"divisor={'true' if divides else 'false'} residual={residual:.17g}"
+    rem = remainder(QuotientScheme(kind=args.scheme), matfile.read_matrix(args.a), m,
+                    args.shape)
+    divides = negligible_remainder(rem, m)
+    trailer = f"divisor={'true' if divides else 'false'} residual={rem.frobenius_norm():.17g}"
     _emit(rem, args.output, trailer=trailer)
     return 0
 
@@ -115,7 +103,7 @@ def _cmd_pfp(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.axiom == "Wcond":
-        rule = _WEIGHT_RULES.get(args.scheme)
+        rule = BUILTIN_SCHEMES[args.scheme].weights
         if rule is None:
             raise KronError(f"weight conditions need a weighted scheme "
                             f"(leopardi or frobenius), not {args.scheme!r}")
@@ -123,11 +111,9 @@ def _cmd_check(args) -> int:
                                          name=args.scheme)
     elif args.axiom == "Proj":
         basis = [Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)]
-        report = check_projection(basis, _SCHEMES[args.scheme](),
-                                  args.trials, args.seed, args.dims)
+        report = check_projection(basis, args.scheme, args.trials, args.seed, args.dims)
     else:
-        report = check_axiom(args.axiom, _SCHEMES[args.scheme](),
-                             args.trials, args.seed, args.dims)
+        report = check_axiom(args.axiom, args.scheme, args.trials, args.seed, args.dims)
     sys.stdout.write(report.to_json() + "\n" if args.json else report.to_text())
     return 0 if report.holds else 1
 
@@ -152,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the result here instead of standard output")
 
     def add_scheme_shape(p):
-        p.add_argument("--scheme", choices=sorted(_SCHEMES), required=True)
+        p.add_argument("--scheme", choices=sorted(BUILTIN_SCHEMES), required=True)
         p.add_argument("--shape", type=_shape_arg, required=True, metavar="m,n,s,t",
                        help="block structure: the dividend is (m*s) x (n*t)")
 
@@ -192,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="randomized axiom check; exit 0 holds, 1 fails")
     p.add_argument("--axiom", choices=["Q1", "Q2a", "Q2b", "Q3", "Q5R", "Wcond", "Proj"],
                    required=True)
-    p.add_argument("--scheme", choices=sorted(_SCHEMES), required=True)
+    p.add_argument("--scheme", choices=sorted(BUILTIN_SCHEMES), required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--dims", type=int, default=4, metavar="D",

@@ -158,9 +158,6 @@ class Matrix:
         """A fresh writable complex128 copy of the data."""
         return self._a.copy()
 
-    def to_lists(self) -> list[list[complex]]:
-        return [[complex(x) for x in row] for row in self._a]
-
     # -- structural operations ---------------------------------------
 
     def transpose(self) -> Matrix:
@@ -177,7 +174,7 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return bool((self._a == 0).all())
+        return not self._a.any()
 
     # -- scalar reductions -------------------------------------------
 
@@ -189,26 +186,6 @@ class Matrix:
     def frobenius_norm(self) -> float:
         """sqrt of the summed squared entry magnitudes."""
         return math.sqrt(float(np.vdot(self._a, self._a).real))
-
-    def determinant(self) -> complex:
-        """Determinant by Gaussian elimination with partial pivoting."""
-        if not self.is_square():
-            raise ShapeError(f"determinant needs a square matrix, got {self.rows}x{self.cols}")
-        a = self._a.copy()
-        n = self.rows
-        det = complex(1.0)
-        for k in range(n):
-            p = k + int(np.argmax(np.abs(a[k:, k])))
-            if a[p, k] == 0:
-                return complex(0.0)
-            if p != k:
-                a[[k, p], k:] = a[[p, k], k:]
-                det = -det
-            det *= complex(a[k, k])
-            if k + 1 < n:
-                factors = a[k + 1 :, k] / a[k, k]
-                a[k + 1 :, k + 1 :] -= np.outer(factors, a[k, k + 1 :])
-        return det
 
     # -- arithmetic ----------------------------------------------------
 

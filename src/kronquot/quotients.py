@@ -22,6 +22,13 @@ that are *not* exact Kronecker products:
                     Q[u,v,u',v'] with Q[u,v,u',v'] paired against A
                     equal to delta_uu' * delta_vv'.
 
+All but ``linear`` are uniform: a realization A -> Q(A) defines them
+as A quot M = pfp(Q(A), M), and :func:`left_quotient` evaluates every
+one of them through that single pipeline. ``BUILTIN_SCHEMES`` is the
+one table of the built-in schemes. A right quotient reindexes its
+dividend by a reshape that swaps the Kronecker factor order (the
+perfect shuffle) and divides on the left.
+
 All scheme objects are immutable and every evaluation is pure;
 user-supplied weight rules and component families must themselves be
 pure and reentrant to keep that guarantee.
@@ -42,10 +49,9 @@ from .errors import (
     InvalidWeightsError,
     ShapeError,
     SingularRealizationError,
-    UnsupportedInputError,
     ZeroDivisorError,
 )
-from .matrix import FactorShape, Matrix, block, kron
+from .matrix import FactorShape, Matrix, kron
 from .pfp import pfp, pfp_scalar
 from .singular import leading_pair
 
@@ -81,11 +87,16 @@ class Realization:
     """Rule A -> Q(A) defining a uniform quotient A quot M = pfp(Q(A), M).
 
     Q(A) must have A's shape and satisfy pfp_scalar(Q(A), A) = 1; the
-    package checks this at every evaluation point.
+    package checks this at every evaluation point. ``square_only`` marks
+    a rule defined only on square A with nonzero trace, and
+    ``support_sensitive`` one that reads which entries of A are zero;
+    the law checks draw their divisors accordingly.
     """
 
     q_of: Callable[[Matrix], Matrix]
     label: str = "custom"
+    square_only: bool = False
+    support_sensitive: bool = False
 
     def describe(self) -> str:
         return f"uniform({self.label})"
@@ -100,10 +111,8 @@ class QuotientScheme:
     q_family: FamilyRule | None = None
     label: str | None = None
 
-    _KINDS = ("leopardi", "weighted", "frobenius", "operator", "trace", "linear")
-
     def __post_init__(self):
-        if self.kind not in self._KINDS:
+        if self.kind not in BUILTIN_SCHEMES and self.kind not in ("weighted", "linear"):
             raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
         if self.kind == "weighted" and self.weight_rule is None:
             raise ConfigurationError("weighted scheme needs a weight rule")
@@ -146,13 +155,11 @@ class QuotientScheme:
 
 def leopardi_weights(a: Matrix) -> Matrix:
     """Equal weight 1/nnz(A) on every nonzero entry."""
-    nz = NzIndex.of(a)
-    if nz.count == 0:
+    support = np.abs(a.to_array()) >= ZERO_THRESHOLD
+    count = int(support.sum())
+    if count == 0:
         raise ZeroDivisorError("cannot weight the zero matrix")
-    w = np.zeros((a.rows, a.cols), dtype=np.complex128)
-    for i, j in nz.positions:
-        w[i - 1, j - 1] = 1.0 / nz.count
-    return Matrix.from_array(w)
+    return Matrix.from_array(support / count)
 
 
 def _norm_squared(a: Matrix) -> float:
@@ -170,6 +177,20 @@ def frobenius_weights(a: Matrix) -> Matrix:
     return Matrix.from_array((arr.real**2 + arr.imag**2) / norm2)
 
 
+def _validate_weights(w: Matrix, a: Matrix, support: np.ndarray) -> np.ndarray:
+    """The weights as an array, once they sum to 1 on A's support and vanish off it."""
+    if w.shape != a.shape:
+        raise InvalidWeightsError(f"weight rule returned a {w.rows}x{w.cols} matrix "
+                                  f"for a {a.rows}x{a.cols} argument")
+    warr = w.to_array()
+    total = complex(warr[support].sum())
+    if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
+        raise InvalidWeightsError(f"weights over the nonzero entries sum to {total}, expected 1")
+    if float(np.abs(warr[~support]).sum()) > WEIGHT_SUM_TOLERANCE:
+        raise InvalidWeightsError("weight rule puts weight on zero entries of its argument")
+    return warr
+
+
 # -- shape plumbing ---------------------------------------------------
 
 def _check_left_shapes(a: Matrix, m: Matrix, shape: FactorShape) -> None:
@@ -185,98 +206,35 @@ def _require_nonzero(a: Matrix) -> None:
         raise ZeroDivisorError("quotient by the zero matrix")
 
 
-# -- individual schemes ----------------------------------------------
+# -- realizations of the built-in uniform schemes ----------------------
 
-def leopardi_quotient(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """Average of block(M, i, j) / A[i, j] over the nonzero entries of A."""
-    _check_left_shapes(a, m, shape)
-    nz = NzIndex.of(a)
-    if nz.count == 0:
-        raise ZeroDivisorError("quotient by the zero matrix (no entries above the zero threshold)")
-    marr = m.to_array()
-    s, t = shape.s, shape.t
-    acc = np.zeros((s, t), dtype=np.complex128)
-    for i, j in sorted(nz.positions):
-        acc += marr[(i - 1) * s : i * s, (j - 1) * t : j * t] / a.entry(i, j)
-    return Matrix.from_array(acc / nz.count)
+def weighted_realization(rule: WeightRule, name: str | None = None) -> Realization:
+    """Q(A)[i,j] = W(A)[i,j] / A[i,j] on the nonzero entries, 0 elsewhere."""
 
+    def q_of(a: Matrix) -> Matrix:
+        arr = a.to_array()
+        support = np.abs(arr) >= ZERO_THRESHOLD
+        if not support.any():
+            raise ZeroDivisorError(
+                "quotient by the zero matrix (no entries above the zero threshold)")
+        warr = _validate_weights(rule(a), a, support)
+        return Matrix.from_array(np.divide(warr, arr, out=np.zeros_like(arr), where=support))
 
-def weighted_quotient(weight_rule: WeightRule, a: Matrix, m: Matrix,
-                      shape: FactorShape) -> Matrix:
-    """Weighted average of blockwise ratios under a unit-sum weight rule."""
-    _check_left_shapes(a, m, shape)
-    nz = NzIndex.of(a)
-    if nz.count == 0:
-        raise ZeroDivisorError("quotient by the zero matrix (no entries above the zero threshold)")
-    w = weight_rule(a)
-    _validate_weights(w, a, nz)
-    marr = m.to_array()
-    s, t = shape.s, shape.t
-    acc = np.zeros((s, t), dtype=np.complex128)
-    for i, j in sorted(nz.positions):
-        acc += (w.entry(i, j) / a.entry(i, j)) * marr[(i - 1) * s : i * s, (j - 1) * t : j * t]
-    return Matrix.from_array(acc)
+    return Realization(q_of=q_of, label=name or getattr(rule, "__name__", "weighted"),
+                       support_sensitive=True)
 
 
-def _validate_weights(w: Matrix, a: Matrix, nz: NzIndex) -> None:
-    if w.shape != a.shape:
-        raise InvalidWeightsError(f"weight rule returned a {w.rows}x{w.cols} matrix "
-                                  f"for a {a.rows}x{a.cols} argument")
-    total = sum(w.entry(i, j) for i, j in nz.positions)
-    if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-        raise InvalidWeightsError(f"weights over the nonzero entries sum to {total}, expected 1")
-    off_support = sum(abs(w.entry(i, j))
-                      for i, j in product(range(1, a.rows + 1), range(1, a.cols + 1))
-                      if (i, j) not in nz.positions)
-    if off_support > WEIGHT_SUM_TOLERANCE:
-        raise InvalidWeightsError("weight rule puts weight on zero entries of its argument")
-
-
-def frobenius_quotient(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """Quotient minimizing ||M - kron(A, C)||_F over the factor C."""
-    _check_left_shapes(a, m, shape)
+def _frobenius_q(a: Matrix) -> Matrix:
     norm2 = _norm_squared(a)
     if norm2 == 0.0:
         raise ZeroDivisorError("quotient by the zero matrix")
-    return pfp(a.conjugate() / norm2, m)
+    return a.conjugate() / norm2
 
 
-def vanloan_factor(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """Nearest-factor formula B[i,j] = tr(Mtilde_ij^T A) / ||A||_F^2, real data only.
-
-    Mtilde_ij picks every (i, j)-within-block entry of M. Kept separate
-    from frobenius_quotient so the two routes can be checked against
-    each other; for complex data use frobenius_quotient, which carries
-    the conjugation.
-    """
-    _check_left_shapes(a, m, shape)
-    for name, mat in (("divisor", a), ("dividend", m)):
-        if np.any(mat.to_array().imag != 0.0):
-            raise UnsupportedInputError(
-                f"{name} has complex entries; use frobenius_quotient for complex data")
-    norm2 = _norm_squared(a)
-    if norm2 == 0.0:
-        raise ZeroDivisorError("quotient by the zero matrix")
-    mm, nn, s, t = shape
-    eye_m = Matrix.identity(mm)
-    eye_n = Matrix.identity(nn)
-    out = np.zeros((s, t), dtype=np.complex128)
-    for i in range(1, s + 1):
-        left = kron(eye_m, Matrix.basis_column(s, i)).transpose()
-        for j in range(1, t + 1):
-            right = kron(eye_n, Matrix.basis_column(t, j))
-            m_tilde = left @ m @ right
-            out[i - 1, j - 1] = (m_tilde.transpose() @ a).trace() / norm2
-    return Matrix.from_array(out)
-
-
-def operator_quotient(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """Quotient reading only the leading singular direction of the divisor."""
-    _check_left_shapes(a, m, shape)
+def _operator_q(a: Matrix) -> Matrix:
     _require_nonzero(a)
     u1, sigma1, v1 = leading_pair(a)
-    q = (u1.conjugate() @ v1.transpose()) / sigma1
-    return pfp(q, m)
+    return (u1.conjugate() @ v1.transpose()) / sigma1
 
 
 def trace_realization(a: Matrix) -> Matrix:
@@ -290,12 +248,82 @@ def trace_realization(a: Matrix) -> Matrix:
     return Matrix.identity(a.rows) / tr
 
 
-def uniform_quotient(realization: Realization, a: Matrix, m: Matrix,
-                     shape: FactorShape) -> Matrix:
-    """Evaluate A quot M = pfp(Q(A), M) for a realization A -> Q(A)."""
+@dataclasses.dataclass(frozen=True)
+class BuiltinScheme:
+    """A built-in uniform scheme: its realization and, when the scheme is a
+    weighted average, the weight rule W with Q(A) = W(A)/A on A's support."""
+
+    realization: Realization
+    weights: WeightRule | None = None
+
+
+# The one table of built-in schemes: the CLI's --scheme choices, scheme
+# names in the law checks and report descriptors all resolve here.
+BUILTIN_SCHEMES: dict[str, BuiltinScheme] = {
+    "leopardi": BuiltinScheme(weighted_realization(leopardi_weights, "leopardi"),
+                              weights=leopardi_weights),
+    "frobenius": BuiltinScheme(Realization(_frobenius_q, "frobenius"),
+                               weights=frobenius_weights),
+    "operator": BuiltinScheme(Realization(_operator_q, "operator")),
+    "trace": BuiltinScheme(Realization(trace_realization, "trace", square_only=True)),
+}
+
+
+def leopardi_realization() -> Realization:
+    return BUILTIN_SCHEMES["leopardi"].realization
+
+
+def frobenius_realization() -> Realization:
+    return BUILTIN_SCHEMES["frobenius"].realization
+
+
+def operator_realization() -> Realization:
+    return BUILTIN_SCHEMES["operator"].realization
+
+
+def trace_scheme_realization() -> Realization:
+    return BUILTIN_SCHEMES["trace"].realization
+
+
+def realization_for(scheme: QuotientScheme) -> Realization:
+    """The realization of a uniform scheme; linear schemes have none."""
+    if scheme.kind == "weighted":
+        return weighted_realization(scheme.weight_rule, scheme.label)
+    if scheme.kind == "linear":
+        raise ConfigurationError(f"scheme {scheme.describe()!r} is not uniform: "
+                                 "it has no single-matrix realization")
+    return BUILTIN_SCHEMES[scheme.kind].realization
+
+
+def family_from_realization(realization: Realization) -> FamilyRule:
+    """The component family of a uniform quotient: diagonal copies of Q(A)."""
+
+    def family(a: Matrix, s: int, t: int):
+        q = realization.q_of(a)
+        return {(u, v, u, v): q for u in range(1, s + 1) for v in range(1, t + 1)}
+
+    return family
+
+
+# -- evaluation ----------------------------------------------------------
+
+def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
+    """Left quotient of M by A under the given scheme (or realization).
+
+    A uniform scheme evaluates as pfp(Q(A), M) once Q(A) is checked to
+    have A's shape and to pair to 1 against A; a linear scheme goes
+    through :func:`linear_quotient`.
+    """
+    if isinstance(scheme, QuotientScheme):
+        if scheme.kind == "linear":
+            return linear_quotient(scheme.q_family, a, m, shape)
+        scheme = realization_for(scheme)
+    elif not isinstance(scheme, Realization):
+        raise ConfigurationError(f"expected a QuotientScheme or Realization, got {scheme!r}")
     _check_left_shapes(a, m, shape)
-    _require_nonzero(a)
-    q = realization.q_of(a)
+    if a.is_zero():
+        raise ZeroDivisorError("quotient by the zero matrix")
+    q = scheme.q_of(a)
     if not isinstance(q, Matrix) or q.shape != a.shape:
         raise InvalidRealizationError("realization must return a matrix of the divisor's shape")
     unit = pfp_scalar(q, a)
@@ -303,6 +331,33 @@ def uniform_quotient(realization: Realization, a: Matrix, m: Matrix,
         raise InvalidRealizationError(
             f"realization pairs to {unit} against its argument, expected 1")
     return pfp(q, m)
+
+
+def leopardi_quotient(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
+    """Average of block(M, i, j) / A[i, j] over the nonzero entries of A."""
+    return left_quotient(QuotientScheme.leopardi(), a, m, shape)
+
+
+def weighted_quotient(weight_rule: WeightRule, a: Matrix, m: Matrix,
+                      shape: FactorShape) -> Matrix:
+    """Weighted average of blockwise ratios under a unit-sum weight rule."""
+    return left_quotient(weighted_realization(weight_rule), a, m, shape)
+
+
+def frobenius_quotient(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
+    """Quotient minimizing ||M - kron(A, C)||_F over the factor C."""
+    return left_quotient(QuotientScheme.frobenius(), a, m, shape)
+
+
+def operator_quotient(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
+    """Quotient reading only the leading singular direction of the divisor."""
+    return left_quotient(QuotientScheme.operator(), a, m, shape)
+
+
+def uniform_quotient(realization: Realization, a: Matrix, m: Matrix,
+                     shape: FactorShape) -> Matrix:
+    """Evaluate A quot M = pfp(Q(A), M) for a realization A -> Q(A)."""
+    return left_quotient(realization, a, m, shape)
 
 
 def linear_quotient(family: FamilyRule, a: Matrix, m: Matrix,
@@ -343,112 +398,21 @@ def linear_quotient(family: FamilyRule, a: Matrix, m: Matrix,
     return Matrix.from_array(out)
 
 
-# -- realizations of the built-in uniform schemes ----------------------
-
-def weighted_realization(rule: WeightRule, name: str | None = None) -> Realization:
-    """Q(A)[i,j] = W(A)[i,j] / A[i,j] on the nonzero entries, 0 elsewhere."""
-
-    def q_of(a: Matrix) -> Matrix:
-        nz = NzIndex.of(a)
-        if nz.count == 0:
-            raise ZeroDivisorError("quotient by the zero matrix")
-        w = rule(a)
-        _validate_weights(w, a, nz)
-        q = np.zeros((a.rows, a.cols), dtype=np.complex128)
-        for i, j in nz.positions:
-            q[i - 1, j - 1] = w.entry(i, j) / a.entry(i, j)
-        return Matrix.from_array(q)
-
-    return Realization(q_of=q_of, label=name or getattr(rule, "__name__", "weighted"))
-
-
-def leopardi_realization() -> Realization:
-    return weighted_realization(leopardi_weights, "leopardi")
-
-
-def frobenius_realization() -> Realization:
-    def q_of(a: Matrix) -> Matrix:
-        norm2 = _norm_squared(a)
-        if norm2 == 0.0:
-            raise ZeroDivisorError("quotient by the zero matrix")
-        return a.conjugate() / norm2
-
-    return Realization(q_of=q_of, label="frobenius")
-
-
-def operator_realization() -> Realization:
-    def q_of(a: Matrix) -> Matrix:
-        _require_nonzero(a)
-        u1, sigma1, v1 = leading_pair(a)
-        return (u1.conjugate() @ v1.transpose()) / sigma1
-
-    return Realization(q_of=q_of, label="operator")
-
-
-def trace_scheme_realization() -> Realization:
-    return Realization(q_of=trace_realization, label="trace")
-
-
-def realization_for(scheme: QuotientScheme) -> Realization:
-    """The realization of a uniform scheme; linear schemes have none."""
-    if scheme.kind == "leopardi":
-        return leopardi_realization()
-    if scheme.kind == "weighted":
-        return weighted_realization(scheme.weight_rule, scheme.label)
-    if scheme.kind == "frobenius":
-        return frobenius_realization()
-    if scheme.kind == "operator":
-        return operator_realization()
-    if scheme.kind == "trace":
-        return trace_scheme_realization()
-    raise ConfigurationError(f"scheme {scheme.describe()!r} is not uniform: "
-                             "it has no single-matrix realization")
-
-
-def family_from_realization(realization: Realization) -> FamilyRule:
-    """The component family of a uniform quotient: diagonal copies of Q(A)."""
-
-    def family(a: Matrix, s: int, t: int):
-        q = realization.q_of(a)
-        return {(u, v, u, v): q for u in range(1, s + 1) for v in range(1, t + 1)}
-
-    return family
-
-
-# -- the scheme-dispatching entry points --------------------------------
-
-SchemeLike = QuotientScheme | Realization
-
-
-def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """Left quotient of M by A under the given scheme (or realization)."""
-    if isinstance(scheme, Realization):
-        return uniform_quotient(scheme, a, m, shape)
-    if not isinstance(scheme, QuotientScheme):
-        raise ConfigurationError(f"expected a QuotientScheme or Realization, got {scheme!r}")
-    if scheme.kind == "leopardi":
-        return leopardi_quotient(a, m, shape)
-    if scheme.kind == "weighted":
-        return weighted_quotient(scheme.weight_rule, a, m, shape)
-    if scheme.kind == "frobenius":
-        return frobenius_quotient(a, m, shape)
-    if scheme.kind == "operator":
-        return operator_quotient(a, m, shape)
-    if scheme.kind == "trace":
-        return uniform_quotient(trace_scheme_realization(), a, m, shape)
-    return linear_quotient(scheme.q_family, a, m, shape)
-
-
 def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     """M - kron(A, left_quotient(...)): what the divisor fails to explain."""
     return m - kron(a, left_quotient(scheme, a, m, shape))
 
 
+def negligible_remainder(r: Matrix, m: Matrix, *, rtol: float = 1e-10,
+                         atol: float = 1e-12) -> bool:
+    """Whether a remainder r of M vanishes up to atol + rtol * ||M||_F."""
+    return r.frobenius_norm() <= atol + rtol * m.frobenius_norm()
+
+
 def is_divisor(scheme, a: Matrix, m: Matrix, shape: FactorShape, *,
                rtol: float = 1e-10, atol: float = 1e-12) -> bool:
     """Whether the remainder vanishes up to atol + rtol * ||M||_F."""
-    r = remainder(scheme, a, m, shape)
-    return r.frobenius_norm() <= atol + rtol * m.frobenius_norm()
+    return negligible_remainder(remainder(scheme, a, m, shape), m, rtol=rtol, atol=atol)
 
 
 def perfect_shuffle(m: int, s: int) -> Matrix:
@@ -456,6 +420,7 @@ def perfect_shuffle(m: int, s: int) -> Matrix:
 
     With S1 = perfect_shuffle(m, s) and S2 = perfect_shuffle(n, t),
     S1 @ kron(A, B) @ S2.transpose() == kron(B, A) for A m x n, B s x t.
+    :func:`right_quotient` applies the same reindexing as a reshape.
     """
     dim = m * s
     p = np.zeros((dim, dim), dtype=np.complex128)
@@ -468,16 +433,15 @@ def perfect_shuffle(m: int, s: int) -> Matrix:
 def right_quotient(scheme, m: Matrix, b: Matrix, shape: FactorShape) -> Matrix:
     """Right quotient recovering the left factor: (A kron B) rquot B = A.
 
-    Reduced to a left quotient by conjugating with perfect-shuffle
-    permutations, which swap the Kronecker factor order.
+    The dividend's rows and columns are reindexed so that kron(A, B)
+    becomes kron(B, A) -- the perfect shuffle, applied as a reshape --
+    and the result is divided on the left by B.
     """
     if (b.rows, b.cols) != (shape.s, shape.t):
         raise ShapeError(f"divisor is {b.rows}x{b.cols}, expected "
                          f"{shape.s}x{shape.t} for factor shape "
                          f"(m={shape.m}, n={shape.n}, s={shape.s}, t={shape.t})")
     shape.require(m, "dividend")
-    s_rows = perfect_shuffle(shape.m, shape.s)
-    s_cols = perfect_shuffle(shape.n, shape.t)
-    shuffled = s_rows @ m @ s_cols.transpose()
-    swapped = FactorShape(shape.s, shape.t, shape.m, shape.n)
-    return left_quotient(scheme, b, shuffled, swapped)
+    mm, nn, s, t = shape
+    swapped = m.to_array().reshape(mm, s, nn, t).transpose(1, 0, 3, 2).reshape(s * mm, t * nn)
+    return left_quotient(scheme, b, Matrix.from_array(swapped), FactorShape(s, t, mm, nn))

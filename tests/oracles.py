@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from kronquot import Matrix
+from kronquot import FactorShape, Matrix, UnsupportedInputError, ZeroDivisorError, kron
 
 
 def kron_by_index(a: Matrix, b: Matrix) -> Matrix:
@@ -52,6 +52,35 @@ def shuffle_by_index(m: Matrix, mm: int, s: int, nn: int, tt: int) -> Matrix:
             cols[q * nn + j] = j * tt + q
     arr = m.to_array()
     return Matrix.from_array(arr[np.ix_(rows, cols)])
+
+
+def vanloan_factor(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
+    """Nearest-factor formula B[i,j] = tr(Mtilde_ij^T A) / ||A||_F^2, real data only.
+
+    Mtilde_ij picks every (i, j)-within-block entry of M (Van Loan and
+    Pitsianis, "Approximation with Kronecker products", 1993). A second
+    route to the library's frobenius quotient, built from selection
+    matrices and traces, so the two can be checked against each other.
+    """
+    shape.require(m, "dividend")
+    for name, mat in (("divisor", a), ("dividend", m)):
+        if np.any(mat.to_array().imag != 0.0):
+            raise UnsupportedInputError(f"{name} has complex entries")
+    arr = a.to_array()
+    norm2 = float(np.vdot(arr, arr).real)
+    if norm2 == 0.0:
+        raise ZeroDivisorError("quotient by the zero matrix")
+    mm, nn, s, t = shape
+    eye_m = Matrix.identity(mm)
+    eye_n = Matrix.identity(nn)
+    out = np.zeros((s, t), dtype=np.complex128)
+    for i in range(1, s + 1):
+        left = kron(eye_m, Matrix.basis_column(s, i)).transpose()
+        for j in range(1, t + 1):
+            right = kron(eye_n, Matrix.basis_column(t, j))
+            m_tilde = left @ m @ right
+            out[i - 1, j - 1] = (m_tilde.transpose() @ a).trace() / norm2
+    return Matrix.from_array(out)
 
 
 def jacobi_eigenvalues(h: Matrix, tol: float = 1e-13, max_sweeps: int = 100) -> list[float]:

@@ -29,11 +29,10 @@ from kronquot import (
     replay_counterexample,
     right_quotient,
     svd,
-    vanloan_factor,
     write_matrix,
 )
 from kronquot.cli import main
-from oracles import jacobi_eigenvalues
+from oracles import jacobi_eigenvalues, vanloan_factor
 
 
 def report(number, name, worst, bound, extra=""):

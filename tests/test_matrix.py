@@ -176,27 +176,6 @@ class TestReductions:
         assert Matrix.zero(3, 2).frobenius_norm() == 0.0
         assert Matrix.unit(3, 2, 2, 1).frobenius_norm() > 0.0
 
-    def test_determinant_of_kron(self):
-        # for 2x2 factors: det(kron(A, B)) = det(A)^2 det(B)^2
-        rng = np.random.default_rng(8)
-        for _ in range(10):
-            a = random_matrix(rng, 2, 2)
-            b = random_matrix(rng, 2, 2)
-            got = kron(a, b).determinant()
-            want = a.determinant() ** 2 * b.determinant() ** 2
-            assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-
-    def test_determinant_vs_lapack(self):
-        rng = np.random.default_rng(9)
-        for _ in range(20):
-            n = int(rng.integers(1, 7))
-            a = random_matrix(rng, n, n)
-            want = complex(np.linalg.det(a.to_array()))
-            assert abs(a.determinant() - want) <= 1e-9 * max(1.0, abs(want))
-
-    def test_determinant_singular(self):
-        assert Matrix.from_rows([[1, 2], [2, 4]]).determinant() == pytest.approx(0.0)
-
 
 class TestProductLaws:
     """The product identities the quotient work leans on."""

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import kronquot.quotients as quotients
 from kronquot import (
     FactorShape,
     InvalidFamilyError,
     InvalidRealizationError,
     InvalidWeightsError,
+    KronError,
     Matrix,
     NzIndex,
     QuotientScheme,
@@ -40,10 +42,9 @@ from kronquot import (
     trace_realization,
     trace_scheme_realization,
     uniform_quotient,
-    vanloan_factor,
     weighted_quotient,
 )
-from oracles import shuffle_by_index
+from oracles import shuffle_by_index, vanloan_factor
 
 SCHEMES = {
     "leopardi": QuotientScheme.leopardi(),
@@ -418,14 +419,22 @@ class TestRemainder:
 
 
 class TestRightQuotient:
-    def test_shuffle_matches_index_oracle(self):
+    def test_shuffle_matches_index_oracle(self, monkeypatch):
+        # right_quotient hands its reshaped dividend to quotients.left_quotient
+        divided = []
+        monkeypatch.setattr(quotients, "left_quotient",
+                            lambda scheme, b, m, shape: divided.append(m) or m)
         rng = np.random.default_rng(73)
         for _ in range(10):
             m_dim, n_dim = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             s, t = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             mat = random_matrix(rng, m_dim * s, n_dim * t)
+            want = shuffle_by_index(mat, m_dim, s, n_dim, t)
             left = perfect_shuffle(m_dim, s) @ mat @ perfect_shuffle(n_dim, t).transpose()
-            assert left == shuffle_by_index(mat, m_dim, s, n_dim, t)
+            assert left == want
+            right_quotient(SCHEMES["frobenius"], mat, random_nonzero(rng, s, t),
+                           FactorShape(m_dim, n_dim, s, t))
+            assert divided.pop() == want
 
     def test_shuffle_swaps_kron_factors(self):
         rng = np.random.default_rng(74)
@@ -511,6 +520,40 @@ class TestKernelConditions:
         rhs = alpha * left_quotient(scheme, a, m1, shape) \
             + beta * left_quotient(scheme, a, m2, shape)
         assert relative_residual(lhs, rhs) < 1e-10
+
+
+# Round trips at A = 2^e [[1, .5], [.25, 2]], e = -1000..1000 in steps of 50:
+# per scheme, the exponent ranges (inclusive) that raise, and the typed error.
+# Every other exponent must round-trip to 1e-9.
+SCALE_FAILURES = {
+    "leopardi": [(-1000, -1000, ZeroDivisorError)],   # every entry below ZERO_THRESHOLD
+    "frobenius": [(-1000, -550, ZeroDivisorError),    # ||A||_F^2 underflows to 0
+                  (550, 1000, InvalidRealizationError)],  # ... overflows: Q(A) pairs to 0
+    "operator": [(-1000, -550, ZeroDivisorError),
+                 (550, 1000, UnsupportedInputError)],  # the SVD's squared norm overflows
+    "trace": [],
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("name", ["leopardi", "frobenius", "operator", "trace"])
+def test_round_trip_across_divisor_scales(name, side):
+    scheme = SCHEMES[name]
+    b = Matrix.from_rows([[1, 2], [3, 4]])
+    shape = FactorShape(2, 2, 2, 2)
+    for e in range(-1000, 1001, 50):
+        a = Matrix.from_array(np.ldexp(np.array([[1, .5], [.25, 2]]), e))
+        expected = next((err for lo, hi, err in SCALE_FAILURES[name] if lo <= e <= hi), None)
+        try:
+            if side == "left":
+                got = left_quotient(scheme, a, kron(a, b), shape)
+            else:
+                got = right_quotient(scheme, kron(b, a), a, shape)
+        except KronError as exc:
+            assert type(exc) is expected, f"e={e}: {exc!r}"
+            continue
+        assert expected is None, f"e={e}: returned instead of raising {expected.__name__}"
+        assert relative_residual(got, b) < 1e-9, f"e={e}"
 
 
 class TestScaleAndConcurrency:
