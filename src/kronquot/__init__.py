@@ -53,7 +53,6 @@ from .matfile import (
 from .matrix import FactorShape, Matrix, allclose, block, kron, relative_residual
 from .pfp import pfp, pfp_scalar
 from .quotients import (
-    NzIndex,
     QuotientScheme,
     Realization,
     family_from_realization,
@@ -97,7 +96,6 @@ __all__ = [
     "Matrix",
     "MatrixFormatError",
     "NonFiniteEntryError",
-    "NzIndex",
     "QuotientScheme",
     "REAL_SCALARS",
     "Realization",

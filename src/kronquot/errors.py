@@ -24,7 +24,23 @@ class NonFiniteEntryError(KronError, ValueError):
 
 
 class MatrixFormatError(KronError, ValueError):
-    """Malformed matrix text."""
+    """Malformed matrix text.
+
+    ``reason`` says what is wrong; ``line`` (1-based, in the text) and
+    ``path`` (the file read) locate it when known, and the message
+    starts with them: ``"B.mat, line 3: bad scalar token 'x'"``.
+    """
+
+    def __init__(self, reason: str, *, line: int | None = None, path: str | None = None):
+        where = []
+        if path is not None:
+            where.append(path)
+        if line is not None:
+            where.append(f"line {line}")
+        super().__init__(f"{', '.join(where)}: {reason}" if where else reason)
+        self.reason = reason
+        self.line = line
+        self.path = path
 
 
 class ZeroDivisorError(KronError, ZeroDivisionError):

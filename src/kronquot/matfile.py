@@ -8,10 +8,23 @@ Layout::
     ...
     am1 am2 ... amn
 
-Each token is ``a``, ``a+bi``, ``a-bi`` or ``bi`` with decimal binary64
-literals (``1.5``, ``-2e-3+0.25i``, ``3i``, ``i``). Writers emit 17
+Token grammar, with ``F`` a decimal binary64 literal such as ``1.5``,
+``.5``, ``2.`` or ``-2e-3`` (digits, an optional point, an optional
+exponent; no ``nan``, ``inf`` or underscores)::
+
+    token := [+-]? F                  a
+           | [+-]? F? i               bi, where a bare ``i`` means 1i
+           | [+-]? F [+-] F? i        a+bi, a-bi
+
+Tokens are separated by any run of whitespace. Writers emit 17
 significant digits, which reproduces every binary64 value exactly on
 read-back.
+
+Reads and writes go a row at a time: a data row is checked against the
+grammar with one regular-expression match and converted with one
+``complex`` call per token; a row is written with one ``str.format``
+call. Errors name the line of the text at fault and, through
+:func:`read_matrix`, the file.
 """
 
 from __future__ import annotations
@@ -20,15 +33,21 @@ import math
 import os
 import re
 
+import numpy as np
+
 from .errors import MatrixFormatError
 from .matrix import Matrix
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_TOKEN_RE = re.compile(
-    rf"^[+-]?{_FLOAT}$"               # a
-    rf"|^[+-]?(?:{_FLOAT})?i$"        # bi (bare i allowed)
-    rf"|^[+-]?{_FLOAT}[+-](?:{_FLOAT})?i$"  # a+bi / a-bi
-)
+# a, a+bi / a-bi and bi with the shared [+-]?F prefix factored out: the plain
+# three-way alternation makes a whole-row match several times slower
+_TOKEN = rf"[+-]?(?:{_FLOAT}(?:[+-](?:{_FLOAT})?i)?|(?:{_FLOAT})?i)"
+_TOKEN_RE = re.compile(rf"(?:{_TOKEN})$")
+_ROW_RE = re.compile(rf"(?:{_TOKEN})(?:\s+(?:{_TOKEN}))*")
+
+# Token templates indexed by form: a+bi / a-bi, a, bi. The sign of the
+# general form is the sign bit of b, so -0.0 writes as "-0".
+_FORMS = np.array(["{:.17g}{:+.17g}i", "{:.17g}", "{:.17g}i"], dtype=object)
 
 
 def parse_scalar(token: str) -> complex:
@@ -61,44 +80,69 @@ def format_scalar(z: complex) -> str:
 def parse_matrix(text: str) -> Matrix:
     """Parse a matrix from text; ``#`` lines and blank lines are skipped."""
     lines = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
-            lines.append(stripped)
+            lines.append((lineno, stripped))
     if not lines:
         raise MatrixFormatError("no content: expected a 'rows cols' header line")
-    header = lines[0].split()
+    header_line, header_text = lines[0]
+    header = header_text.split()
     if len(header) != 2:
-        raise MatrixFormatError(f"header must be 'rows cols', got {lines[0]!r}")
+        raise MatrixFormatError(f"header must be 'rows cols', got {header_text!r}",
+                                line=header_line)
     try:
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
-        raise MatrixFormatError(f"header must hold two integers, got {lines[0]!r}") from None
+        raise MatrixFormatError(f"header must hold two integers, got {header_text!r}",
+                                line=header_line) from None
     if rows < 1 or cols < 1:
-        raise MatrixFormatError(f"dimensions must be positive, got {rows}x{cols}")
+        raise MatrixFormatError(f"dimensions must be positive, got {rows}x{cols}",
+                                line=header_line)
     data = lines[1:]
     if len(data) != rows:
         raise MatrixFormatError(f"expected {rows} data line(s), found {len(data)}")
-    entries: list[complex] = []
-    for lineno, line in enumerate(data, start=1):
-        tokens = line.split()
+    out = np.empty((rows, cols), dtype=np.complex128)
+    for row, (lineno, line) in enumerate(data):
+        tokens = line.replace("i", "j").split()
         if len(tokens) != cols:
-            raise MatrixFormatError(f"row {lineno} has {len(tokens)} token(s), expected {cols}")
-        entries.extend(parse_scalar(tok) for tok in tokens)
-    return Matrix(rows, cols, entries)
+            raise MatrixFormatError(f"row {row + 1} has {len(tokens)} token(s), "
+                                    f"expected {cols}", line=lineno)
+        if not _ROW_RE.fullmatch(line):
+            for token in line.split():
+                if not _TOKEN_RE.match(token):
+                    raise MatrixFormatError(f"bad scalar token {token!r}", line=lineno)
+        out[row] = np.fromiter(map(complex, tokens), np.complex128, cols)
+    return Matrix._adopt(out)
 
 
 def format_matrix(m: Matrix) -> str:
     """Render a matrix in the text format (ends with a newline)."""
+    a = m._a
+    real_only = (a.imag == 0.0) & ~np.signbit(a.imag)
+    imag_only = (a.real == 0.0) & ~np.signbit(a.real) & ~real_only
+    forms = real_only.view(np.uint8) + 2 * imag_only.view(np.uint8)
+    # which of each entry's (real, imag) pair its template prints
+    used = np.stack((~imag_only, ~real_only), axis=-1).reshape(m.rows, 2 * m.cols)
     out = [f"{m.rows} {m.cols}"]
-    for i in range(1, m.rows + 1):
-        out.append(" ".join(format_scalar(m.entry(i, j)) for j in range(1, m.cols + 1)))
-    return "\n".join(out) + "\n"
+    for row_forms, parts, row_used in zip(forms, a.view(np.float64), used):
+        out.append(" ".join(_FORMS[row_forms].tolist()).format(*parts[row_used].tolist()))
+    out.append("")
+    return "\n".join(out)
 
 
 def read_matrix(path: str | os.PathLike) -> Matrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix(fh.read())
+    """Read a matrix file; a format error names the file and the line."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixFormatError(f"not UTF-8 text ({exc.reason} at byte {exc.start})",
+                                path=os.fsdecode(path)) from None
+    try:
+        return parse_matrix(text)
+    except MatrixFormatError as exc:
+        raise MatrixFormatError(exc.reason, line=exc.line, path=os.fsdecode(path)) from None
 
 
 def write_matrix(path: str | os.PathLike, m: Matrix) -> None:

@@ -77,10 +77,18 @@ class Matrix:
             raise ShapeError(f"expected a 2-D array, got ndim={a.ndim}")
         if a.shape[0] < 1 or a.shape[1] < 1:
             raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
+        return cls._adopt(a)
+
+    @classmethod
+    def _adopt(cls, a: np.ndarray) -> Matrix:
+        """Take ownership of a fresh, non-empty 2-D complex128 array without copying it.
+
+        The caller must hold the only reference to ``a``; it is frozen in place.
+        """
+        if not np.isfinite(a).all():
+            raise NonFiniteEntryError("matrix entries must be finite (no NaN/Inf)")
         m = object.__new__(cls)
         m._a = _freeze(a)
-        if not np.isfinite(m._a).all():
-            raise NonFiniteEntryError("matrix entries must be finite (no NaN/Inf)")
         return m
 
     @classmethod

@@ -37,8 +37,8 @@ def pfp(a: Matrix, m: Matrix) -> Matrix:
     small, big = _resolve_roles(a, m)
     mm, nn = small.rows, small.cols
     s, t = big.rows // mm, big.cols // nn
-    blocks = big.to_array().reshape(mm, s, nn, t)
-    out = np.einsum("jk,jukv->uv", small.to_array(), blocks)
+    blocks = big._a.reshape(mm, s, nn, t)
+    out = np.einsum("jk,jukv->uv", small._a, blocks)
     return Matrix.from_array(out)
 
 
@@ -47,4 +47,4 @@ def pfp_scalar(a: Matrix, c: Matrix) -> complex:
     if a.shape != c.shape:
         raise ShapeError(f"scalar pairing needs equal shapes, got "
                          f"{a.rows}x{a.cols} and {c.rows}x{c.cols}")
-    return complex(np.einsum("jk,jk->", a.to_array(), c.to_array()))
+    return complex(np.einsum("jk,jk->", a._a, c._a))

@@ -68,21 +68,6 @@ FamilyRule = Callable[[Matrix, int, int], Mapping[tuple[int, int, int, int], Mat
 
 
 @dataclasses.dataclass(frozen=True)
-class NzIndex:
-    """1-based positions of the nonzero entries of a matrix, and their count."""
-
-    positions: frozenset[tuple[int, int]]
-    count: int
-
-    @classmethod
-    def of(cls, a: Matrix, threshold: float = ZERO_THRESHOLD) -> NzIndex:
-        arr = np.abs(a.to_array())
-        pos = frozenset((int(i) + 1, int(j) + 1)
-                        for i, j in zip(*np.nonzero(arr >= threshold)))
-        return cls(positions=pos, count=len(pos))
-
-
-@dataclasses.dataclass(frozen=True)
 class Realization:
     """Rule A -> Q(A) defining a uniform quotient A quot M = pfp(Q(A), M).
 

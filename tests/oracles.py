@@ -4,11 +4,20 @@ Everything here recomputes results by literal index arithmetic or by a
 different algorithm than the library, so agreement is meaningful.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 
-from kronquot import FactorShape, Matrix, UnsupportedInputError, ZeroDivisorError, kron
+from kronquot import (
+    FactorShape,
+    Matrix,
+    UnsupportedInputError,
+    ZeroDivisorError,
+    format_scalar,
+    kron,
+)
+from kronquot.quotients import ZERO_THRESHOLD
 
 
 def kron_by_index(a: Matrix, b: Matrix) -> Matrix:
@@ -23,6 +32,28 @@ def kron_by_index(a: Matrix, b: Matrix) -> Matrix:
                     out[(i - 1) * s + p - 1][(j - 1) * t + q - 1] = \
                         a.entry(i, j) * b.entry(p, q)
     return Matrix.from_rows(out)
+
+
+def format_matrix_by_scalar(m: Matrix) -> str:
+    """The matrix text format written one entry at a time with format_scalar."""
+    rows = [" ".join(format_scalar(m.entry(i, j)) for j in range(1, m.cols + 1))
+            for i in range(1, m.rows + 1)]
+    return "\n".join([f"{m.rows} {m.cols}", *rows]) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class NzIndex:
+    """1-based positions of the entries of a matrix at or above a magnitude
+    threshold, and their count: the support that leopardi divides over."""
+
+    positions: frozenset[tuple[int, int]]
+    count: int
+
+    @classmethod
+    def of(cls, a: Matrix, threshold: float = ZERO_THRESHOLD) -> "NzIndex":
+        pos = frozenset((i, j) for i in range(1, a.rows + 1) for j in range(1, a.cols + 1)
+                        if abs(a.entry(i, j)) >= threshold)
+        return cls(positions=pos, count=len(pos))
 
 
 def pfp_by_double_sum(a: Matrix, m: Matrix) -> Matrix:

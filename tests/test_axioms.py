@@ -9,7 +9,6 @@ import pytest
 from kronquot import (
     ConfigurationError,
     Matrix,
-    NzIndex,
     QuotientScheme,
     REAL_SCALARS,
     TOLERANCE,
@@ -26,6 +25,7 @@ from kronquot import (
     trace_scheme_realization,
 )
 from kronquot.matfile import from_line
+from oracles import NzIndex
 
 
 def skew_weights(a):

@@ -199,6 +199,14 @@ class TestErrorExits:
         bad.write_text("2 2\n1 2\n")
         assert main(["kron", str(bad), str(bad)]) == 2
 
+    def test_parse_error_names_the_file_and_line(self, fixtures, tmp_path, capsys):
+        _, paths, _ = fixtures
+        bad = tmp_path / "bad.mat"
+        bad.write_text("# dividend\n1 2\n1 bogus\n")
+        assert main(["kron", str(bad), str(paths["B"])]) == 2
+        assert capsys.readouterr().err == (
+            f"kronquot: error: {bad}, line 3: bad scalar token 'bogus'\n")
+
     def test_shape_mismatch(self, fixtures, capsys):
         _, paths, _ = fixtures
         code = main(["quot", "--scheme", "leopardi", "--shape", "3,3,2,2",

@@ -16,7 +16,9 @@ from kronquot import (
     read_matrix,
     write_matrix,
 )
+from kronquot import matfile
 from kronquot.matfile import from_line, to_line
+from oracles import format_matrix_by_scalar
 
 
 @pytest.mark.parametrize("token,value", [
@@ -123,3 +125,121 @@ def test_single_line_encoding_round_trip():
     line = to_line(m)
     assert "\n" not in line
     assert from_line(line) == m
+
+
+# -- row-at-a-time parsing and formatting ---------------------------------
+
+_SPECIALS = [0.0, -0.0, 2**-1074, -2**-1074, 1e-310, -1e-310, 2.2250738585072014e-308,
+             1.7976931348623157e308, -1.7976931348623157e308, 0.1, -1 / 3, 1.0, -2.5,
+             1e16, -123456789.125, 5e-324 * 3]
+
+
+def _bits(m):
+    return m.to_array().view(np.uint64)
+
+
+def _special_matrix(size):
+    """Every (real, imag) pair of specials, shuffled into each row."""
+    rng = np.random.default_rng(23)
+    pairs = np.array([complex(a, b) for a in _SPECIALS for b in _SPECIALS])
+    rows = [pairs[rng.permutation(pairs.size)][:size] for _ in range(size)]
+    return Matrix.from_array(np.array(rows))
+
+
+def test_large_matrix_round_trip_bit_exact_with_signed_zeros_and_extremes():
+    m = _special_matrix(256)
+    back = parse_matrix(format_matrix(m))
+    assert back.shape == (256, 256)
+    assert np.array_equal(_bits(back), _bits(m))
+
+
+@pytest.mark.parametrize("m", [
+    _special_matrix(256),
+    _special_matrix(7),
+    Matrix.from_rows([[0.0, -0.0, 1.5, -2.0]]),
+    Matrix.from_rows([[1j], [-0.0j], [complex(0.0, -0.0)], [complex(-0.0, 0.0)]]),
+    Matrix.from_array(np.random.default_rng(24).uniform(-1e5, 1e5, (9, 13))
+                      + 1j * np.random.default_rng(25).uniform(-1e5, 1e5, (9, 13))),
+])
+def test_format_matrix_matches_the_per_entry_oracle(m):
+    assert format_matrix(m) == format_matrix_by_scalar(m)
+
+
+def test_separators_and_line_ends():
+    text = ("2 3\r\n"
+            "1\t2  3 \r\n"
+            "# comment\t \r\n"
+            "  -4i\t\t5+6i   .5 \t\r\n")
+    # the token -4i reads as 0-4i; the Python literal -4j would carry a real -0.0
+    want = Matrix.from_rows([[1, 2, 3], [complex(0.0, -4.0), 5 + 6j, 0.5]])
+    got = parse_matrix(text)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(parse_matrix(text.replace("\r\n", "\n"))), _bits(want))
+
+
+# (text, line at fault or None, fragment of the reason)
+_REJECTS = [
+    ("", None, "no content"),
+    ("# only a comment\n", None, "no content"),
+    ("2\n1 2\n", 1, "header must be 'rows cols'"),
+    ("a b\n1 2\n", 1, "two integers"),
+    ("0 2\n", 1, "dimensions must be positive"),
+    ("2 2\n1 2\n3\n", 3, "row 2 has 1 token(s), expected 2"),
+    ("2 2\n1 2\n", None, "expected 2 data line(s), found 1"),
+    ("2 2\n1 2\n3 4\n5 6\n", None, "expected 2 data line(s), found 3"),
+    ("1 1\nbogus\n", 2, "'bogus'"),
+    ("# c\n\n2 2\n1 2\n# between rows\n\n3 4x\n", 7, "'4x'"),
+    ("# c\n2 2\n\n1 2 3\n3 4\n", 4, "row 1 has 3 token(s)"),
+    ("1 3\n1 2+i nan\n", 2, "'nan'"),
+]
+
+
+@pytest.mark.parametrize("text,line,reason", _REJECTS)
+def test_parse_errors_name_the_line_and_token(text, line, reason):
+    with pytest.raises(MatrixFormatError) as info:
+        parse_matrix(text)
+    assert info.value.line == line
+    assert reason in info.value.reason
+    assert str(info.value) == (f"line {line}: {info.value.reason}" if line else info.value.reason)
+
+
+@pytest.mark.parametrize("text,line,reason", _REJECTS)
+def test_read_errors_name_the_file(tmp_path, text, line, reason):
+    path = tmp_path / "bad.mat"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MatrixFormatError) as info:
+        read_matrix(path)
+    assert info.value.path == str(path)
+    assert info.value.line == line
+    assert str(info.value).startswith(f"{path}, line {line}: " if line else f"{path}: ")
+    assert reason in str(info.value)
+
+
+def test_non_utf8_file_is_a_format_error_naming_the_file(tmp_path):
+    path = tmp_path / "latin1.mat"
+    path.write_bytes("1 1\n1\xe9\n".encode("latin-1"))
+    with pytest.raises(MatrixFormatError, match="not UTF-8") as info:
+        read_matrix(path)
+    assert info.value.path == str(path)
+
+
+def test_overflowing_literal_in_a_file_stays_non_finite(tmp_path):
+    path = tmp_path / "big.mat"
+    path.write_text("1 2\n1 -1e400i\n")
+    with pytest.raises(NonFiniteEntryError):
+        read_matrix(path)
+
+
+def test_valid_rows_skip_the_per_entry_paths(monkeypatch):
+    """Parsing and formatting run no per-token or per-entry scalar call."""
+    m = _special_matrix(5)
+    text = format_matrix(m)
+
+    def forbidden(*args):
+        raise AssertionError("per-entry path taken")
+
+    monkeypatch.setattr(matfile, "parse_scalar", forbidden)
+    monkeypatch.setattr(matfile, "format_scalar", forbidden)
+    monkeypatch.setattr(Matrix, "entry", forbidden)
+    assert format_matrix(m) == text
+    assert np.array_equal(_bits(parse_matrix(text)), _bits(m))

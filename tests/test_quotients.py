@@ -11,7 +11,6 @@ from kronquot import (
     InvalidWeightsError,
     KronError,
     Matrix,
-    NzIndex,
     QuotientScheme,
     Realization,
     ShapeError,
@@ -44,7 +43,7 @@ from kronquot import (
     uniform_quotient,
     weighted_quotient,
 )
-from oracles import shuffle_by_index, vanloan_factor
+from oracles import NzIndex, shuffle_by_index, vanloan_factor
 
 SCHEMES = {
     "leopardi": QuotientScheme.leopardi(),
