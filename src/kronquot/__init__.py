@@ -67,7 +67,6 @@ from .quotients import (
     linear_quotient,
     operator_quotient,
     operator_realization,
-    perfect_shuffle,
     realization_for,
     remainder,
     right_quotient,
@@ -132,7 +131,6 @@ __all__ = [
     "operator_realization",
     "parse_matrix",
     "parse_scalar",
-    "perfect_shuffle",
     "pfp",
     "pfp_scalar",
     "read_matrix",

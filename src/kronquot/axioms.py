@@ -1,12 +1,12 @@
 """Seeded randomized checks of the quotient algebra, with replayable reports.
 
-Each check draws per-trial inputs from an independent generator keyed by
-(seed, trial index), evaluates both sides of the property under test,
-and reports the worst relative residual. A report whose verdict is
-``fails`` always carries a serialized counterexample; feeding it back
-through :func:`replay_counterexample` reproduces the residual through
-the public API. Identical arguments produce bit-identical reports, and
-trials never share generator state, so they could run in any order.
+Each law is one entry of the table ``_LAWS``: a ``draw`` of a trial's inputs
+and an ``evaluate`` of their residuals. Every check runs the one trial loop,
+which draws trial t from a generator keyed by (seed, t) and keeps the worst
+residual, the first trial on ties. A failing report carries that trial's
+inputs; :func:`replay_counterexample` feeds them to the same ``evaluate``.
+Identical arguments produce bit-identical reports, and trials never share
+generator state, so they could run in any order.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from functools import partial
 from itertools import product
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,7 +45,6 @@ TOLERANCE = 1e-8
 SCALARS = (2 + 0j, -2 + 0j, 0.5 + 0j, -0.5 + 0j, 1j, 1 + 1j)
 REAL_SCALARS = (2 + 0j, -2 + 0j, 0.5 + 0j, -0.5 + 0j)
 
-_CHECKED_AXIOMS = ("Q1", "Q2a", "Q2b", "Q3", "Q5R")
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -192,60 +192,71 @@ def _realization_of(scheme_obj) -> Realization:
     return scheme_obj if isinstance(scheme_obj, Realization) else realization_for(scheme_obj)
 
 
-def _draw_inputs(axiom: str, realization: Realization | None, rng: np.random.Generator,
-                 max_dim: int, restricted: bool, scalars, trial: int) -> dict:
-    square = realization is not None and realization.square_only
-    # a third of the trials zero out part of a support-sensitive divisor
-    sparsify = realization is not None and realization.support_sensitive and trial % 3 == 0
+def _evaluator_of(scheme_obj):
+    """What the quotient laws evaluate through; a realization spares trials the lookup."""
+    if isinstance(scheme_obj, QuotientScheme) and scheme_obj.kind == "linear":
+        return scheme_obj
+    return _realization_of(scheme_obj)
 
-    def divisor(rows, cols):
-        return _random_nonzero(rng, rows, cols, sparsify=sparsify, need_trace=square)
 
-    if axiom in ("Q1", "Q2a", "Q2b"):
-        m = _dim(rng, max_dim)
-        n = m if square else _dim(rng, max_dim)
-        s = _dim(rng, max_dim)
-        t = _dim(rng, max_dim)
-        a = divisor(m, n)
-
-        def dividend():
-            if restricted:
-                return kron(a, _random_matrix(rng, s, t))
-            return _random_matrix(rng, m * s, n * t)
-
-        if axiom == "Q1":
-            return {"A": a, "M": dividend()}
-        if axiom == "Q2a":
-            return {"A": a, "M1": dividend(), "M2": dividend(),
-                    "k": complex(rng.choice(scalars))}
-        return {"A": a, "M": dividend(), "k": complex(rng.choice(scalars))}
-
-    if axiom == "Q3":
-        m = _dim(rng, max_dim)
-        n = m if square else _dim(rng, max_dim)
-        s2 = _dim(rng, max_dim)
-        t2 = s2 if square else _dim(rng, max_dim)
-        p = _dim(rng, max_dim)
-        q = _dim(rng, max_dim)
-        a = divisor(m, n)
-        b = divisor(s2, t2)
-        if restricted:
-            mprime = kron(kron(b, a), _random_matrix(rng, p, q))
+def _draw_block(rng, trial, square, sparse, max_dim, restricted, scalars, *,
+                keys: tuple[str, ...], trace_rule: bool = False) -> dict:
+    """The one-divisor draws: A (m x n), then in the order of ``keys`` a scalar for
+    "k" and a dividend (ms x nt) for each other key; the trace rule needs m = n, s = t."""
+    m = _dim(rng, max_dim)
+    n = m if square or trace_rule else _dim(rng, max_dim)
+    s = _dim(rng, max_dim)
+    t = s if trace_rule else _dim(rng, max_dim)
+    a = _random_nonzero(rng, m, n, sparsify=sparse and trial % 3 == 0, need_trace=square)
+    inputs = {"A": a}
+    for key in keys:
+        if key == "k":
+            inputs[key] = complex(rng.choice(scalars))
+        elif restricted:
+            inputs[key] = kron(a, _random_matrix(rng, s, t))
         else:
-            mprime = _random_matrix(rng, s2 * m * p, t2 * n * q)
-        return {"A": a, "B": b, "M": mprime}
+            inputs[key] = _random_matrix(rng, m * s, n * t)
+    return inputs
 
-    if axiom == "Q5R":
-        m = _dim(rng, max_dim)
-        s = _dim(rng, max_dim)
-        a = divisor(m, m)
-        if restricted:
-            mat = kron(a, _random_matrix(rng, s, s))
-        else:
-            mat = _random_matrix(rng, m * s, m * s)
-        return {"A": a, "M": mat}
 
-    raise ConfigurationError(f"unknown axiom {axiom!r}")
+def _draw_q3(rng, trial, square, sparse, max_dim, restricted, scalars) -> dict:
+    m = _dim(rng, max_dim)
+    n = m if square else _dim(rng, max_dim)
+    s2 = _dim(rng, max_dim)
+    t2 = s2 if square else _dim(rng, max_dim)
+    p = _dim(rng, max_dim)
+    q = _dim(rng, max_dim)
+    sparsify = sparse and trial % 3 == 0
+    a = _random_nonzero(rng, m, n, sparsify=sparsify, need_trace=square)
+    b = _random_nonzero(rng, s2, t2, sparsify=sparsify, need_trace=square)
+    if restricted:
+        mprime = kron(kron(b, a), _random_matrix(rng, p, q))
+    else:
+        mprime = _random_matrix(rng, s2 * m * p, t2 * n * q)
+    return {"A": a, "B": b, "M": mprime}
+
+
+def _draw_weight_pair(rng, trial, max_dim) -> dict:
+    sparsify = trial % 3 == 0
+    a = _random_nonzero(rng, _dim(rng, max_dim), _dim(rng, max_dim), sparsify=sparsify)
+    b = _random_nonzero(rng, _dim(rng, max_dim), _dim(rng, max_dim), sparsify=sparsify)
+    return {"A": a, "B": b}
+
+
+def _draw_realization_pair(rng, trial, square_only, max_dim, scalars) -> dict:
+    m = _dim(rng, max_dim)
+    n = m if square_only else _dim(rng, max_dim)
+    s = _dim(rng, max_dim)
+    t = s if square_only else _dim(rng, max_dim)
+    a = _random_nonzero(rng, m, n, need_trace=square_only)
+    b = _random_nonzero(rng, s, t, need_trace=square_only)
+    return {"A": a, "B": b, "k": complex(rng.choice(scalars))}
+
+
+def _draw_basis_dividend(rng, trial, m, n, max_dim) -> dict:
+    s = _dim(rng, max_dim)
+    t = _dim(rng, max_dim)
+    return {"M": _random_matrix(rng, m * s, n * t)}
 
 
 # -- evaluation ---------------------------------------------------------
@@ -257,53 +268,67 @@ def _shape_for(a: Matrix, m: Matrix) -> FactorShape:
     return FactorShape(a.rows, a.cols, m.rows // a.rows, m.cols // a.cols)
 
 
-def _scalar_residual(x: complex, y: complex) -> float:
-    return abs(x - y) / max(1.0, abs(x), abs(y))
+def _eval_q1(scheme, inputs: dict) -> tuple[float]:
+    a, m = inputs["A"], inputs["M"]
+    shape = _shape_for(a, m)
+    lhs = left_quotient(scheme, a, m, shape).transpose()
+    rhs = left_quotient(scheme, a.transpose(), m.transpose(),
+                        FactorShape(shape.n, shape.m, shape.t, shape.s))
+    return (relative_residual(lhs, rhs),)
 
 
-def _eval_axiom(axiom: str, scheme, inputs: dict) -> float:
-    if axiom == "Q1":
-        a, m = inputs["A"], inputs["M"]
-        shape = _shape_for(a, m)
-        lhs = left_quotient(scheme, a, m, shape).transpose()
-        rhs = left_quotient(scheme, a.transpose(), m.transpose(),
-                            FactorShape(shape.n, shape.m, shape.t, shape.s))
-        return relative_residual(lhs, rhs)
+def _eval_q2a(scheme, inputs: dict) -> tuple[float, float]:
+    a, m1, m2, k = inputs["A"], inputs["M1"], inputs["M2"], inputs["k"]
+    shape = _shape_for(a, m1)
+    q1 = left_quotient(scheme, a, m1, shape)
+    q2 = left_quotient(scheme, a, m2, shape)
+    additive = relative_residual(left_quotient(scheme, a, m1 + m2, shape), q1 + q2)
+    homogeneous = relative_residual(left_quotient(scheme, a, k * m1, shape), k * q1)
+    return additive, homogeneous
 
-    if axiom == "Q2a":
-        a, m1, m2, k = inputs["A"], inputs["M1"], inputs["M2"], inputs["k"]
-        shape = _shape_for(a, m1)
-        q1 = left_quotient(scheme, a, m1, shape)
-        q2 = left_quotient(scheme, a, m2, shape)
-        additive = relative_residual(left_quotient(scheme, a, m1 + m2, shape), q1 + q2)
-        homogeneous = relative_residual(left_quotient(scheme, a, k * m1, shape), k * q1)
-        return max(additive, homogeneous)
 
-    if axiom == "Q2b":
-        a, m, k = inputs["A"], inputs["M"], inputs["k"]
-        shape = _shape_for(a, m)
-        lhs = left_quotient(scheme, k * a, m, shape)
-        rhs = left_quotient(scheme, a, m, shape) / k
-        return relative_residual(lhs, rhs)
+def _eval_q2b(scheme, inputs: dict) -> tuple[float]:
+    a, m, k = inputs["A"], inputs["M"], inputs["k"]
+    shape = _shape_for(a, m)
+    lhs = left_quotient(scheme, k * a, m, shape)
+    rhs = left_quotient(scheme, a, m, shape) / k
+    return (relative_residual(lhs, rhs),)
 
-    if axiom == "Q3":
-        a, b, m = inputs["A"], inputs["B"], inputs["M"]
-        p = m.rows // (b.rows * a.rows)
-        q = m.cols // (b.cols * a.cols)
-        inner = left_quotient(scheme, b, m,
-                              FactorShape(b.rows, b.cols, a.rows * p, a.cols * q))
-        lhs = left_quotient(scheme, a, inner, FactorShape(a.rows, a.cols, p, q))
-        rhs = left_quotient(scheme, kron(b, a), m,
-                            FactorShape(b.rows * a.rows, b.cols * a.cols, p, q))
-        return relative_residual(lhs, rhs)
 
-    if axiom == "Q5R":
-        a, m = inputs["A"], inputs["M"]
-        shape = _shape_for(a, m)
-        quotient = left_quotient(scheme, a, m, shape)
-        return _scalar_residual(m.trace(), a.trace() * quotient.trace())
+def _eval_q3(scheme, inputs: dict) -> tuple[float]:
+    a, b, m = inputs["A"], inputs["B"], inputs["M"]
+    p = m.rows // (b.rows * a.rows)
+    q = m.cols // (b.cols * a.cols)
+    inner = left_quotient(scheme, b, m,
+                          FactorShape(b.rows, b.cols, a.rows * p, a.cols * q))
+    lhs = left_quotient(scheme, a, inner, FactorShape(a.rows, a.cols, p, q))
+    rhs = left_quotient(scheme, kron(b, a), m,
+                        FactorShape(b.rows * a.rows, b.cols * a.cols, p, q))
+    return (relative_residual(lhs, rhs),)
 
-    raise ConfigurationError(f"unknown axiom {axiom!r}")
+
+def _eval_q5r(scheme, inputs: dict) -> tuple[float]:
+    a, m = inputs["A"], inputs["M"]
+    quotient = left_quotient(scheme, a, m, _shape_for(a, m))
+    x, y = m.trace(), a.trace() * quotient.trace()
+    return (abs(x - y) / max(1.0, abs(x), abs(y)),)
+
+
+def _weight_condition_residuals(rule, inputs: dict) -> tuple[float, float]:
+    a, b = inputs["A"], inputs["B"]
+    transpose_res = relative_residual(rule(a.transpose()), rule(a).transpose())
+    kron_res = relative_residual(rule(kron(a, b)), kron(rule(a), rule(b)))
+    return transpose_res, kron_res
+
+
+def _realization_condition_residuals(realization: Realization,
+                                     inputs: dict) -> tuple[float, float, float]:
+    a, b, k = inputs["A"], inputs["B"], inputs["k"]
+    q = realization.q_of
+    transpose_res = relative_residual(q(a.transpose()), q(a).transpose())
+    scale_res = relative_residual(q(k * a), q(a) / k)
+    kron_res = relative_residual(q(kron(b, a)), kron(q(b), q(a)))
+    return transpose_res, scale_res, kron_res
 
 
 def _near_degenerate_leading(mat: Matrix) -> bool:
@@ -313,8 +338,32 @@ def _near_degenerate_leading(mat: Matrix) -> bool:
     return sigma[0] > 0.0 and (sigma[0] - sigma[1]) <= 1e-8 * sigma[0]
 
 
-_DIVISOR_KEYS = {"Q1": ("A",), "Q2a": ("A",), "Q2b": ("A",), "Q3": ("A", "B"),
-                 "Q5R": ("A",)}
+# -- the trial loop -------------------------------------------------------
+
+def _fold_max(maxima: tuple[float, ...] | None, components: tuple[float, ...]):
+    return components if maxima is None else tuple(map(max, maxima, components))
+
+
+def _run_trials(draw, evaluate, trials: int, seed: int):
+    """Draw and evaluate ``trials`` inputs; the worst residual (first trial on ties)
+    with its trial and inputs, and each component's maxima over all trials and
+    over those with a real and a complex scalar k (None where no trial drew one)."""
+    worst = -1.0
+    worst_trial = -1
+    worst_inputs: dict = {}
+    maxima = None
+    by_real_k: dict[bool, tuple[float, ...]] = {}
+    for trial in range(trials):
+        inputs = draw(_trial_rng(seed, trial), trial)
+        components = evaluate(inputs)
+        maxima = _fold_max(maxima, components)
+        if "k" in inputs:
+            real = inputs["k"].imag == 0.0
+            by_real_k[real] = _fold_max(by_real_k.get(real), components)
+        residual = max(components)
+        if residual > worst:
+            worst, worst_trial, worst_inputs = residual, trial, inputs
+    return worst, worst_trial, worst_inputs, maxima, by_real_k.get(True), by_real_k.get(False)
 
 
 def _validate_common(trials: int, seed: int, max_dim: int) -> None:
@@ -357,46 +406,39 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
     as an exact Kronecker product of the matching form, the regime
     where every quotient must comply.
     """
-    if axiom not in _CHECKED_AXIOMS:
-        raise ConfigurationError(f"unknown axiom {axiom!r}; expected one of {_CHECKED_AXIOMS}")
+    law = _LAWS.get(axiom)
+    if law is None or law.subject is not _evaluator_of:
+        expected = tuple(name for name, entry in _LAWS.items()
+                         if entry.subject is _evaluator_of)
+        raise ConfigurationError(f"unknown axiom {axiom!r}; expected one of {expected}")
     _validate_common(trials, seed, max_dim)
     scheme_obj = _resolve_scheme(scheme)
-    linear = isinstance(scheme_obj, QuotientScheme) and scheme_obj.kind == "linear"
-    realization = None if linear else _realization_of(scheme_obj)
-    # trials evaluate through the realization, so none looks the scheme up again
-    evaluator = scheme_obj if linear else realization
+    evaluator = _evaluator_of(scheme_obj)
+    draw = partial(law.draw, square=getattr(evaluator, "square_only", False),
+                   sparse=getattr(evaluator, "support_sensitive", False), max_dim=max_dim,
+                   restricted=restricted, scalars=scalars)
+    evaluate = partial(law.evaluate, evaluator)
     is_operator = isinstance(scheme_obj, QuotientScheme) and scheme_obj.kind == "operator"
-
-    worst = -1.0
-    worst_trial = -1
-    worst_inputs: dict = {}
-    real_k_max: float | None = None
-    complex_k_max: float | None = None
     degenerate = 0
+    if is_operator:
+        def evaluate(inputs, evaluate_law=evaluate):
+            nonlocal degenerate
+            components = evaluate_law(inputs)
+            # the divisors are the inputs named A and B
+            degenerate += sum(_near_degenerate_leading(inputs[key])
+                              for key in ("A", "B") if key in inputs)
+            return components
 
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        inputs = _draw_inputs(axiom, realization, rng, max_dim, restricted, scalars, trial)
-        residual = _eval_axiom(axiom, evaluator, inputs)
-        if is_operator:
-            degenerate += sum(1 for key in _DIVISOR_KEYS[axiom]
-                              if _near_degenerate_leading(inputs[key]))
-        if axiom == "Q2b":
-            if inputs["k"].imag == 0.0:
-                real_k_max = residual if real_k_max is None else max(real_k_max, residual)
-            else:
-                complex_k_max = residual if complex_k_max is None else max(complex_k_max, residual)
-        if residual > worst:
-            worst, worst_trial, worst_inputs = residual, trial, inputs
-
+    worst, worst_trial, worst_inputs, _, real_k, complex_k = _run_trials(
+        draw, evaluate, trials, seed)
     details: list[tuple[str, object]] = []
     if restricted:
         details.append(("restricted", True))
     if axiom == "Q2b":
-        if real_k_max is not None:
-            details.append(("max_residual_real_k", real_k_max))
-        if complex_k_max is not None:
-            details.append(("max_residual_complex_k", complex_k_max))
+        if real_k is not None:
+            details.append(("max_residual_real_k", real_k[0]))
+        if complex_k is not None:
+            details.append(("max_residual_complex_k", complex_k[0]))
     if is_operator:
         details.append(("degenerate_leading_pairs", degenerate))
     return _report(axiom, scheme_obj.describe(), trials, seed, worst, worst_trial,
@@ -404,12 +446,6 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
 
 
 # -- weight and realization condition checks ----------------------------
-
-def _weight_condition_residuals(rule, a: Matrix, b: Matrix) -> tuple[float, float]:
-    transpose_res = relative_residual(rule(a.transpose()), rule(a).transpose())
-    kron_res = relative_residual(rule(kron(a, b)), kron(rule(a), rule(b)))
-    return transpose_res, kron_res
-
 
 def check_weight_conditions(weight_rule, trials: int, seed: int, max_dim: int = 4, *,
                             name: str | None = None) -> AxiomReport:
@@ -422,19 +458,9 @@ def check_weight_conditions(weight_rule, trials: int, seed: int, max_dim: int = 
     """
     _validate_common(trials, seed, max_dim)
     label = name or getattr(weight_rule, "__name__", "custom")
-    worst_t = worst_k = -1.0
-    worst_trial = -1
-    worst_inputs: dict = {}
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        sparsify = trial % 3 == 0
-        a = _random_nonzero(rng, _dim(rng, max_dim), _dim(rng, max_dim), sparsify=sparsify)
-        b = _random_nonzero(rng, _dim(rng, max_dim), _dim(rng, max_dim), sparsify=sparsify)
-        res_t, res_k = _weight_condition_residuals(weight_rule, a, b)
-        if max(res_t, res_k) > max(worst_t, worst_k):
-            worst_trial, worst_inputs = trial, {"A": a, "B": b}
-        worst_t = max(worst_t, res_t)
-        worst_k = max(worst_k, res_k)
+    law = _LAWS["Wcond"]
+    worst, worst_trial, worst_inputs, (worst_t, worst_k), _, _ = _run_trials(
+        partial(law.draw, max_dim=max_dim), partial(law.evaluate, weight_rule), trials, seed)
 
     scheme = QuotientScheme.weighted(weight_rule, name=label)
     q1 = check_axiom("Q1", scheme, trials, seed, max_dim)
@@ -451,17 +477,8 @@ def check_weight_conditions(weight_rule, trials: int, seed: int, max_dim: int = 
         ("transpose_iff_q1", transpose_holds == q1.holds),
         ("kron_iff_q3", kron_holds == q3.holds),
     )
-    return _report("Wcond", f"weighted({label})", trials, seed, max(worst_t, worst_k),
+    return _report("Wcond", f"weighted({label})", trials, seed, worst,
                    worst_trial, worst_inputs, details)
-
-
-def _realization_condition_residuals(realization: Realization, a: Matrix, b: Matrix,
-                                     k: complex) -> tuple[float, float, float]:
-    q = realization.q_of
-    transpose_res = relative_residual(q(a.transpose()), q(a).transpose())
-    scale_res = relative_residual(q(k * a), q(a) / k)
-    kron_res = relative_residual(q(kron(b, a)), kron(q(b), q(a)))
-    return transpose_res, scale_res, kron_res
 
 
 def check_realization_conditions(realization: Realization, trials: int, seed: int,
@@ -476,33 +493,10 @@ def check_realization_conditions(realization: Realization, trials: int, seed: in
     square with nonzero trace when the realization is ``square_only``.
     """
     _validate_common(trials, seed, max_dim)
-    square_only = realization.square_only
-
-    worst_t = worst_s = worst_k = -1.0
-    real_scale_max: float | None = None
-    complex_scale_max: float | None = None
-    worst_trial = -1
-    worst_inputs: dict = {}
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        m = _dim(rng, max_dim)
-        n = m if square_only else _dim(rng, max_dim)
-        s = _dim(rng, max_dim)
-        t = s if square_only else _dim(rng, max_dim)
-        a = _random_nonzero(rng, m, n, need_trace=square_only)
-        b = _random_nonzero(rng, s, t, need_trace=square_only)
-        k = complex(rng.choice(scalars))
-        res_t, res_s, res_k = _realization_condition_residuals(realization, a, b, k)
-        if k.imag == 0.0:
-            real_scale_max = res_s if real_scale_max is None else max(real_scale_max, res_s)
-        else:
-            complex_scale_max = res_s if complex_scale_max is None \
-                else max(complex_scale_max, res_s)
-        if max(res_t, res_s, res_k) > max(worst_t, worst_s, worst_k):
-            worst_trial, worst_inputs = trial, {"A": a, "B": b, "k": k}
-        worst_t = max(worst_t, res_t)
-        worst_s = max(worst_s, res_s)
-        worst_k = max(worst_k, res_k)
+    law = _LAWS["Rcond"]
+    run = _run_trials(partial(law.draw, square_only=realization.square_only, max_dim=max_dim,
+                              scalars=scalars), partial(law.evaluate, realization), trials, seed)
+    worst, worst_trial, worst_inputs, (worst_t, worst_s, worst_k), real_k, complex_k = run
 
     # the cross-runs draw dense divisors, like the identity checks above
     dense = dataclasses.replace(realization, support_sensitive=False)
@@ -517,10 +511,10 @@ def check_realization_conditions(realization: Realization, trials: int, seed: in
         ("q_scale_residual", worst_s),
         ("q_kron_residual", worst_k),
     ]
-    if real_scale_max is not None:
-        details.append(("q_scale_residual_real_k", real_scale_max))
-    if complex_scale_max is not None:
-        details.append(("q_scale_residual_complex_k", complex_scale_max))
+    if real_k is not None:
+        details.append(("q_scale_residual_real_k", real_k[1]))
+    if complex_k is not None:
+        details.append(("q_scale_residual_complex_k", complex_k[1]))
     details.extend([
         ("q1_verdict", q1.verdict),
         ("q2b_verdict", q2b.verdict),
@@ -529,8 +523,8 @@ def check_realization_conditions(realization: Realization, trials: int, seed: in
         ("scale_iff_q2b", s_holds == q2b.holds),
         ("kron_iff_q3", k_holds == q3.holds),
     ])
-    return _report("Rcond", realization.describe(), trials, seed,
-                   max(worst_t, worst_s, worst_k), worst_trial, worst_inputs, details)
+    return _report("Rcond", realization.describe(), trials, seed, worst,
+                   worst_trial, worst_inputs, details)
 
 
 # -- projection / basis expansion check ----------------------------------
@@ -568,6 +562,13 @@ def _reconstruction_residual(realization: Realization, basis: Sequence[Matrix],
     return (mat - total).frobenius_norm() / max(mat.frobenius_norm(), 1e-300)
 
 
+def _projection_residuals(realization: Realization, inputs: dict) -> tuple[float, float]:
+    """Biorthonormality of the inputs' basis.1, basis.2, ..., and reconstruction of M."""
+    basis = [value for key, value in inputs.items() if key.startswith("basis.")]
+    return (_biorthonormal_residual(realization, basis)[0],
+            _reconstruction_residual(realization, basis, inputs["M"]))
+
+
 def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
                      max_dim: int = 4) -> AxiomReport:
     """Check basis biorthonormality against reconstruction by quotients.
@@ -591,20 +592,14 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
         raise ConfigurationError("basis does not span the matrix space")
 
     scheme_obj = _resolve_scheme(scheme)
-    realization = _realization_of(scheme_obj)
+    law = _LAWS["PROJ"]
+    realization = law.subject(scheme_obj)
     biorth_worst, worst_pair = _biorthonormal_residual(realization, basis)
-
-    recon_worst = -1.0
-    worst_trial = -1
-    worst_m: Matrix | None = None
-    for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        s = _dim(rng, max_dim)
-        t = _dim(rng, max_dim)
-        mat = _random_matrix(rng, m * s, n * t)
-        residual = _reconstruction_residual(realization, basis, mat)
-        if residual > recon_worst:
-            recon_worst, worst_trial, worst_m = residual, trial, mat
+    # biorthonormality depends on no draw, so the trials evaluate reconstruction only
+    recon_worst, worst_trial, worst_inputs, _, _, _ = _run_trials(
+        partial(law.draw, m=m, n=n, max_dim=max_dim),
+        lambda inputs: (_reconstruction_residual(realization, basis, inputs["M"]),),
+        trials, seed)
 
     biorth_holds = biorth_worst <= TOLERANCE
     recon_holds = recon_worst <= TOLERANCE
@@ -618,7 +613,7 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
         ("iff_consistent", biorth_holds == recon_holds),
     )
     inputs = {f"basis.{idx + 1}": mat for idx, mat in enumerate(basis)}
-    inputs["M"] = worst_m
+    inputs["M"] = worst_inputs["M"]
     return _report("PROJ", scheme_obj.describe(), trials, seed,
                    max(biorth_worst, recon_worst), worst_trial, inputs, details,
                    verdict="holds" if biorth_holds and recon_holds else "fails")
@@ -653,10 +648,7 @@ def _q4_residuals(values: dict) -> dict[str, float]:
 
 def _q5_residuals(values: dict) -> dict[str, float]:
     """Per built-in scheme defined off square domains, the trace-rule residual."""
-    a, mat = values["A"], values["M"]
-    shape = _shape_for(a, mat)
-    return {name: _scalar_residual(mat.trace(), a.trace() * left_quotient(
-                QuotientScheme(kind=name), a, mat, shape).trace())
+    return {name: _eval_q5r(QuotientScheme(kind=name), values)[0]
             for name, builtin in BUILTIN_SCHEMES.items()
             if not builtin.realization.square_only}
 
@@ -739,7 +731,34 @@ def demo_counterexamples() -> list[AxiomReport]:
     return [_demo_q4(), _demo_q5(), _demo_q3_vs_trace()]
 
 
-# -- counterexample replay ------------------------------------------------
+# -- the law table and counterexample replay ------------------------------
+
+class _Law(NamedTuple):
+    """``evaluate(subject, inputs)`` gives a law's residual components, and
+    ``draw(rng, trial, **params)`` one trial's inputs; ``subject(scheme_obj)`` is
+    what the law is stated on. The demo laws have fixed witnesses and schemes, and
+    check_axiom runs exactly the laws whose subject is ``_evaluator_of``."""
+
+    evaluate: Callable[..., tuple[float, ...]]
+    draw: Callable[..., dict] | None = None
+    subject: Callable | None = None
+
+
+_LAWS: dict[str, _Law] = {
+    "Q1": _Law(_eval_q1, partial(_draw_block, keys=("M",)), _evaluator_of),
+    "Q2a": _Law(_eval_q2a, partial(_draw_block, keys=("M1", "M2", "k")), _evaluator_of),
+    "Q2b": _Law(_eval_q2b, partial(_draw_block, keys=("M", "k")), _evaluator_of),
+    "Q3": _Law(_eval_q3, _draw_q3, _evaluator_of),
+    "Q5R": _Law(_eval_q5r, partial(_draw_block, keys=("M",), trace_rule=True), _evaluator_of),
+    "Wcond": _Law(_weight_condition_residuals, _draw_weight_pair,
+                  lambda scheme_obj: getattr(scheme_obj, "weight_rule", scheme_obj)),
+    "Rcond": _Law(_realization_condition_residuals, _draw_realization_pair, _realization_of),
+    "PROJ": _Law(_projection_residuals, _draw_basis_dividend, _realization_of),
+    "Q4": _Law(lambda _, values: tuple(_q4_residuals(values).values())),
+    "Q5": _Law(lambda _, values: tuple(_q5_residuals(values).values())),
+    "Q3xTR": _Law(lambda _, values: (relative_residual(*_rank_gap_sides(values)),)),
+}
+
 
 def replay_counterexample(report: AxiomReport, scheme=None) -> float:
     """Re-evaluate a report's counterexample through the public API.
@@ -751,30 +770,10 @@ def replay_counterexample(report: AxiomReport, scheme=None) -> float:
     if report.counterexample is None:
         raise ConfigurationError("report carries no counterexample")
     values = report.counterexample.values()
-
-    if report.axiom == "Q4":
-        return max(_q4_residuals(values).values())
-    if report.axiom == "Q5":
-        return max(_q5_residuals(values).values())
-    if report.axiom == "Q3xTR":
-        return relative_residual(*_rank_gap_sides(values))
-
-    scheme_obj = scheme if scheme is not None else _resolve_scheme(report.scheme)
-    if report.axiom in _CHECKED_AXIOMS:
-        return _eval_axiom(report.axiom, scheme_obj, values)
-    if report.axiom == "Wcond":
-        rule = scheme_obj.weight_rule if isinstance(scheme_obj, QuotientScheme) else scheme_obj
-        return max(_weight_condition_residuals(rule, values["A"], values["B"]))
-    if report.axiom == "Rcond":
-        return max(_realization_condition_residuals(scheme_obj, values["A"], values["B"],
-                                                    complex(values["k"])))
-    if report.axiom == "PROJ":
-        realization = _realization_of(scheme_obj)
-        basis = [values[key] for key in sorted(
-            (k for k in values if k.startswith("basis.")),
-            key=lambda name: int(name.split(".")[1]))]
-        worst = _biorthonormal_residual(realization, basis)[0]
-        if "M" in values:
-            worst = max(worst, _reconstruction_residual(realization, basis, values["M"]))
-        return worst
-    raise ConfigurationError(f"cannot replay axiom {report.axiom!r}")
+    law = _LAWS.get(report.axiom)
+    if law is None:
+        raise ConfigurationError(f"cannot replay axiom {report.axiom!r}")
+    subject = None
+    if law.subject is not None:
+        subject = law.subject(scheme if scheme is not None else _resolve_scheme(report.scheme))
+    return max(law.evaluate(subject, values))

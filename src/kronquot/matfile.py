@@ -35,14 +35,14 @@ import re
 
 import numpy as np
 
-from .errors import MatrixFormatError
+from .errors import MatrixFormatError, NonFiniteEntryError
 from .matrix import Matrix
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 # a, a+bi / a-bi and bi with the shared [+-]?F prefix factored out: the plain
 # three-way alternation makes a whole-row match several times slower
 _TOKEN = rf"[+-]?(?:{_FLOAT}(?:[+-](?:{_FLOAT})?i)?|(?:{_FLOAT})?i)"
-_TOKEN_RE = re.compile(rf"(?:{_TOKEN})$")
+_TOKEN_RE = re.compile(_TOKEN)
 _ROW_RE = re.compile(rf"(?:{_TOKEN})(?:\s+(?:{_TOKEN}))*")
 
 # Token templates indexed by form: a+bi / a-bi, a, bi. The sign of the
@@ -52,7 +52,7 @@ _FORMS = np.array(["{:.17g}{:+.17g}i", "{:.17g}", "{:.17g}i"], dtype=object)
 
 def parse_scalar(token: str) -> complex:
     """Parse one scalar token."""
-    if not _TOKEN_RE.match(token):
+    if not _TOKEN_RE.fullmatch(token):
         raise MatrixFormatError(f"bad scalar token {token!r}")
     return complex(token.replace("i", "j"))
 
@@ -110,10 +110,15 @@ def parse_matrix(text: str) -> Matrix:
                                     f"expected {cols}", line=lineno)
         if not _ROW_RE.fullmatch(line):
             for token in line.split():
-                if not _TOKEN_RE.match(token):
+                if not _TOKEN_RE.fullmatch(token):
                     raise MatrixFormatError(f"bad scalar token {token!r}", line=lineno)
         out[row] = np.fromiter(map(complex, tokens), np.complex128, cols)
-    return Matrix._adopt(out)
+    try:
+        return Matrix._adopt(out)
+    except NonFiniteEntryError as exc:
+        # an overflowing literal such as 1e400; its row is looked up only on failure
+        row = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
+        raise NonFiniteEntryError(f"line {data[row][0]}: {exc}") from None
 
 
 def format_matrix(m: Matrix) -> str:
@@ -132,7 +137,7 @@ def format_matrix(m: Matrix) -> str:
 
 
 def read_matrix(path: str | os.PathLike) -> Matrix:
-    """Read a matrix file; a format error names the file and the line."""
+    """Read a matrix file; a format or non-finite entry error names the file and the line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -143,6 +148,8 @@ def read_matrix(path: str | os.PathLike) -> Matrix:
         return parse_matrix(text)
     except MatrixFormatError as exc:
         raise MatrixFormatError(exc.reason, line=exc.line, path=os.fsdecode(path)) from None
+    except NonFiniteEntryError as exc:
+        raise NonFiniteEntryError(f"{os.fsdecode(path)}, {exc}") from None
 
 
 def write_matrix(path: str | os.PathLike, m: Matrix) -> None:

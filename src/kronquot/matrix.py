@@ -152,11 +152,6 @@ class Matrix:
             raise BlockIndexError(f"entry ({i},{j}) outside a {self.rows}x{self.cols} matrix")
         return complex(self._a[i - 1, j - 1])
 
-    def row(self, i: int) -> Matrix:
-        if not 1 <= i <= self.rows:
-            raise BlockIndexError(f"row {i} outside a {self.rows}x{self.cols} matrix")
-        return Matrix.from_array(self._a[i - 1 : i, :])
-
     def column(self, j: int) -> Matrix:
         if not 1 <= j <= self.cols:
             raise BlockIndexError(f"column {j} outside a {self.rows}x{self.cols} matrix")

@@ -400,21 +400,6 @@ def is_divisor(scheme, a: Matrix, m: Matrix, shape: FactorShape, *,
     return negligible_remainder(remainder(scheme, a, m, shape), m, rtol=rtol, atol=atol)
 
 
-def perfect_shuffle(m: int, s: int) -> Matrix:
-    """Permutation moving block index (i-1)s+p to (p-1)m+i.
-
-    With S1 = perfect_shuffle(m, s) and S2 = perfect_shuffle(n, t),
-    S1 @ kron(A, B) @ S2.transpose() == kron(B, A) for A m x n, B s x t.
-    :func:`right_quotient` applies the same reindexing as a reshape.
-    """
-    dim = m * s
-    p = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(m):
-        for q in range(s):
-            p[q * m + i, i * s + q] = 1.0
-    return Matrix.from_array(p)
-
-
 def right_quotient(scheme, m: Matrix, b: Matrix, shape: FactorShape) -> Matrix:
     """Right quotient recovering the left factor: (A kron B) rquot B = A.
 

@@ -85,6 +85,20 @@ def shuffle_by_index(m: Matrix, mm: int, s: int, nn: int, tt: int) -> Matrix:
     return Matrix.from_array(arr[np.ix_(rows, cols)])
 
 
+def perfect_shuffle(m: int, s: int) -> Matrix:
+    """Permutation moving block index (i-1)s+p to (p-1)m+i.
+
+    With S1 = perfect_shuffle(m, s) and S2 = perfect_shuffle(n, t),
+    S1 @ kron(A, B) @ S2.transpose() == kron(B, A) for A m x n, B s x t.
+    """
+    dim = m * s
+    p = np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(m):
+        for q in range(s):
+            p[q * m + i, i * s + q] = 1.0
+    return Matrix.from_array(p)
+
+
 def vanloan_factor(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     """Nearest-factor formula B[i,j] = tr(Mtilde_ij^T A) / ||A||_F^2, real data only.
 

@@ -23,6 +23,7 @@ from kronquot import (
     parse_matrix,
     replay_counterexample,
     trace_scheme_realization,
+    weighted_realization,
 )
 from kronquot.matfile import from_line
 from oracles import NzIndex
@@ -158,7 +159,7 @@ class TestWeightConditions:
         assert report.detail("transpose_iff_q1") is True
         assert report.detail("kron_iff_q3") is True
         assert replay_counterexample(
-            report, QuotientScheme.weighted(skew_weights)) > TOLERANCE
+            report, QuotientScheme.weighted(skew_weights)) == report.max_residual > TOLERANCE
 
     def test_matching_q3_failure_on_same_seed(self):
         report = check_axiom("Q3", QuotientScheme.weighted(skew_weights), 40, 42, 3)
@@ -258,6 +259,34 @@ class TestDemos:
         first = [r.to_text() for r in demo_counterexamples()]
         second = [r.to_text() for r in demo_counterexamples()]
         assert first == second
+
+
+SKEW_REALIZATION = weighted_realization(skew_weights)
+
+# A failing report of every kind that checks draw: how to make it, the scheme
+# its replay needs, and the trial of its counterexample at these seeds.
+PINNED_FAILURES = [
+    pytest.param(lambda: check_axiom("Q5R", "leopardi", 60, 42, 4), None, 58,
+                 id="Q5R-leopardi"),
+    pytest.param(lambda: check_axiom("Q5R", "frobenius", 60, 42, 4), None, 53,
+                 id="Q5R-frobenius"),
+    pytest.param(lambda: check_axiom("Q5R", "operator", 60, 42, 4), None, 15,
+                 id="Q5R-operator"),
+    pytest.param(lambda: check_weight_conditions(skew_weights, 40, 42),
+                 QuotientScheme.weighted(skew_weights), 33, id="Wcond-skew"),
+    pytest.param(lambda: check_realization_conditions(SKEW_REALIZATION, 40, 42),
+                 SKEW_REALIZATION, 39, id="Rcond-skew"),
+    pytest.param(lambda: check_projection(LOPSIDED_BASIS, "frobenius", 40, 42, 3), None, 17,
+                 id="PROJ-lopsided"),
+]
+
+
+@pytest.mark.parametrize("make,scheme,trial", PINNED_FAILURES)
+def test_failing_trials_are_pinned_and_replay_exactly(make, scheme, trial):
+    report = make()
+    assert report.verdict == "fails"
+    assert report.counterexample.trial == trial
+    assert replay_counterexample(report, scheme) == report.max_residual
 
 
 def test_replay_requires_counterexample():

@@ -48,6 +48,12 @@ def test_parse_scalar_rejects(token):
         parse_scalar(token)
 
 
+@pytest.mark.parametrize("token", ["1\n", "1 "])
+def test_parse_scalar_rejects_trailing_whitespace(token):
+    with pytest.raises(MatrixFormatError):
+        parse_scalar(token)
+
+
 def test_format_scalar_compact_forms():
     assert format_scalar(1.5) == "1.5"
     assert format_scalar(2j) == "2i"
@@ -228,6 +234,17 @@ def test_overflowing_literal_in_a_file_stays_non_finite(tmp_path):
     path.write_text("1 2\n1 -1e400i\n")
     with pytest.raises(NonFiniteEntryError):
         read_matrix(path)
+
+
+def test_overflowing_literal_names_its_line(tmp_path):
+    text = "2 2\n1 2\n# a comment\n1 1e400\n"
+    with pytest.raises(NonFiniteEntryError, match=r"^line 4: "):
+        parse_matrix(text)
+    path = tmp_path / "big.mat"
+    path.write_text(text)
+    with pytest.raises(NonFiniteEntryError) as info:
+        read_matrix(path)
+    assert str(info.value).startswith(f"{path}, line 4: ")
 
 
 def test_valid_rows_skip_the_per_entry_paths(monkeypatch):

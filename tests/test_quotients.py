@@ -31,7 +31,6 @@ from kronquot import (
     linear_quotient,
     operator_quotient,
     operator_realization,
-    perfect_shuffle,
     pfp,
     pfp_scalar,
     realization_for,
@@ -43,7 +42,7 @@ from kronquot import (
     uniform_quotient,
     weighted_quotient,
 )
-from oracles import NzIndex, shuffle_by_index, vanloan_factor
+from oracles import NzIndex, perfect_shuffle, shuffle_by_index, vanloan_factor
 
 SCHEMES = {
     "leopardi": QuotientScheme.leopardi(),
