@@ -217,7 +217,8 @@ def _frobenius_q(a: Matrix) -> Matrix:
 
 
 def _operator_q(a: Matrix) -> Matrix:
-    _require_nonzero(a)
+    if a.is_zero():
+        raise ZeroDivisorError("quotient by the zero matrix")
     u1, sigma1, v1 = leading_pair(a)
     return (u1.conjugate() @ v1.transpose()) / sigma1
 

@@ -527,8 +527,7 @@ SCALE_FAILURES = {
     "leopardi": [(-1000, -1000, ZeroDivisorError)],   # every entry below ZERO_THRESHOLD
     "frobenius": [(-1000, -550, ZeroDivisorError),    # ||A||_F^2 underflows to 0
                   (550, 1000, InvalidRealizationError)],  # ... overflows: Q(A) pairs to 0
-    "operator": [(-1000, -550, ZeroDivisorError),
-                 (550, 1000, UnsupportedInputError)],  # the SVD's squared norm overflows
+    "operator": [],
     "trace": [],
 }
 

@@ -1,5 +1,8 @@
 """SVD kernel: invariants, the fixed convention, determinism, oracles."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from kronquot import (
     ConvergenceError,
     DegenerateInputError,
     Matrix,
+    UnsupportedInputError,
     leading_pair,
     operator_norm,
     relative_residual,
@@ -91,40 +95,48 @@ class TestInvariants:
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1e8, 1e120])
     def test_uniformly_extreme_scales(self, scale):
-        # squared column norms (or their products) must not mute rotations
+        # squared column norms (or their products) must not mute rotations;
+        # one shape below the executor crossover and one above it
         rng = np.random.default_rng(50)
-        a = Matrix.from_array(scale * (rng.normal(size=(6, 4))
-                                       + 1j * rng.normal(size=(6, 4))))
-        check_invariants(a, svd(a))
+        for rows, cols in ((6, 4), (40, 24)):
+            a = Matrix.from_array(scale * (rng.normal(size=(rows, cols))
+                                           + 1j * rng.normal(size=(rows, cols))))
+            check_invariants(a, svd(a))
 
     def test_fully_degenerate_spectrum(self):
         # unitary input: every singular value equals 1
         rng = np.random.default_rng(51)
-        q, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        a = Matrix.from_array(q)
-        result = svd(a)
-        check_invariants(a, result)
-        check_phase_convention(result)
-        assert all(abs(x - 1.0) < 1e-12 for x in result.sigma)
+        for n in (5, 16):
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            a = Matrix.from_array(q)
+            result = svd(a)
+            check_invariants(a, result)
+            check_phase_convention(result)
+            assert all(abs(x - 1.0) < 1e-12 for x in result.sigma)
 
     def test_graded_spectrum(self):
         rng = np.random.default_rng(52)
-        diag = np.diag([10.0 ** (-3 * i) for i in range(5)]).astype(complex)
-        q1, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        q2, _ = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
-        a = Matrix.from_array(q1 @ diag @ q2)
-        result = svd(a)
-        check_invariants(a, result)
-        # relative accuracy on each scale, plus the absolute floor that
-        # forming the product q1 @ diag @ q2 already costs
-        for got, want in zip(result.sigma, (1.0, 1e-3, 1e-6, 1e-9, 1e-12)):
-            assert abs(got - want) <= 1e-7 * want + 1e-14
+        for n in (5, 16):
+            # twelve decades, evenly graded: 10^-3 apart at n = 5
+            wants = [10.0 ** (-12 * i / (n - 1)) for i in range(n)]
+            diag = np.diag(wants).astype(complex)
+            q1, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            q2, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            a = Matrix.from_array(q1 @ diag @ q2)
+            result = svd(a)
+            check_invariants(a, result)
+            # relative accuracy on each scale, plus the absolute floor that
+            # forming the product q1 @ diag @ q2 already costs
+            for got, want in zip(result.sigma, wants):
+                assert abs(got - want) <= 1e-7 * want + 1e-14
 
     def test_norm_overflow_rejected(self):
-        from kronquot import UnsupportedInputError
-
+        # the squared norm overflows binary64, sigma_1 = 4e200 does not
+        result = svd(Matrix.from_array(np.full((4, 4), 1e200)))
+        assert abs(result.sigma[0] - 4e200) <= 1e-12 * 4e200
+        # sigma_1 = 4e308 itself overflows
         with pytest.raises(UnsupportedInputError):
-            svd(Matrix.from_array(np.full((4, 4), 1e200)))
+            svd(Matrix.from_array(np.full((4, 4), 1e308)))
 
     def test_sigma_against_eigen_oracle(self):
         rng = np.random.default_rng(43)
@@ -175,6 +187,12 @@ class TestOperatorNorm:
         rng = np.random.default_rng(46)
         assert operator_norm(random_matrix(rng, 3, 2)) > 0.0
 
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+    def test_power_of_two_scaling_is_exact_at_extreme_exponents(self, e):
+        a = np.array([[1, .5], [.25, 2]])
+        assert operator_norm(Matrix.from_array(np.ldexp(a, e))) \
+            == math.ldexp(operator_norm(Matrix.from_array(a)), e)
+
 
 class TestLeadingPair:
     def test_diagonal(self):
@@ -214,6 +232,47 @@ def test_convergence_error_carries_residual(monkeypatch):
     # choke the sweep budget so a generic matrix cannot converge
     monkeypatch.setattr(svd_mod, "_SWEEPS_PER_COLUMN", 0)
     rng = np.random.default_rng(49)
-    with pytest.raises(ConvergenceError) as info:
-        svd(random_matrix(rng, 4, 4))
-    assert info.value.residual > 0.0
+    for n in (4, 16):
+        with pytest.raises(ConvergenceError) as info:
+            svd(random_matrix(rng, n, n))
+        assert info.value.residual > 0.0
+
+
+def test_round_robin_meets_every_pair_once_per_sweep():
+    for n in range(2, 41):
+        schedule = svd_mod._round_robin(n)
+        assert len(schedule.steps) == n - 1 + n % 2
+        met = [pair for step in schedule.steps for pair in step]
+        assert sorted(met) == list(itertools.combinations(range(n), 2))
+        # the moves carry each step's layout, pairs side by side, into the next
+        layout = np.arange(n)
+        for step, move in zip(schedule.steps, schedule.moves):
+            assert len({c for pair in step for c in pair}) == 2 * len(step) == n - n % 2
+            assert [tuple(p) for p in layout[:n - n % 2].reshape(-1, 2).tolist()] == list(step)
+            layout = layout[move]
+        assert layout.tolist() == list(range(n))
+
+
+@pytest.mark.parametrize("rows, cols", [(8, 8), (9, 9), (10, 10), (27, 9), (9, 27)])
+def test_executors_agree_around_the_crossover(monkeypatch, rows, cols):
+    rng = np.random.default_rng(53)
+    a = random_matrix(rng, rows, cols)
+    sigmas = []
+    for threshold in (1, 10**9):  # the vectorized executor, then the scalar one
+        monkeypatch.setattr(svd_mod, "_VECTORIZE_FROM_COLS", threshold)
+        sigmas.append(svd(a).sigma)
+    for vectorized, scalar in zip(*sigmas):
+        assert abs(vectorized - scalar) <= 1e-13 * scalar
+
+
+def test_sweep_statistics():
+    rng = np.random.default_rng(54)
+    for rows, cols in ((4, 3), (16, 16)):
+        result = svd(random_matrix(rng, rows, cols))
+        pairs = cols * (cols - 1) // 2
+        assert result.sweeps >= 2
+        assert 0 < result.rotations <= (result.sweeps - 1) * pairs
+        assert 0.0 <= result.offdiag_ratio <= svd_mod._PAIR_TOL
+    already_orthogonal = svd(Matrix.diagonal([1, 3, 2]))
+    assert (already_orthogonal.sweeps, already_orthogonal.rotations,
+            already_orthogonal.offdiag_ratio) == (1, 0, 0.0)
