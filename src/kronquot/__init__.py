@@ -55,25 +55,15 @@ from .pfp import pfp, pfp_scalar
 from .quotients import (
     QuotientScheme,
     Realization,
-    family_from_realization,
-    frobenius_quotient,
-    frobenius_realization,
     frobenius_weights,
     is_divisor,
     left_quotient,
-    leopardi_quotient,
-    leopardi_realization,
     leopardi_weights,
     linear_quotient,
-    operator_quotient,
-    operator_realization,
     realization_for,
     remainder,
     right_quotient,
     trace_realization,
-    trace_scheme_realization,
-    uniform_quotient,
-    weighted_quotient,
     weighted_realization,
 )
 from .singular import SvdResult, leading_pair, operator_norm, svd
@@ -112,23 +102,16 @@ __all__ = [
     "check_realization_conditions",
     "check_weight_conditions",
     "demo_counterexamples",
-    "family_from_realization",
     "format_matrix",
     "format_scalar",
-    "frobenius_quotient",
-    "frobenius_realization",
     "frobenius_weights",
     "is_divisor",
     "kron",
     "leading_pair",
     "left_quotient",
-    "leopardi_quotient",
-    "leopardi_realization",
     "leopardi_weights",
     "linear_quotient",
     "operator_norm",
-    "operator_quotient",
-    "operator_realization",
     "parse_matrix",
     "parse_scalar",
     "pfp",
@@ -141,9 +124,6 @@ __all__ = [
     "right_quotient",
     "svd",
     "trace_realization",
-    "trace_scheme_realization",
-    "uniform_quotient",
-    "weighted_quotient",
     "weighted_realization",
     "write_matrix",
 ]

@@ -28,9 +28,10 @@ from .quotients import (
     BUILTIN_SCHEMES,
     QuotientScheme,
     Realization,
-    frobenius_realization,
     left_quotient,
     realization_for,
+    resolve_scheme,
+    scheme_named,
     trace_realization,
 )
 from .singular import svd
@@ -172,31 +173,10 @@ def _random_nonzero(rng: np.random.Generator, rows: int, cols: int, *,
         return Matrix.from_array(arr)
 
 
-def _resolve_scheme(scheme_like):
-    """A scheme object, or the built-in scheme a name or report descriptor denotes."""
-    if isinstance(scheme_like, (QuotientScheme, Realization)):
-        return scheme_like
-    for name, builtin in BUILTIN_SCHEMES.items():
-        if scheme_like == name:
-            return QuotientScheme(kind=name)
-        if scheme_like == builtin.realization.describe():
-            return builtin.realization
-        if builtin.weights is not None \
-                and scheme_like == QuotientScheme.weighted(builtin.weights).describe():
-            return QuotientScheme.weighted(builtin.weights)
-    raise ConfigurationError(f"unknown scheme {scheme_like!r}")
-
-
-def _realization_of(scheme_obj) -> Realization:
-    """The realization a uniform scheme evaluates through; linear schemes have none."""
-    return scheme_obj if isinstance(scheme_obj, Realization) else realization_for(scheme_obj)
-
-
-def _evaluator_of(scheme_obj):
-    """What the quotient laws evaluate through; a realization spares trials the lookup."""
-    if isinstance(scheme_obj, QuotientScheme) and scheme_obj.kind == "linear":
-        return scheme_obj
-    return _realization_of(scheme_obj)
+def _descriptor(scheme) -> str:
+    """The scheme a report records: a built-in name or descriptor as given, else its
+    ``describe()``."""
+    return scheme if isinstance(scheme, str) else scheme.describe()
 
 
 def _draw_block(rng, trial, square, sparse, max_dim, restricted, scalars, *,
@@ -398,8 +378,8 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
                 restricted: bool = False, scalars: Sequence[complex] = SCALARS) -> AxiomReport:
     """Randomized check of one quotient axiom for one scheme.
 
-    ``scheme`` may be a QuotientScheme, a Realization (checked through
-    its induced uniform quotient), or a built-in scheme name. Divisors
+    ``scheme`` is a built-in name or a scheme object: a QuotientScheme,
+    or a Realization checked through its induced uniform quotient. Divisors
     are drawn square with nonzero trace for a ``square_only``
     realization, and partly zero in a third of the trials for a
     ``support_sensitive`` one. ``restricted=True`` draws the dividend
@@ -407,18 +387,19 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
     where every quotient must comply.
     """
     law = _LAWS.get(axiom)
-    if law is None or law.subject is not _evaluator_of:
+    if law is None or law.subject is not resolve_scheme:
         expected = tuple(name for name, entry in _LAWS.items()
-                         if entry.subject is _evaluator_of)
+                         if entry.subject is resolve_scheme)
         raise ConfigurationError(f"unknown axiom {axiom!r}; expected one of {expected}")
     _validate_common(trials, seed, max_dim)
-    scheme_obj = _resolve_scheme(scheme)
-    evaluator = _evaluator_of(scheme_obj)
+    evaluator = resolve_scheme(scheme)
+    descriptor = _descriptor(scheme)
     draw = partial(law.draw, square=getattr(evaluator, "square_only", False),
                    sparse=getattr(evaluator, "support_sensitive", False), max_dim=max_dim,
                    restricted=restricted, scalars=scalars)
     evaluate = partial(law.evaluate, evaluator)
-    is_operator = isinstance(scheme_obj, QuotientScheme) and scheme_obj.kind == "operator"
+    # the operator scheme named as such; its bare realization reports no probe
+    is_operator = descriptor == "operator"
     degenerate = 0
     if is_operator:
         def evaluate(inputs, evaluate_law=evaluate):
@@ -441,7 +422,7 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
             details.append(("max_residual_complex_k", complex_k[0]))
     if is_operator:
         details.append(("degenerate_leading_pairs", degenerate))
-    return _report(axiom, scheme_obj.describe(), trials, seed, worst, worst_trial,
+    return _report(axiom, descriptor, trials, seed, worst, worst_trial,
                    worst_inputs, details)
 
 
@@ -591,9 +572,8 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
     if _numerical_rank(stack) != m * n:
         raise ConfigurationError("basis does not span the matrix space")
 
-    scheme_obj = _resolve_scheme(scheme)
     law = _LAWS["PROJ"]
-    realization = law.subject(scheme_obj)
+    realization = law.subject(scheme)
     biorth_worst, worst_pair = _biorthonormal_residual(realization, basis)
     # biorthonormality depends on no draw, so the trials evaluate reconstruction only
     recon_worst, worst_trial, worst_inputs, _, _, _ = _run_trials(
@@ -614,7 +594,7 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
     )
     inputs = {f"basis.{idx + 1}": mat for idx, mat in enumerate(basis)}
     inputs["M"] = worst_inputs["M"]
-    return _report("PROJ", scheme_obj.describe(), trials, seed,
+    return _report("PROJ", _descriptor(scheme), trials, seed,
                    max(biorth_worst, recon_worst), worst_trial, inputs, details,
                    verdict="holds" if biorth_holds and recon_holds else "fails")
 
@@ -639,23 +619,22 @@ def _q4_residuals(values: dict) -> dict[str, float]:
     for name, builtin in BUILTIN_SCHEMES.items():
         a, c = (values["A2"], values["C2"]) if builtin.realization.square_only \
             else (values["A"], values["C"])
-        scheme = QuotientScheme(kind=name)
         out[name] = relative_residual(
-            _q4_forced_value(scheme, a, c, values["B1"], values["B2"]),
-            _q4_forced_value(scheme, a, c, values["B1p"], values["B2p"]))
+            _q4_forced_value(name, a, c, values["B1"], values["B2"]),
+            _q4_forced_value(name, a, c, values["B1p"], values["B2p"]))
     return out
 
 
 def _q5_residuals(values: dict) -> dict[str, float]:
     """Per built-in scheme defined off square domains, the trace-rule residual."""
-    return {name: _eval_q5r(QuotientScheme(kind=name), values)[0]
+    return {name: _eval_q5r(name, values)[0]
             for name, builtin in BUILTIN_SCHEMES.items()
             if not builtin.realization.square_only}
 
 
 def _rank_gap_sides(values: dict) -> tuple[Matrix, Matrix]:
     """Q(J) under the trace rule, and the value composition over col x row forces."""
-    q_frob = frobenius_realization().q_of
+    q_frob = BUILTIN_SCHEMES["frobenius"].realization.q_of
     return (trace_realization(values["J"]),
             kron(q_frob(values["col"]), q_frob(values["row"])))
 
@@ -676,7 +655,7 @@ def _demo_q4() -> AxiomReport:
     details: list[tuple[str, object]] = [("product_of_divisors_is_zero", (a @ c).is_zero())]
     details.extend((f"{name}_residual", residual) for name, residual in residuals.items())
     try:
-        left_quotient(QuotientScheme.frobenius(), a @ c, kron(a, b1) @ kron(c, b2),
+        left_quotient("frobenius", a @ c, kron(a, b1) @ kron(c, b2),
                       FactorShape(2, 2, 2, 2))
         details.append(("right_hand_side", "defined"))
     except ZeroDivisorError:
@@ -694,7 +673,7 @@ def _demo_q5() -> AxiomReport:
                                          ("trace_of_dividend", 4.0)]
     details.extend((f"{name}_residual", residual) for name, residual in residuals.items())
     try:
-        left_quotient(QuotientScheme.trace(), a, mat, FactorShape(2, 2, 2, 2))
+        left_quotient("trace", a, mat, FactorShape(2, 2, 2, 2))
         details.append(("trace_scheme", "defined"))
     except SingularRealizationError:
         details.append(("trace_scheme", "outside domain (tr A = 0)"))
@@ -735,9 +714,9 @@ def demo_counterexamples() -> list[AxiomReport]:
 
 class _Law(NamedTuple):
     """``evaluate(subject, inputs)`` gives a law's residual components, and
-    ``draw(rng, trial, **params)`` one trial's inputs; ``subject(scheme_obj)`` is
+    ``draw(rng, trial, **params)`` one trial's inputs; ``subject(scheme)`` is
     what the law is stated on. The demo laws have fixed witnesses and schemes, and
-    check_axiom runs exactly the laws whose subject is ``_evaluator_of``."""
+    check_axiom runs exactly the laws whose subject is ``resolve_scheme``."""
 
     evaluate: Callable[..., tuple[float, ...]]
     draw: Callable[..., dict] | None = None
@@ -745,15 +724,15 @@ class _Law(NamedTuple):
 
 
 _LAWS: dict[str, _Law] = {
-    "Q1": _Law(_eval_q1, partial(_draw_block, keys=("M",)), _evaluator_of),
-    "Q2a": _Law(_eval_q2a, partial(_draw_block, keys=("M1", "M2", "k")), _evaluator_of),
-    "Q2b": _Law(_eval_q2b, partial(_draw_block, keys=("M", "k")), _evaluator_of),
-    "Q3": _Law(_eval_q3, _draw_q3, _evaluator_of),
-    "Q5R": _Law(_eval_q5r, partial(_draw_block, keys=("M",), trace_rule=True), _evaluator_of),
+    "Q1": _Law(_eval_q1, partial(_draw_block, keys=("M",)), resolve_scheme),
+    "Q2a": _Law(_eval_q2a, partial(_draw_block, keys=("M1", "M2", "k")), resolve_scheme),
+    "Q2b": _Law(_eval_q2b, partial(_draw_block, keys=("M", "k")), resolve_scheme),
+    "Q3": _Law(_eval_q3, _draw_q3, resolve_scheme),
+    "Q5R": _Law(_eval_q5r, partial(_draw_block, keys=("M",), trace_rule=True), resolve_scheme),
     "Wcond": _Law(_weight_condition_residuals, _draw_weight_pair,
-                  lambda scheme_obj: getattr(scheme_obj, "weight_rule", scheme_obj)),
-    "Rcond": _Law(_realization_condition_residuals, _draw_realization_pair, _realization_of),
-    "PROJ": _Law(_projection_residuals, _draw_basis_dividend, _realization_of),
+                  lambda scheme: getattr(scheme, "weight_rule", scheme)),
+    "Rcond": _Law(_realization_condition_residuals, _draw_realization_pair, realization_for),
+    "PROJ": _Law(_projection_residuals, _draw_basis_dividend, realization_for),
     "Q4": _Law(lambda _, values: tuple(_q4_residuals(values).values())),
     "Q5": _Law(lambda _, values: tuple(_q5_residuals(values).values())),
     "Q3xTR": _Law(lambda _, values: (relative_residual(*_rank_gap_sides(values)),)),
@@ -775,5 +754,5 @@ def replay_counterexample(report: AxiomReport, scheme=None) -> float:
         raise ConfigurationError(f"cannot replay axiom {report.axiom!r}")
     subject = None
     if law.subject is not None:
-        subject = law.subject(scheme if scheme is not None else _resolve_scheme(report.scheme))
+        subject = law.subject(scheme if scheme is not None else scheme_named(report.scheme))
     return max(law.evaluate(subject, values))

@@ -32,7 +32,6 @@ from .matrix import FactorShape, Matrix, kron
 from .pfp import pfp
 from .quotients import (
     BUILTIN_SCHEMES,
-    QuotientScheme,
     left_quotient,
     negligible_remainder,
     remainder,
@@ -72,14 +71,14 @@ def _cmd_kron(args) -> int:
 
 
 def _cmd_quot(args) -> int:
-    result = left_quotient(QuotientScheme(kind=args.scheme), matfile.read_matrix(args.a),
+    result = left_quotient(args.scheme, matfile.read_matrix(args.a),
                            matfile.read_matrix(args.m), args.shape)
     _emit(result, args.output)
     return 0
 
 
 def _cmd_rquot(args) -> int:
-    result = right_quotient(QuotientScheme(kind=args.scheme), matfile.read_matrix(args.m),
+    result = right_quotient(args.scheme, matfile.read_matrix(args.m),
                             matfile.read_matrix(args.b), args.shape)
     _emit(result, args.output)
     return 0
@@ -87,8 +86,7 @@ def _cmd_rquot(args) -> int:
 
 def _cmd_rem(args) -> int:
     m = matfile.read_matrix(args.m)
-    rem = remainder(QuotientScheme(kind=args.scheme), matfile.read_matrix(args.a), m,
-                    args.shape)
+    rem = remainder(args.scheme, matfile.read_matrix(args.a), m, args.shape)
     divides = negligible_remainder(rem, m)
     trailer = f"divisor={'true' if divides else 'false'} residual={rem.frobenius_norm():.17g}"
     _emit(rem, args.output, trailer=trailer)

@@ -29,6 +29,15 @@ one table of the built-in schemes. A right quotient reindexes its
 dividend by a reshape that swaps the Kronecker factor order (the
 perfect shuffle) and divides on the left.
 
+A scheme is given either as a built-in name (``"frobenius"``, a key of
+``BUILTIN_SCHEMES``) or as a scheme object: a :class:`QuotientScheme` or
+a :class:`Realization`. Every entry point -- :func:`left_quotient`,
+:func:`right_quotient`, :func:`remainder`, :func:`is_divisor`,
+:func:`realization_for` and the law checks -- accepts both, through the
+one resolver :func:`resolve_scheme`. The descriptor a report records
+(``leopardi``, ``uniform(frobenius)``, ``weighted(leopardi_weights)``)
+names a built-in scheme too.
+
 All scheme objects are immutable and every evaluation is pure;
 user-supplied weight rules and component families must themselves be
 pure and reentrant to keep that guarantee.
@@ -176,18 +185,16 @@ def _validate_weights(w: Matrix, a: Matrix, support: np.ndarray) -> np.ndarray:
     return warr
 
 
-# -- shape plumbing ---------------------------------------------------
+# -- operand checks --------------------------------------------------
 
-def _check_left_shapes(a: Matrix, m: Matrix, shape: FactorShape) -> None:
+def _check_left_operands(a: Matrix, m: Matrix, shape: FactorShape) -> None:
+    """The divisor and dividend fit the factor shape, and the divisor is not exactly zero."""
     if (a.rows, a.cols) != (shape.m, shape.n):
         raise ShapeError(f"divisor is {a.rows}x{a.cols}, expected "
                          f"{shape.m}x{shape.n} for factor shape "
                          f"(m={shape.m}, n={shape.n}, s={shape.s}, t={shape.t})")
     shape.require(m, "dividend")
-
-
-def _require_nonzero(a: Matrix) -> None:
-    if a.frobenius_norm() == 0.0:
+    if a.is_zero():
         raise ZeroDivisorError("quotient by the zero matrix")
 
 
@@ -255,61 +262,62 @@ BUILTIN_SCHEMES: dict[str, BuiltinScheme] = {
 }
 
 
-def leopardi_realization() -> Realization:
-    return BUILTIN_SCHEMES["leopardi"].realization
+def scheme_named(name: str) -> QuotientScheme | Realization:
+    """The built-in scheme a name or report descriptor denotes."""
+    for kind, builtin in BUILTIN_SCHEMES.items():
+        if name == kind:
+            return QuotientScheme(kind=kind)
+        if name == builtin.realization.describe():
+            return builtin.realization
+        if builtin.weights is not None \
+                and name == QuotientScheme.weighted(builtin.weights).describe():
+            return QuotientScheme.weighted(builtin.weights)
+    raise ConfigurationError(f"unknown scheme {name!r}")
 
 
-def frobenius_realization() -> Realization:
-    return BUILTIN_SCHEMES["frobenius"].realization
-
-
-def operator_realization() -> Realization:
-    return BUILTIN_SCHEMES["operator"].realization
-
-
-def trace_scheme_realization() -> Realization:
-    return BUILTIN_SCHEMES["trace"].realization
-
-
-def realization_for(scheme: QuotientScheme) -> Realization:
-    """The realization of a uniform scheme; linear schemes have none."""
+def resolve_scheme(scheme) -> Realization | QuotientScheme:
+    """What a scheme evaluates through: a uniform scheme's realization, or a
+    linear scheme itself. ``scheme`` is a Realization, a QuotientScheme, or
+    a name or report descriptor of a built-in scheme."""
+    # a Realization comes first: the law checks pass one on every call
+    if isinstance(scheme, Realization):
+        return scheme
+    if isinstance(scheme, str):
+        return resolve_scheme(scheme_named(scheme))
+    if not isinstance(scheme, QuotientScheme):
+        raise ConfigurationError(f"expected a scheme name, QuotientScheme or Realization, "
+                                 f"got {scheme!r}")
     if scheme.kind == "weighted":
         return weighted_realization(scheme.weight_rule, scheme.label)
     if scheme.kind == "linear":
-        raise ConfigurationError(f"scheme {scheme.describe()!r} is not uniform: "
-                                 "it has no single-matrix realization")
+        return scheme
     return BUILTIN_SCHEMES[scheme.kind].realization
 
 
-def family_from_realization(realization: Realization) -> FamilyRule:
-    """The component family of a uniform quotient: diagonal copies of Q(A)."""
-
-    def family(a: Matrix, s: int, t: int):
-        q = realization.q_of(a)
-        return {(u, v, u, v): q for u in range(1, s + 1) for v in range(1, t + 1)}
-
-    return family
+def realization_for(scheme) -> Realization:
+    """The realization of a uniform scheme, given in any form :func:`resolve_scheme`
+    accepts; linear schemes have none."""
+    realization = resolve_scheme(scheme)
+    if not isinstance(realization, Realization):
+        raise ConfigurationError(f"scheme {realization.describe()!r} is not uniform: "
+                                 "it has no single-matrix realization")
+    return realization
 
 
 # -- evaluation ----------------------------------------------------------
 
 def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """Left quotient of M by A under the given scheme (or realization).
+    """Left quotient of M by A under a scheme, given by name or as a scheme object.
 
     A uniform scheme evaluates as pfp(Q(A), M) once Q(A) is checked to
     have A's shape and to pair to 1 against A; a linear scheme goes
     through :func:`linear_quotient`.
     """
-    if isinstance(scheme, QuotientScheme):
-        if scheme.kind == "linear":
-            return linear_quotient(scheme.q_family, a, m, shape)
-        scheme = realization_for(scheme)
-    elif not isinstance(scheme, Realization):
-        raise ConfigurationError(f"expected a QuotientScheme or Realization, got {scheme!r}")
-    _check_left_shapes(a, m, shape)
-    if a.is_zero():
-        raise ZeroDivisorError("quotient by the zero matrix")
-    q = scheme.q_of(a)
+    realization = resolve_scheme(scheme)
+    if not isinstance(realization, Realization):
+        return linear_quotient(realization.q_family, a, m, shape)
+    _check_left_operands(a, m, shape)
+    q = realization.q_of(a)
     if not isinstance(q, Matrix) or q.shape != a.shape:
         raise InvalidRealizationError("realization must return a matrix of the divisor's shape")
     unit = pfp_scalar(q, a)
@@ -317,33 +325,6 @@ def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
         raise InvalidRealizationError(
             f"realization pairs to {unit} against its argument, expected 1")
     return pfp(q, m)
-
-
-def leopardi_quotient(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """Average of block(M, i, j) / A[i, j] over the nonzero entries of A."""
-    return left_quotient(QuotientScheme.leopardi(), a, m, shape)
-
-
-def weighted_quotient(weight_rule: WeightRule, a: Matrix, m: Matrix,
-                      shape: FactorShape) -> Matrix:
-    """Weighted average of blockwise ratios under a unit-sum weight rule."""
-    return left_quotient(weighted_realization(weight_rule), a, m, shape)
-
-
-def frobenius_quotient(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """Quotient minimizing ||M - kron(A, C)||_F over the factor C."""
-    return left_quotient(QuotientScheme.frobenius(), a, m, shape)
-
-
-def operator_quotient(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """Quotient reading only the leading singular direction of the divisor."""
-    return left_quotient(QuotientScheme.operator(), a, m, shape)
-
-
-def uniform_quotient(realization: Realization, a: Matrix, m: Matrix,
-                     shape: FactorShape) -> Matrix:
-    """Evaluate A quot M = pfp(Q(A), M) for a realization A -> Q(A)."""
-    return left_quotient(realization, a, m, shape)
 
 
 def linear_quotient(family: FamilyRule, a: Matrix, m: Matrix,
@@ -355,8 +336,7 @@ def linear_quotient(family: FamilyRule, a: Matrix, m: Matrix,
     The family is validated eagerly: component (u,v,u',v') must pair to
     delta_uu' * delta_vv' against the divisor.
     """
-    _check_left_shapes(a, m, shape)
-    _require_nonzero(a)
+    _check_left_operands(a, m, shape)
     s, t = shape.s, shape.t
     components = dict(family(a, s, t))
     for (u, v, u2, v2), comp in components.items():

@@ -128,6 +128,20 @@ def vanloan_factor(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     return Matrix.from_array(out)
 
 
+def family_from_realization(realization):
+    """The component family of a uniform quotient: diagonal copies of Q(A).
+
+    Fed to ``linear_quotient``, it evaluates the uniform quotient through
+    the general linear path, a second route to ``left_quotient``.
+    """
+
+    def family(a: Matrix, s: int, t: int):
+        q = realization.q_of(a)
+        return {(u, v, u, v): q for u in range(1, s + 1) for v in range(1, t + 1)}
+
+    return family
+
+
 def jacobi_eigenvalues(h: Matrix, tol: float = 1e-13, max_sweeps: int = 100) -> list[float]:
     """Eigenvalues of a Hermitian matrix by two-sided Jacobi rotations, descending.
 

@@ -17,14 +17,12 @@ from kronquot import (
     check_axiom,
     check_projection,
     demo_counterexamples,
-    family_from_realization,
-    frobenius_quotient,
-    frobenius_realization,
     kron,
     left_quotient,
     pfp,
     pfp_scalar,
     read_matrix,
+    realization_for,
     relative_residual,
     replay_counterexample,
     right_quotient,
@@ -32,7 +30,7 @@ from kronquot import (
     write_matrix,
 )
 from kronquot.cli import main
-from oracles import jacobi_eigenvalues, vanloan_factor
+from oracles import family_from_realization, jacobi_eigenvalues, vanloan_factor
 
 
 def report(number, name, worst, bound, extra=""):
@@ -64,7 +62,7 @@ def general_linear_family(a, s, t):
     """A valid component family beyond the uniform ones: diagonal copies of
     the energy-normalized conjugate plus one off-diagonal component that
     pairs to zero against the divisor."""
-    base = dict(family_from_realization(frobenius_realization())(a, s, t))
+    base = dict(family_from_realization(realization_for("frobenius"))(a, s, t))
     if s >= 2 and t >= 2:
         pattern = Matrix.from_array(np.fromfunction(
             lambda i, j: (i + 1.0) + 1j * (j + 2.0), (a.rows, a.cols)))
@@ -232,7 +230,7 @@ def test_criterion_6_frobenius_optimality():
             continue
         mat = random_matrix(rng, m * s, n * t, real=True)
         shape = FactorShape(m, n, s, t)
-        factor = frobenius_quotient(a, mat, shape)
+        factor = left_quotient("frobenius", a, mat, shape)
         baseline = (mat - kron(a, factor)).frobenius_norm()
         for _ in range(100):
             scale = 10.0 ** rng.uniform(-8, 0)

@@ -17,12 +17,11 @@ from kronquot import (
     check_realization_conditions,
     check_weight_conditions,
     demo_counterexamples,
-    frobenius_realization,
     frobenius_weights,
     leopardi_weights,
     parse_matrix,
+    realization_for,
     replay_counterexample,
-    trace_scheme_realization,
     weighted_realization,
 )
 from kronquot.matfile import from_line
@@ -78,7 +77,7 @@ class TestCheckAxiom:
 
     def test_draws_follow_the_declared_domain_not_the_label(self):
         # a square-only rule under another label still gets square, nonzero-trace divisors
-        renamed = dataclasses.replace(trace_scheme_realization(), label="renamed")
+        renamed = dataclasses.replace(realization_for("trace"), label="renamed")
         assert check_axiom("Q5R", renamed, 60, 42, 4).holds
 
     def test_operator_scheme_flags_degenerate_draws(self):
@@ -168,21 +167,21 @@ class TestWeightConditions:
 
 class TestRealizationConditions:
     def test_frobenius_realization_satisfies_all_identities(self):
-        report = check_realization_conditions(frobenius_realization(), 40, 42)
+        report = check_realization_conditions(realization_for("frobenius"), 40, 42)
         assert report.holds
         for key in ("transpose_iff_q1", "scale_iff_q2b", "kron_iff_q3"):
             assert report.detail(key) is True, report.to_text()
 
     def test_frobenius_scale_identity_even_for_complex_k(self):
         # conj(k)/|k|^2 equals 1/k identically, so complex scalars stay exact
-        report = check_realization_conditions(frobenius_realization(), 40, 42)
+        report = check_realization_conditions(realization_for("frobenius"), 40, 42)
         assert report.detail("q_scale_residual_complex_k") <= TOLERANCE
 
     def test_trace_realization_on_its_square_domain(self):
         # on square nonzero-trace draws all three identities hold; the
         # incompatibility with composition needs non-square factors and is
         # demonstrated separately by demo_counterexamples
-        report = check_realization_conditions(trace_scheme_realization(), 40, 42)
+        report = check_realization_conditions(realization_for("trace"), 40, 42)
         assert report.holds
         for key in ("transpose_iff_q1", "scale_iff_q2b", "kron_iff_q3"):
             assert report.detail(key) is True
@@ -311,10 +310,8 @@ class TestIffConsistencyAtFullTrials:
         self.assert_two_sided(check_weight_conditions(rule, 200, 42))
 
     def test_realizations(self):
-        from kronquot import operator_realization
-
-        for realization in (frobenius_realization(), trace_scheme_realization(),
-                            operator_realization()):
+        for realization in (realization_for("frobenius"), realization_for("trace"),
+                            realization_for("operator")):
             self.assert_two_sided(check_realization_conditions(realization, 200, 42))
 
     def test_projection_bases(self):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import kronquot.quotients as quotients
+from kronquot.quotients import BUILTIN_SCHEMES
 from kronquot import (
+    ConfigurationError,
     FactorShape,
     InvalidFamilyError,
     InvalidRealizationError,
@@ -18,19 +20,12 @@ from kronquot import (
     UnsupportedInputError,
     ZeroDivisorError,
     allclose,
-    family_from_realization,
-    frobenius_quotient,
-    frobenius_realization,
     frobenius_weights,
     is_divisor,
     kron,
     left_quotient,
-    leopardi_quotient,
-    leopardi_realization,
     leopardi_weights,
     linear_quotient,
-    operator_quotient,
-    operator_realization,
     pfp,
     pfp_scalar,
     realization_for,
@@ -38,11 +33,14 @@ from kronquot import (
     remainder,
     right_quotient,
     trace_realization,
-    trace_scheme_realization,
-    uniform_quotient,
-    weighted_quotient,
 )
-from oracles import NzIndex, perfect_shuffle, shuffle_by_index, vanloan_factor
+from oracles import (
+    NzIndex,
+    family_from_realization,
+    perfect_shuffle,
+    shuffle_by_index,
+    vanloan_factor,
+)
 
 SCHEMES = {
     "leopardi": QuotientScheme.leopardi(),
@@ -85,7 +83,7 @@ class TestLeopardi:
         rng = np.random.default_rng(51)
         a = Matrix.diagonal([1, 2])
         b = random_matrix(rng, 2, 3)
-        got = leopardi_quotient(a, kron(a, b), FactorShape(2, 2, 2, 3))
+        got = left_quotient("leopardi", a, kron(a, b), FactorShape(2, 2, 2, 3))
         assert relative_residual(got, b) < 1e-14
 
     def test_worked_block_average(self):
@@ -94,13 +92,13 @@ class TestLeopardi:
                               [0, 2, 0, 0],
                               [0, 0, 8, 0],
                               [0, 0, 0, 8]])
-        got = leopardi_quotient(a, m, FactorShape(2, 2, 2, 2))
+        got = left_quotient("leopardi", a, m, FactorShape(2, 2, 2, 2))
         assert got == Matrix.diagonal([1.5, 1.5])
 
     def test_single_entry_divisor(self):
         rng = np.random.default_rng(52)
         m = random_matrix(rng, 3, 3)
-        got = leopardi_quotient(Matrix.from_rows([[5]]), m, FactorShape(1, 1, 3, 3))
+        got = left_quotient("leopardi", Matrix.from_rows([[5]]), m, FactorShape(1, 1, 3, 3))
         assert allclose(got, m / 5)
 
     def test_factors_through_the_pairing(self):
@@ -109,18 +107,19 @@ class TestLeopardi:
         a = Matrix.diagonal([1, 2])
         c = Matrix.from_rows([[3, 1], [1, 3]])
         b = random_matrix(rng, 2, 2)
-        got = leopardi_quotient(a, kron(c, b), FactorShape(2, 2, 2, 2))
+        got = left_quotient("leopardi", a, kron(c, b), FactorShape(2, 2, 2, 2))
         assert allclose(got, 2.25 * b)
 
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisorError):
-            leopardi_quotient(Matrix.zero(2, 2), Matrix.zero(4, 4), FactorShape(2, 2, 2, 2))
+            left_quotient("leopardi", Matrix.zero(2, 2), Matrix.zero(4, 4),
+                          FactorShape(2, 2, 2, 2))
 
     def test_ignores_zero_entries(self):
         rng = np.random.default_rng(54)
         a = Matrix.from_rows([[1, 0], [0, 2]])
         b = random_matrix(rng, 2, 2)
-        got = leopardi_quotient(a, kron(a, b), FactorShape(2, 2, 2, 2))
+        got = left_quotient("leopardi", a, kron(a, b), FactorShape(2, 2, 2, 2))
         assert relative_residual(got, b) < 1e-14
 
 
@@ -131,8 +130,9 @@ class TestWeighted:
             a = random_nonzero(rng, 2, 3)
             m = random_matrix(rng, 4, 9)
             shape = FactorShape(2, 3, 2, 3)
-            assert allclose(weighted_quotient(leopardi_weights, a, m, shape),
-                            leopardi_quotient(a, m, shape))
+            weighted = QuotientScheme.weighted(leopardi_weights)
+            assert allclose(left_quotient(weighted, a, m, shape),
+                            left_quotient("leopardi", a, m, shape))
 
     def test_energy_weights_match_frobenius(self):
         rng = np.random.default_rng(56)
@@ -140,8 +140,9 @@ class TestWeighted:
             a = random_nonzero(rng, 3, 2)
             m = random_matrix(rng, 6, 4)
             shape = FactorShape(3, 2, 2, 2)
-            assert allclose(weighted_quotient(frobenius_weights, a, m, shape),
-                            frobenius_quotient(a, m, shape))
+            weighted = QuotientScheme.weighted(frobenius_weights)
+            assert allclose(left_quotient(weighted, a, m, shape),
+                            left_quotient("frobenius", a, m, shape))
 
     def test_concentrated_weight_reads_one_block(self):
         def spike(a):
@@ -152,7 +153,7 @@ class TestWeighted:
         rng = np.random.default_rng(57)
         a = Matrix.from_rows([[0, 2], [3, 4]])
         m = random_matrix(rng, 4, 4)
-        got = weighted_quotient(spike, a, m, FactorShape(2, 2, 2, 2))
+        got = left_quotient(QuotientScheme.weighted(spike), a, m, FactorShape(2, 2, 2, 2))
         want = Matrix.from_array(m.to_array()[0:2, 2:4]) / 2
         assert allclose(got, want)
 
@@ -161,8 +162,8 @@ class TestWeighted:
             return Matrix.from_array(2 * leopardi_weights(a).to_array())
 
         with pytest.raises(InvalidWeightsError):
-            weighted_quotient(lopsided, Matrix.identity(2), Matrix.identity(4),
-                              FactorShape(2, 2, 2, 2))
+            left_quotient(QuotientScheme.weighted(lopsided), Matrix.identity(2),
+                          Matrix.identity(4), FactorShape(2, 2, 2, 2))
 
     def test_weight_off_support_rejected(self):
         def everywhere(a):
@@ -170,7 +171,8 @@ class TestWeighted:
 
         a = Matrix.from_rows([[1, 0], [0, 1]])  # weights on the zeros are illegal
         with pytest.raises(InvalidWeightsError):
-            weighted_quotient(everywhere, a, Matrix.identity(4), FactorShape(2, 2, 2, 2))
+            left_quotient(QuotientScheme.weighted(everywhere), a, Matrix.identity(4),
+                          FactorShape(2, 2, 2, 2))
 
 
 class TestFrobenius:
@@ -178,17 +180,17 @@ class TestFrobenius:
         rng = np.random.default_rng(58)
         a = random_nonzero(rng, 2, 2)
         b = random_matrix(rng, 3, 2)
-        got = frobenius_quotient(a, kron(a, b), FactorShape(2, 2, 3, 2))
+        got = left_quotient("frobenius", a, kron(a, b), FactorShape(2, 2, 3, 2))
         assert relative_residual(got, b) < 1e-13
 
     def test_conjugation_in_the_realization(self):
-        got = frobenius_quotient(Matrix.from_rows([[1j]]), Matrix.from_rows([[2j]]),
-                                 FactorShape(1, 1, 1, 1))
+        got = left_quotient("frobenius", Matrix.from_rows([[1j]]), Matrix.from_rows([[2j]]),
+                            FactorShape(1, 1, 1, 1))
         assert got == Matrix.from_rows([[2]])
 
     def test_column_average_worked_value(self):
-        got = frobenius_quotient(Matrix.from_rows([[1], [1]]), Matrix.from_rows([[2], [4]]),
-                                 FactorShape(2, 1, 1, 1))
+        got = left_quotient("frobenius", Matrix.from_rows([[1], [1]]),
+                            Matrix.from_rows([[2], [4]]), FactorShape(2, 1, 1, 1))
         assert allclose(got, Matrix.from_rows([[3]]))
 
     def test_agrees_with_vanloan_on_real_data(self):
@@ -198,7 +200,7 @@ class TestFrobenius:
             m = random_matrix(rng, 4, 4, real=True)
             shape = FactorShape(2, 2, 2, 2)
             diff = relative_residual(vanloan_factor(a, m, shape),
-                                     frobenius_quotient(a, m, shape))
+                                     left_quotient("frobenius", a, m, shape))
             assert diff < 1e-10
 
 
@@ -229,11 +231,11 @@ class TestOperator:
         rng = np.random.default_rng(61)
         a = Matrix.diagonal([2, 1])
         b = random_matrix(rng, 2, 2)
-        got = operator_quotient(a, kron(a, b), FactorShape(2, 2, 2, 2))
+        got = left_quotient("operator", a, kron(a, b), FactorShape(2, 2, 2, 2))
         assert relative_residual(got, b) < 1e-12
 
     def test_realization_of_nilpotent(self):
-        q = operator_realization().q_of(Matrix.from_rows([[0, 2], [0, 0]]))
+        q = realization_for("operator").q_of(Matrix.from_rows([[0, 2], [0, 0]]))
         assert allclose(q, Matrix.from_rows([[0, 0.5], [0, 0]]))
 
     def test_reads_only_the_leading_block(self):
@@ -241,7 +243,7 @@ class TestOperator:
         a = Matrix.diagonal([2, 1])
         c = Matrix.diagonal([4, 100])
         b = random_matrix(rng, 2, 2)
-        got = operator_quotient(a, kron(c, b), FactorShape(2, 2, 2, 2))
+        got = left_quotient("operator", a, kron(c, b), FactorShape(2, 2, 2, 2))
         assert allclose(got, 2 * b)  # pairing sees only C[1,1]/sigma1 = 4/2
 
 
@@ -272,8 +274,8 @@ class TestUniform:
         rng = np.random.default_rng(64)
         a = Matrix.ones(4, 4)
         b = random_matrix(rng, 2, 2)
-        got = uniform_quotient(trace_scheme_realization(), a, kron(a, b),
-                               FactorShape(4, 4, 2, 2))
+        got = left_quotient(realization_for("trace"), a, kron(a, b),
+                            FactorShape(4, 4, 2, 2))
         assert relative_residual(got, b) < 1e-13
 
     @pytest.mark.parametrize("name", ["leopardi", "frobenius", "operator", "trace"])
@@ -297,8 +299,8 @@ class TestUniform:
             a = random_nonzero(rng, 2, 3)
             m = random_matrix(rng, 4, 6)
             shape = FactorShape(2, 3, 2, 2)
-            assert allclose(uniform_quotient(frobenius_realization(), a, m, shape),
-                            frobenius_quotient(a, m, shape))
+            assert allclose(left_quotient(realization_for("frobenius"), a, m, shape),
+                            left_quotient("frobenius", a, m, shape))
 
     @pytest.mark.parametrize("name", ["leopardi", "frobenius", "operator", "trace"])
     def test_factor_through_property(self, name):
@@ -312,22 +314,22 @@ class TestUniform:
         assert allclose(got, weight * b)
 
     def test_invalid_realization_rejected(self):
-        doubled = Realization(lambda a: 2 * frobenius_realization().q_of(a), "doubled")
+        doubled = Realization(lambda a: 2 * realization_for("frobenius").q_of(a), "doubled")
         with pytest.raises(InvalidRealizationError):
-            uniform_quotient(doubled, Matrix.identity(2), Matrix.identity(4),
-                             FactorShape(2, 2, 2, 2))
+            left_quotient(doubled, Matrix.identity(2), Matrix.identity(4),
+                          FactorShape(2, 2, 2, 2))
 
 
 class TestLinear:
     def test_diagonal_family_matches_uniform(self):
         rng = np.random.default_rng(68)
-        fam = family_from_realization(frobenius_realization())
+        fam = family_from_realization(realization_for("frobenius"))
         for _ in range(10):
             a = random_nonzero(rng, 2, 2)
             m = random_matrix(rng, 4, 6)
             shape = FactorShape(2, 2, 2, 3)
             assert allclose(linear_quotient(fam, a, m, shape),
-                            frobenius_quotient(a, m, shape))
+                            left_quotient("frobenius", a, m, shape))
 
     def test_off_diagonal_component_activates_on_remainders(self):
         a = Matrix.identity(2)
@@ -335,7 +337,7 @@ class TestLinear:
         assert pfp_scalar(skew, a) == 0
 
         def family(mat, s, t):
-            base = dict(family_from_realization(frobenius_realization())(mat, s, t))
+            base = dict(family_from_realization(realization_for("frobenius"))(mat, s, t))
             base[(1, 1, 2, 2)] = skew
             return base
 
@@ -347,10 +349,22 @@ class TestLinear:
         # on a matrix with a remainder part the component feeds entry (2, 2)
         m = kron(a, b) + Matrix.unit(4, 4, 1, 1)
         full = linear_quotient(family, a, m, shape)
-        diagonal_only = linear_quotient(family_from_realization(frobenius_realization()),
+        diagonal_only = linear_quotient(family_from_realization(realization_for("frobenius")),
                                         a, m, shape)
         activation = pfp(skew, m).entry(1, 1)
         assert allclose(full - diagonal_only, activation * Matrix.unit(2, 2, 2, 2))
+
+    def test_zero_rule_is_exact_like_the_uniform_path(self):
+        # ||A||_F of 2^-600 underflows to 0, but A is not zero: both paths divide
+        tiny = Matrix.from_rows([[2.0 ** -600]])
+        m = Matrix.from_rows([[3 * 2.0 ** -600]])
+        shape = FactorShape(1, 1, 1, 1)
+        family = {(1, 1, 1, 1): Matrix.from_rows([[2.0 ** 600]])}
+        assert linear_quotient(lambda a, s, t: family, tiny, m, shape) \
+            == Matrix.from_rows([[3]])
+        assert left_quotient("leopardi", tiny, m, shape) == Matrix.from_rows([[3]])
+        with pytest.raises(ZeroDivisorError):
+            linear_quotient(lambda a, s, t: family, Matrix.zero(1, 1), m, shape)
 
     def test_zero_family_rejected_with_component_named(self):
         with pytest.raises(InvalidFamilyError, match=r"\(1,1,1,1\)"):
@@ -383,8 +397,42 @@ class TestDispatchAndErrors:
         a = random_nonzero(rng, 2, 2)
         m = random_matrix(rng, 4, 4)
         shape = FactorShape(2, 2, 2, 2)
-        assert allclose(left_quotient(leopardi_realization(), a, m, shape),
-                        leopardi_quotient(a, m, shape))
+        assert allclose(left_quotient(realization_for("leopardi"), a, m, shape),
+                        left_quotient("leopardi", a, m, shape))
+
+
+    @pytest.mark.parametrize("name", ["leopardi", "frobenius", "operator", "trace"])
+    def test_every_naming_form_agrees(self, name):
+        # a built-in name, its QuotientScheme and its realization are one scheme
+        rng = np.random.default_rng(83)
+        a = random_nonzero(rng, 2, 2, need_trace=True)
+        b = random_nonzero(rng, 2, 2, need_trace=True)
+        exact = kron(a, b)
+        noisy = exact + random_matrix(rng, 4, 4)
+        shape = FactorShape(2, 2, 2, 2)
+        forms = [name, getattr(QuotientScheme, name)(), BUILTIN_SCHEMES[name].realization]
+
+        def results(scheme):
+            return ([op(scheme, a, mat, shape).to_array().tobytes()
+                     for op in (left_quotient, remainder) for mat in (exact, noisy)]
+                    + [right_quotient(scheme, mat, b, shape).to_array().tobytes()
+                       for mat in (exact, noisy)]
+                    + [is_divisor(scheme, a, mat, shape) for mat in (exact, noisy)])
+
+        first = results(forms[0])
+        assert first[-2:] == [True, False]
+        for scheme in forms[1:]:
+            assert results(scheme) == first
+
+    def test_unknown_name_rejected_by_name(self):
+        a, m, shape = Matrix.identity(2), Matrix.identity(4), FactorShape(2, 2, 2, 2)
+        for op in (left_quotient, remainder, is_divisor):
+            with pytest.raises(ConfigurationError, match="nonesuch"):
+                op("nonesuch", a, m, shape)
+        with pytest.raises(ConfigurationError, match="nonesuch"):
+            right_quotient("nonesuch", m, a, shape)
+        with pytest.raises(ConfigurationError, match="nonesuch"):
+            realization_for("nonesuch")
 
 
 class TestRemainder:
@@ -506,7 +554,7 @@ class TestKernelConditions:
         if name == "weighted":
             scheme = QuotientScheme.weighted(frobenius_weights)
         elif name == "linear":
-            scheme = QuotientScheme.linear(family_from_realization(leopardi_realization()))
+            scheme = QuotientScheme.linear(family_from_realization(realization_for("leopardi")))
         else:
             scheme = SCHEMES[name]
         a = random_nonzero(rng, 2, 2, need_trace=(name == "trace"))
@@ -560,7 +608,7 @@ class TestScaleAndConcurrency:
         a = random_nonzero(rng, 16, 16)
         b = random_matrix(rng, 16, 16)
         shape = FactorShape(16, 16, 16, 16)
-        got = frobenius_quotient(a, kron(a, b), shape)
+        got = left_quotient("frobenius", a, kron(a, b), shape)
         assert relative_residual(got, b) < 1e-9
 
     def test_concurrent_evaluations_agree(self):
@@ -573,8 +621,8 @@ class TestScaleAndConcurrency:
         shape = FactorShape(3, 3, 3, 3)
 
         def run(_):
-            return (leopardi_quotient(a, m, shape),
-                    operator_quotient(a, m, shape))
+            return (left_quotient("leopardi", a, m, shape),
+                    left_quotient("operator", a, m, shape))
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(run, range(32)))
@@ -589,7 +637,7 @@ class TestFrobeniusOptimality:
             a = random_nonzero(rng, 2, 2)
             m = random_matrix(rng, 4, 6)
             shape = FactorShape(2, 2, 2, 3)
-            c = frobenius_quotient(a, m, shape)
+            c = left_quotient("frobenius", a, m, shape)
             best = (m - kron(a, c)).frobenius_norm()
             for _ in range(20):
                 scale = 10.0 ** rng.uniform(-6, 0)
