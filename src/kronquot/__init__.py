@@ -53,6 +53,7 @@ from .matfile import (
 from .matrix import FactorShape, Matrix, allclose, block, kron, relative_residual
 from .pfp import pfp, pfp_scalar
 from .quotients import (
+    Divisor,
     QuotientScheme,
     Realization,
     frobenius_weights,
@@ -61,6 +62,7 @@ from .quotients import (
     leopardi_weights,
     linear_quotient,
     realization_for,
+    realize,
     remainder,
     right_quotient,
     trace_realization,
@@ -77,6 +79,7 @@ __all__ = [
     "ConvergenceError",
     "Counterexample",
     "DegenerateInputError",
+    "Divisor",
     "FactorShape",
     "InvalidFamilyError",
     "InvalidRealizationError",
@@ -118,6 +121,7 @@ __all__ = [
     "pfp_scalar",
     "read_matrix",
     "realization_for",
+    "realize",
     "relative_residual",
     "remainder",
     "replay_counterexample",

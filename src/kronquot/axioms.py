@@ -26,10 +26,12 @@ from .matrix import FactorShape, Matrix, kron, relative_residual
 from .pfp import pfp_scalar
 from .quotients import (
     BUILTIN_SCHEMES,
+    Divisor,
     QuotientScheme,
     Realization,
     left_quotient,
     realization_for,
+    realize,
     resolve_scheme,
     scheme_named,
     trace_realization,
@@ -248,48 +250,69 @@ def _shape_for(a: Matrix, m: Matrix) -> FactorShape:
     return FactorShape(a.rows, a.cols, m.rows // a.rows, m.cols // a.cols)
 
 
-def _eval_q1(scheme, inputs: dict) -> tuple[float]:
+class _LinearDivisor(NamedTuple):
+    """A divisor under a linear scheme, whose family depends on the block size:
+    nothing is realized ahead of the quotient."""
+
+    scheme: QuotientScheme
+    a: Matrix
+
+    def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
+        return left_quotient(self.scheme, self.a, m, shape)
+
+
+def _divisors(scheme, inputs: dict) -> dict[str, Divisor | _LinearDivisor]:
+    """A trial's divisors, the inputs named A and B, each realized once under the
+    resolved ``scheme``; the law evaluators divide by them."""
+    return {key: realize(scheme, inputs[key]) if isinstance(scheme, Realization)
+            else _LinearDivisor(scheme, inputs[key])
+            for key in ("A", "B") if key in inputs}
+
+
+# Each law divides by its realized divisors, and once each by the divisors it
+# derives from them (A^T, kA, B kron A) through left_quotient.
+
+def _eval_q1(scheme, inputs: dict, divisors: dict) -> tuple[float]:
     a, m = inputs["A"], inputs["M"]
     shape = _shape_for(a, m)
-    lhs = left_quotient(scheme, a, m, shape).transpose()
+    lhs = divisors["A"].quotient(m, shape).transpose()
     rhs = left_quotient(scheme, a.transpose(), m.transpose(),
                         FactorShape(shape.n, shape.m, shape.t, shape.s))
     return (relative_residual(lhs, rhs),)
 
 
-def _eval_q2a(scheme, inputs: dict) -> tuple[float, float]:
-    a, m1, m2, k = inputs["A"], inputs["M1"], inputs["M2"], inputs["k"]
-    shape = _shape_for(a, m1)
-    q1 = left_quotient(scheme, a, m1, shape)
-    q2 = left_quotient(scheme, a, m2, shape)
-    additive = relative_residual(left_quotient(scheme, a, m1 + m2, shape), q1 + q2)
-    homogeneous = relative_residual(left_quotient(scheme, a, k * m1, shape), k * q1)
+def _eval_q2a(scheme, inputs: dict, divisors: dict) -> tuple[float, float]:
+    a, m1, m2, k = divisors["A"], inputs["M1"], inputs["M2"], inputs["k"]
+    shape = _shape_for(a.a, m1)
+    q1 = a.quotient(m1, shape)
+    q2 = a.quotient(m2, shape)
+    additive = relative_residual(a.quotient(m1 + m2, shape), q1 + q2)
+    homogeneous = relative_residual(a.quotient(k * m1, shape), k * q1)
     return additive, homogeneous
 
 
-def _eval_q2b(scheme, inputs: dict) -> tuple[float]:
+def _eval_q2b(scheme, inputs: dict, divisors: dict) -> tuple[float]:
     a, m, k = inputs["A"], inputs["M"], inputs["k"]
     shape = _shape_for(a, m)
     lhs = left_quotient(scheme, k * a, m, shape)
-    rhs = left_quotient(scheme, a, m, shape) / k
+    rhs = divisors["A"].quotient(m, shape) / k
     return (relative_residual(lhs, rhs),)
 
 
-def _eval_q3(scheme, inputs: dict) -> tuple[float]:
+def _eval_q3(scheme, inputs: dict, divisors: dict) -> tuple[float]:
     a, b, m = inputs["A"], inputs["B"], inputs["M"]
     p = m.rows // (b.rows * a.rows)
     q = m.cols // (b.cols * a.cols)
-    inner = left_quotient(scheme, b, m,
-                          FactorShape(b.rows, b.cols, a.rows * p, a.cols * q))
-    lhs = left_quotient(scheme, a, inner, FactorShape(a.rows, a.cols, p, q))
+    inner = divisors["B"].quotient(m, FactorShape(b.rows, b.cols, a.rows * p, a.cols * q))
+    lhs = divisors["A"].quotient(inner, FactorShape(a.rows, a.cols, p, q))
     rhs = left_quotient(scheme, kron(b, a), m,
                         FactorShape(b.rows * a.rows, b.cols * a.cols, p, q))
     return (relative_residual(lhs, rhs),)
 
 
-def _eval_q5r(scheme, inputs: dict) -> tuple[float]:
+def _eval_q5r(scheme, inputs: dict, divisors: dict) -> tuple[float]:
     a, m = inputs["A"], inputs["M"]
-    quotient = left_quotient(scheme, a, m, _shape_for(a, m))
+    quotient = divisors["A"].quotient(m, _shape_for(a, m))
     x, y = m.trace(), a.trace() * quotient.trace()
     return (abs(x - y) / max(1.0, abs(x), abs(y)),)
 
@@ -311,11 +334,9 @@ def _realization_condition_residuals(realization: Realization,
     return transpose_res, scale_res, kron_res
 
 
-def _near_degenerate_leading(mat: Matrix) -> bool:
-    if min(mat.rows, mat.cols) < 2:
-        return False
-    sigma = svd(mat).sigma
-    return sigma[0] > 0.0 and (sigma[0] - sigma[1]) <= 1e-8 * sigma[0]
+def _near_degenerate_leading(sigma: tuple[float, ...]) -> bool:
+    """Whether sigma_1 and sigma_2 (when there are two) tie to 1e-8 relative."""
+    return len(sigma) >= 2 and sigma[0] > 0.0 and (sigma[0] - sigma[1]) <= 1e-8 * sigma[0]
 
 
 # -- the trial loop -------------------------------------------------------
@@ -397,18 +418,18 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
     draw = partial(law.draw, square=getattr(evaluator, "square_only", False),
                    sparse=getattr(evaluator, "support_sensitive", False), max_dim=max_dim,
                    restricted=restricted, scalars=scalars)
-    evaluate = partial(law.evaluate, evaluator)
-    # the operator scheme named as such; its bare realization reports no probe
-    is_operator = descriptor == "operator"
+    # the operator scheme in any form: its divisors carry the SVD their Q was built from
+    is_operator = getattr(evaluator, "q_of", None) is BUILTIN_SCHEMES["operator"].realization.q_of
     degenerate = 0
-    if is_operator:
-        def evaluate(inputs, evaluate_law=evaluate):
-            nonlocal degenerate
-            components = evaluate_law(inputs)
-            # the divisors are the inputs named A and B
-            degenerate += sum(_near_degenerate_leading(inputs[key])
-                              for key in ("A", "B") if key in inputs)
-            return components
+
+    def evaluate(inputs):
+        nonlocal degenerate
+        divisors = _divisors(evaluator, inputs)
+        components = law.evaluate(evaluator, inputs, divisors)
+        if is_operator:
+            degenerate += sum(_near_degenerate_leading(divisor.svd.sigma)
+                              for divisor in divisors.values())
+        return components
 
     worst, worst_trial, worst_inputs, _, real_k, complex_k = _run_trials(
         draw, evaluate, trials, seed)
@@ -518,36 +539,34 @@ def _numerical_rank(mat: Matrix) -> int:
     return int(sum(1 for x in sigma if x > cutoff))
 
 
-def _biorthonormal_residual(realization: Realization,
-                            basis: Sequence[Matrix]) -> tuple[float, tuple[int, int]]:
-    """Worst |pfp_scalar(Q(A_j), A_k) - delta_jk| and its 1-based (j, k)."""
-    q_mats = [realization.q_of(mat) for mat in basis]
+def _biorthonormal_residual(basis: Sequence[Divisor]) -> tuple[float, tuple[int, int]]:
+    """Worst |pfp_scalar(Q(A_j), A_k) - delta_jk| over the realized basis, and its
+    1-based (j, k)."""
     worst = -1.0
     worst_pair = (1, 1)
     for j, k in product(range(len(basis)), repeat=2):
         expected = 1.0 if j == k else 0.0
-        residual = abs(pfp_scalar(q_mats[j], basis[k]) - expected)
+        residual = abs(pfp_scalar(basis[j].q, basis[k].a) - expected)
         if residual > worst:
             worst, worst_pair = residual, (j + 1, k + 1)
     return worst, worst_pair
 
 
-def _reconstruction_residual(realization: Realization, basis: Sequence[Matrix],
-                             mat: Matrix) -> float:
-    """Relative distance between M and sum_j kron(A_j, A_j quot M)."""
-    m, n = basis[0].rows, basis[0].cols
+def _reconstruction_residual(basis: Sequence[Divisor], mat: Matrix) -> float:
+    """Relative distance between M and sum_j kron(A_j, A_j quot M) over the realized basis."""
+    m, n = basis[0].a.rows, basis[0].a.cols
     shape = FactorShape(m, n, mat.rows // m, mat.cols // n)
     total = Matrix.zero(mat.rows, mat.cols)
     for elem in basis:
-        total = total + kron(elem, left_quotient(realization, elem, mat, shape))
+        total = total + kron(elem.a, elem.quotient(mat, shape))
     return (mat - total).frobenius_norm() / max(mat.frobenius_norm(), 1e-300)
 
 
 def _projection_residuals(realization: Realization, inputs: dict) -> tuple[float, float]:
     """Biorthonormality of the inputs' basis.1, basis.2, ..., and reconstruction of M."""
-    basis = [value for key, value in inputs.items() if key.startswith("basis.")]
-    return (_biorthonormal_residual(realization, basis)[0],
-            _reconstruction_residual(realization, basis, inputs["M"]))
+    basis = [realize(realization, value) for key, value in inputs.items()
+             if key.startswith("basis.")]
+    return _biorthonormal_residual(basis)[0], _reconstruction_residual(basis, inputs["M"])
 
 
 def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
@@ -574,11 +593,13 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
 
     law = _LAWS["PROJ"]
     realization = law.subject(scheme)
-    biorth_worst, worst_pair = _biorthonormal_residual(realization, basis)
-    # biorthonormality depends on no draw, so the trials evaluate reconstruction only
+    # the basis is realized once; biorthonormality depends on no draw, so the
+    # trials evaluate reconstruction only
+    divisors = [realize(realization, mat) for mat in basis]
+    biorth_worst, worst_pair = _biorthonormal_residual(divisors)
     recon_worst, worst_trial, worst_inputs, _, _, _ = _run_trials(
         partial(law.draw, m=m, n=n, max_dim=max_dim),
-        lambda inputs: (_reconstruction_residual(realization, basis, inputs["M"]),),
+        lambda inputs: (_reconstruction_residual(divisors, inputs["M"]),),
         trials, seed)
 
     biorth_holds = biorth_worst <= TOLERANCE
@@ -627,7 +648,8 @@ def _q4_residuals(values: dict) -> dict[str, float]:
 
 def _q5_residuals(values: dict) -> dict[str, float]:
     """Per built-in scheme defined off square domains, the trace-rule residual."""
-    return {name: _eval_q5r(name, values)[0]
+    return {name: _eval_q5r(builtin.realization, values,
+                            _divisors(builtin.realization, values))[0]
             for name, builtin in BUILTIN_SCHEMES.items()
             if not builtin.realization.square_only}
 
@@ -677,7 +699,7 @@ def _demo_q5() -> AxiomReport:
         details.append(("trace_scheme", "defined"))
     except SingularRealizationError:
         details.append(("trace_scheme", "outside domain (tr A = 0)"))
-    details.append(("leading_pair_degenerate", _near_degenerate_leading(a)))
+    details.append(("leading_pair_degenerate", _near_degenerate_leading(svd(a).sigma)))
     return _report("Q5", "all-builtins", 1, 0, max(residuals.values()), 0, inputs, details,
                    verdict="fails")
 
@@ -716,7 +738,8 @@ class _Law(NamedTuple):
     """``evaluate(subject, inputs)`` gives a law's residual components, and
     ``draw(rng, trial, **params)`` one trial's inputs; ``subject(scheme)`` is
     what the law is stated on. The demo laws have fixed witnesses and schemes, and
-    check_axiom runs exactly the laws whose subject is ``resolve_scheme``."""
+    check_axiom runs exactly the laws whose subject is ``resolve_scheme``; their
+    ``evaluate`` also takes the trial's ``_divisors``."""
 
     evaluate: Callable[..., tuple[float, ...]]
     draw: Callable[..., dict] | None = None
@@ -752,7 +775,9 @@ def replay_counterexample(report: AxiomReport, scheme=None) -> float:
     law = _LAWS.get(report.axiom)
     if law is None:
         raise ConfigurationError(f"cannot replay axiom {report.axiom!r}")
-    subject = None
-    if law.subject is not None:
-        subject = law.subject(scheme if scheme is not None else scheme_named(report.scheme))
+    if law.subject is None:
+        return max(law.evaluate(None, values))
+    subject = law.subject(scheme if scheme is not None else scheme_named(report.scheme))
+    if law.subject is resolve_scheme:
+        return max(law.evaluate(subject, values, _divisors(subject, values)))
     return max(law.evaluate(subject, values))

@@ -108,7 +108,12 @@ def _cmd_check(args) -> int:
         report = check_weight_conditions(rule, args.trials, args.seed, args.dims,
                                          name=args.scheme)
     elif args.axiom == "Proj":
-        basis = [Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)]
+        if BUILTIN_SCHEMES[args.scheme].realization.square_only:
+            # E12 and E21 have trace 0; E11, E22, E11+E12, E11+E21 span with trace 1
+            basis = [Matrix.unit(2, 2, 1, 1), Matrix.unit(2, 2, 2, 2),
+                     Matrix.from_rows([[1, 1], [0, 0]]), Matrix.from_rows([[1, 0], [1, 0]])]
+        else:
+            basis = [Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)]
         report = check_projection(basis, args.scheme, args.trials, args.seed, args.dims)
     else:
         report = check_axiom(args.axiom, args.scheme, args.trials, args.seed, args.dims)

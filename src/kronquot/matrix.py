@@ -21,6 +21,13 @@ from .errors import BlockIndexError, NonFiniteEntryError, ShapeError
 
 _MAX_INDEX = np.iinfo(np.intp).max
 
+# A plain sum of squared magnitudes is trusted from here up to the largest
+# finite float. Below it, squares may have rounded in the subnormal range:
+# each is off by at most 2^-1075, under one ulp of a sum of 2^-970 or more
+# for fewer than 2^52 entries.
+_SAFE_SQUARES_MIN = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
+_MAX_FLOAT = float(np.finfo(np.float64).max)
+
 ScalarLike = complex | float | int
 
 
@@ -187,8 +194,9 @@ class Matrix:
         return complex(np.trace(self._a))
 
     def frobenius_norm(self) -> float:
-        """sqrt of the summed squared entry magnitudes."""
-        return math.sqrt(float(np.vdot(self._a, self._a).real))
+        """sqrt of the summed squared entry magnitudes, accurate at every scale;
+        ``inf`` only when the norm itself exceeds the largest float."""
+        return _norm(self._a)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -307,9 +315,56 @@ def allclose(a: Matrix, b: Matrix, *, rtol: float = 1e-10, atol: float = 1e-12) 
     return bool(np.allclose(a._a, b._a, rtol=rtol, atol=atol))
 
 
+def _squares(arr: np.ndarray) -> float:
+    return float(np.vdot(arr, arr).real)
+
+
+def _exponent(arr: np.ndarray) -> int:
+    """Binary exponent e of the largest real or imaginary part of a contiguous complex
+    array, which 2^-e puts in [0.5, 1); 0 when every part is zero."""
+    return math.frexp(float(np.abs(arr.view(np.float64)).max()))[1]
+
+
+def _ldexp(arr: np.ndarray, exp: int) -> np.ndarray:
+    """2^exp * arr for a contiguous complex array, exact wherever the result is normal."""
+    return np.ldexp(arr.view(np.float64), exp).view(np.complex128)
+
+
+def _norm(arr: np.ndarray) -> float:
+    """Frobenius norm of a contiguous complex array: the plain sum of squares where
+    no square can have overflowed or lost digits to underflow, else 2^e * ||2^-e arr||."""
+    total = _squares(arr)
+    if _SAFE_SQUARES_MIN <= total <= _MAX_FLOAT:
+        return math.sqrt(total)
+    exp = _exponent(arr)
+    try:
+        return math.ldexp(math.sqrt(_squares(_ldexp(arr, -exp))), exp)
+    except OverflowError:
+        return math.inf
+
+
 def relative_residual(a: Matrix, b: Matrix) -> float:
-    """Frobenius distance scaled by max(1, norms); the residual metric of the checks."""
+    """Frobenius distance scaled by max(1, norms); the residual metric of the checks.
+
+    Never NaN: where a norm or the distance could overflow or lose digits to
+    underflow, all three are taken on a and b scaled by one exact power of two.
+    """
     if a.shape != b.shape:
         raise ShapeError(f"cannot compare a {a.rows}x{a.cols} and a {b.rows}x{b.cols} matrix")
-    num = math.sqrt(float(np.vdot(a._a - b._a, a._a - b._a).real))
-    return num / max(1.0, a.frobenius_norm(), b.frobenius_norm())
+    na2, nb2 = _squares(a._a), _squares(b._a)
+    if max(na2, nb2) <= _MAX_FLOAT:
+        # no entry exceeds sqrt of the largest float, so neither can the difference
+        diff = a._a - b._a
+        num2 = _squares(diff)
+        if num2 >= _SAFE_SQUARES_MIN:
+            return math.sqrt(num2) / max(1.0, math.sqrt(na2), math.sqrt(nb2))
+        if not diff.any():
+            return 0.0
+    # ||a' - b'|| 2^e / max(1, ||a'|| 2^e, ||b'|| 2^e) with a' = 2^-e a and b' = 2^-e b
+    exp = max(_exponent(a._a), _exponent(b._a))
+    sa, sb = _ldexp(a._a, -exp), _ldexp(b._a, -exp)
+    num = _norm(sa - sb)
+    top = math.sqrt(max(_squares(sa), _squares(sb)))
+    if exp > 0 or math.ldexp(top, exp) >= 1.0:
+        return num / top
+    return math.ldexp(num, exp)

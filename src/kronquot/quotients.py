@@ -23,20 +23,27 @@ that are *not* exact Kronecker products:
                     equal to delta_uu' * delta_vv'.
 
 All but ``linear`` are uniform: a realization A -> Q(A) defines them
-as A quot M = pfp(Q(A), M), and :func:`left_quotient` evaluates every
-one of them through that single pipeline. ``BUILTIN_SCHEMES`` is the
-one table of the built-in schemes. A right quotient reindexes its
-dividend by a reshape that swaps the Kronecker factor order (the
-perfect shuffle) and divides on the left.
+as A quot M = pfp(Q(A), M). Evaluation splits in two steps. Realizing,
+:func:`realize`, depends on the divisor alone: it rejects an exactly zero
+A, computes Q(A) and checks that Q(A) has A's shape and pairs to 1
+against A; for the operator scheme it keeps the SVD of A that Q(A) was
+built from. The checked :class:`Divisor` it returns then applies to any
+number of dividends, ``divisor.quotient(M, shape)`` = pfp(Q(A), M); it
+is an immutable value the caller passes on, and nothing is cached
+between calls. :func:`left_quotient` checks the shapes, realizes and
+applies once, and is the pipeline every uniform scheme evaluates
+through. ``BUILTIN_SCHEMES`` is the one table of the built-in schemes.
+A right quotient reindexes its dividend by a reshape that swaps the
+Kronecker factor order (the perfect shuffle) and divides on the left.
 
 A scheme is given either as a built-in name (``"frobenius"``, a key of
 ``BUILTIN_SCHEMES``) or as a scheme object: a :class:`QuotientScheme` or
 a :class:`Realization`. Every entry point -- :func:`left_quotient`,
 :func:`right_quotient`, :func:`remainder`, :func:`is_divisor`,
-:func:`realization_for` and the law checks -- accepts both, through the
-one resolver :func:`resolve_scheme`. The descriptor a report records
-(``leopardi``, ``uniform(frobenius)``, ``weighted(leopardi_weights)``)
-names a built-in scheme too.
+:func:`realize`, :func:`realization_for` and the law checks -- accepts
+both, through the one resolver :func:`resolve_scheme`. The descriptor a
+report records (``leopardi``, ``uniform(frobenius)``,
+``weighted(leopardi_weights)``) names a built-in scheme too.
 
 All scheme objects are immutable and every evaluation is pure;
 user-supplied weight rules and component families must themselves be
@@ -62,7 +69,7 @@ from .errors import (
 )
 from .matrix import FactorShape, Matrix, kron
 from .pfp import pfp, pfp_scalar
-from .singular import leading_pair
+from .singular import SvdResult, svd
 
 # Entries below this magnitude count as zero wherever we divide by them;
 # comparing against exact 0.0 would admit subnormal-sized divisors.
@@ -187,13 +194,16 @@ def _validate_weights(w: Matrix, a: Matrix, support: np.ndarray) -> np.ndarray:
 
 # -- operand checks --------------------------------------------------
 
-def _check_left_operands(a: Matrix, m: Matrix, shape: FactorShape) -> None:
-    """The divisor and dividend fit the factor shape, and the divisor is not exactly zero."""
+def _check_left_shapes(a: Matrix, m: Matrix, shape: FactorShape) -> None:
+    """The divisor and the dividend fit the factor shape."""
     if (a.rows, a.cols) != (shape.m, shape.n):
         raise ShapeError(f"divisor is {a.rows}x{a.cols}, expected "
                          f"{shape.m}x{shape.n} for factor shape "
                          f"(m={shape.m}, n={shape.n}, s={shape.s}, t={shape.t})")
     shape.require(m, "dividend")
+
+
+def _check_nonzero(a: Matrix) -> None:
     if a.is_zero():
         raise ZeroDivisorError("quotient by the zero matrix")
 
@@ -223,11 +233,15 @@ def _frobenius_q(a: Matrix) -> Matrix:
     return a.conjugate() / norm2
 
 
+def _operator_q_from(decomposition: SvdResult) -> Matrix:
+    """conj(u1) v1^T / sigma1 from the leading singular pair of a nonzero A."""
+    u1, v1 = decomposition.u.column(1), decomposition.v.column(1)
+    return (u1.conjugate() @ v1.transpose()) / decomposition.sigma[0]
+
+
 def _operator_q(a: Matrix) -> Matrix:
-    if a.is_zero():
-        raise ZeroDivisorError("quotient by the zero matrix")
-    u1, sigma1, v1 = leading_pair(a)
-    return (u1.conjugate() @ v1.transpose()) / sigma1
+    _check_nonzero(a)
+    return _operator_q_from(svd(a))
 
 
 def trace_realization(a: Matrix) -> Matrix:
@@ -306,25 +320,64 @@ def realization_for(scheme) -> Realization:
 
 # -- evaluation ----------------------------------------------------------
 
-def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """Left quotient of M by A under a scheme, given by name or as a scheme object.
+@dataclasses.dataclass(frozen=True)
+class Divisor:
+    """A divisor A realized under a uniform scheme; made by :func:`realize`.
 
-    A uniform scheme evaluates as pfp(Q(A), M) once Q(A) is checked to
-    have A's shape and to pair to 1 against A; a linear scheme goes
-    through :func:`linear_quotient`.
+    ``q`` is the checked Q(A) and ``unit`` its pairing pfp_scalar(Q(A), A),
+    within REALIZATION_TOLERANCE of 1. ``svd`` is the decomposition of A
+    that the operator scheme's Q(A) was built from, and None for every
+    other rule.
     """
-    realization = resolve_scheme(scheme)
-    if not isinstance(realization, Realization):
-        return linear_quotient(realization.q_family, a, m, shape)
-    _check_left_operands(a, m, shape)
-    q = realization.q_of(a)
+
+    a: Matrix
+    q: Matrix
+    unit: complex
+    svd: SvdResult | None = None
+
+    def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
+        """A quot M = pfp(Q(A), M), once A and M fit the factor shape."""
+        _check_left_shapes(self.a, m, shape)
+        return pfp(self.q, m)
+
+
+def realize(scheme, a: Matrix) -> Divisor:
+    """A divisor realized under a uniform scheme, given in any form
+    :func:`resolve_scheme` accepts.
+
+    Raises ZeroDivisorError for an exactly zero A, whatever the realization
+    raises, and InvalidRealizationError when Q(A) lacks A's shape or does
+    not pair to 1 against A.
+    """
+    realization = realization_for(scheme)
+    _check_nonzero(a)
+    decomposition = None
+    if realization.q_of is _operator_q:
+        decomposition = svd(a)
+        q = _operator_q_from(decomposition)
+    else:
+        q = realization.q_of(a)
     if not isinstance(q, Matrix) or q.shape != a.shape:
         raise InvalidRealizationError("realization must return a matrix of the divisor's shape")
     unit = pfp_scalar(q, a)
     if abs(unit - 1.0) > REALIZATION_TOLERANCE:
         raise InvalidRealizationError(
             f"realization pairs to {unit} against its argument, expected 1")
-    return pfp(q, m)
+    return Divisor(a, q, unit, decomposition)
+
+
+def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
+    """Left quotient of M by A under a scheme, given by name or as a scheme object.
+
+    A uniform scheme checks the shapes, realizes A and applies the
+    :class:`Divisor` to M; a linear scheme goes through
+    :func:`linear_quotient`.
+    """
+    realization = resolve_scheme(scheme)
+    if not isinstance(realization, Realization):
+        return linear_quotient(realization.q_family, a, m, shape)
+    _check_left_shapes(a, m, shape)
+    return pfp(realize(realization, a).q, m)
 
 
 def linear_quotient(family: FamilyRule, a: Matrix, m: Matrix,
@@ -336,7 +389,8 @@ def linear_quotient(family: FamilyRule, a: Matrix, m: Matrix,
     The family is validated eagerly: component (u,v,u',v') must pair to
     delta_uu' * delta_vv' against the divisor.
     """
-    _check_left_operands(a, m, shape)
+    _check_left_shapes(a, m, shape)
+    _check_nonzero(a)
     s, t = shape.s, shape.t
     components = dict(family(a, s, t))
     for (u, v, u2, v2), comp in components.items():

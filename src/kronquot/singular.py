@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, UnsupportedInputError
-from .matrix import Matrix
+from .matrix import Matrix, _exponent, _ldexp
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -289,9 +289,8 @@ def svd(a: Matrix) -> SvdResult:
     # run on 2^-e * A, e the exponent of the largest real or imaginary part:
     # squared column norms cannot overflow, and underflow only for columns
     # some 1e-154 times smaller than that part
-    parts = a.to_array().view(np.float64)
-    _, exp = math.frexp(float(np.abs(parts).max()))
-    arr = np.ldexp(parts, -exp, out=parts).view(np.complex128)
+    exp = _exponent(a._a)
+    arr = _ldexp(a._a, -exp)
     if m >= n:
         w, sigma, v, stats = _one_sided_jacobi(arr)
         u = np.zeros((m, m), dtype=np.complex128)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from kronquot import (
     replay_counterexample,
     weighted_realization,
 )
+import kronquot.singular as singular
 from kronquot.matfile import from_line
 from oracles import NzIndex
 
@@ -83,6 +85,37 @@ class TestCheckAxiom:
     def test_operator_scheme_flags_degenerate_draws(self):
         report = check_axiom("Q1", "operator", 40, 42, 4)
         assert report.detail("degenerate_leading_pairs") is not None
+
+    @pytest.mark.parametrize("axiom", ["Q1", "Q3"])
+    def test_operator_probe_in_every_naming_form(self, axiom):
+        # the probe follows the rule evaluated, not the name it was given under
+        forms = ("operator", QuotientScheme.operator(), realization_for("operator"))
+        counts = [check_axiom(axiom, form, 12, 42, 3).detail("degenerate_leading_pairs")
+                  for form in forms]
+        assert counts[0] is not None
+        assert counts == [counts[0]] * 3
+        assert check_axiom(axiom, "frobenius", 12, 42, 3).detail(
+            "degenerate_leading_pairs") is None
+
+    @pytest.mark.parametrize("axiom,calls", [("Q1", 40), ("Q2a", 20), ("Q5R", 20)])
+    def test_each_divisor_decomposed_once(self, axiom, calls, monkeypatch):
+        # operator trials realize each divisor once, and the degeneracy probe
+        # reads sigma from those realizations instead of decomposing again
+        count = 0
+        original = singular.svd
+
+        def counted(a):
+            nonlocal count
+            count += 1
+            return original(a)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("kronquot"):
+                for name, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, name, counted)
+        check_axiom(axiom, "operator", 20, 42, 4)
+        assert count == calls
 
     def test_reproducibility_bit_identical(self):
         first = check_axiom("Q3", "leopardi", 30, 7, 3)

@@ -164,6 +164,17 @@ class TestCheckCommand:
         assert code == 0
         assert "axiom=PROJ" in capsys.readouterr().out
 
+    def test_projection_check_on_square_only_scheme(self, capsys):
+        # the unit basis holds E12, whose trace is 0; the trace rule gets a
+        # spanning basis it is defined on, and is not biorthonormal on it
+        code = main(["check", "--axiom", "Proj", "--scheme", "trace",
+                     "--trials", "20", "--seed", "42", "--json"])
+        assert code == 1
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["axiom"] == "PROJ"
+        assert obj["details"]["biorthonormal_residual"] == 1.0
+        assert obj["details"]["iff_consistent"] is True
+
     def test_q5r_trace_holds(self):
         assert main(["check", "--axiom", "Q5R", "--scheme", "trace",
                      "--trials", "25", "--seed", "42"]) == 0

@@ -1,5 +1,7 @@
 """Matrix core: construction, kron, blocks, reductions, product laws."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,52 @@ class TestReductions:
     def test_frobenius_norm_zero_iff_zero(self):
         assert Matrix.zero(3, 2).frobenius_norm() == 0.0
         assert Matrix.unit(3, 2, 2, 1).frobenius_norm() > 0.0
+
+
+class TestExtremeScales:
+    """Norms and residuals of 2^e * A where squared entries overflow or underflow."""
+
+    BASE = Matrix.from_rows([[3, 4j], [-12, 0]])  # Frobenius norm exactly 13
+
+    @staticmethod
+    def scaled(mat, e):
+        arr = mat.to_array()
+        return Matrix.from_array(np.ldexp(arr.real, e) + 1j * np.ldexp(arr.imag, e))
+
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+    def test_frobenius_norm_is_exact(self, e):
+        want = math.ldexp(13.0, e)
+        assert abs(self.scaled(self.BASE, e).frobenius_norm() - want) <= 2 * math.ulp(want)
+        rng = np.random.default_rng(7)
+        mat = Matrix.from_array(rng.uniform(-1, 1, (3, 4)) + 1j * rng.uniform(-1, 1, (3, 4)))
+        want = math.ldexp(mat.frobenius_norm(), e)
+        assert abs(self.scaled(mat, e).frobenius_norm() - want) <= 4 * math.ulp(want)
+
+    @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+    def test_relative_residual_is_never_nan(self, e):
+        # ||a - b|| / max(1, ||a||, ||b||): relative above unit scale, absolute below
+        a = self.scaled(self.BASE, e)
+        zero = Matrix.zero(2, 2)
+        want = 1.0 if e > 0 else math.ldexp(13.0, e)
+        for got in (relative_residual(a, zero), relative_residual(zero, a)):
+            assert abs(got - want) <= 2 * math.ulp(want)
+        want = 0.5 if e > 0 else math.ldexp(13.0, e)
+        assert abs(relative_residual(a, 2 * a) - want) <= 2 * math.ulp(want)
+        assert relative_residual(a, a) == 0.0
+
+    def test_norm_overflow_is_infinite_and_residual_finite(self):
+        big = Matrix.from_array(np.full((2, 2), 1.5e308))
+        assert big.frobenius_norm() == math.inf
+        assert relative_residual(big, -big) == pytest.approx(2.0, rel=1e-15)
+
+    def test_normal_range_keeps_the_plain_sum(self):
+        rng = np.random.default_rng(8)
+        arr = rng.uniform(-1, 1, (3, 3)) + 1j * rng.uniform(-1, 1, (3, 3))
+        a, b = Matrix.from_array(arr), Matrix.from_array(arr * 1.5 + 0.25)
+        assert a.frobenius_norm() == math.sqrt(float(np.vdot(arr, arr).real))
+        diff = arr - b.to_array()
+        assert relative_residual(a, b) == math.sqrt(float(np.vdot(diff, diff).real)) / max(
+            1.0, a.frobenius_norm(), b.frobenius_norm())
 
 
 class TestProductLaws:

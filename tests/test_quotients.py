@@ -1,5 +1,7 @@
 """Quotient schemes: worked values, round trips, realizations, remainders."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import kronquot.quotients as quotients
 from kronquot.quotients import BUILTIN_SCHEMES
 from kronquot import (
     ConfigurationError,
+    Divisor,
     FactorShape,
     InvalidFamilyError,
     InvalidRealizationError,
@@ -29,11 +32,13 @@ from kronquot import (
     pfp,
     pfp_scalar,
     realization_for,
+    realize,
     relative_residual,
     remainder,
     right_quotient,
     trace_realization,
 )
+from kronquot.singular import svd
 from oracles import (
     NzIndex,
     family_from_realization,
@@ -435,6 +440,77 @@ class TestDispatchAndErrors:
             realization_for("nonesuch")
 
 
+class TestRealize:
+    """realize(scheme, A).quotient(M, shape) is left_quotient with A realized once."""
+
+    SCHEMES = {
+        **{name: name for name in BUILTIN_SCHEMES},
+        "weighted": QuotientScheme.weighted(frobenius_weights, name="energy"),
+        "custom": Realization(lambda a: a.conjugate() / pfp_scalar(a.conjugate(), a), "custom"),
+    }
+
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_bit_identical_to_left_quotient(self, name):
+        scheme = self.SCHEMES[name]
+        square = name == "trace"
+        rng = np.random.default_rng(84)
+        for _ in range(20):
+            m, s = (int(x) for x in rng.integers(1, 5, 2))
+            n, t = (m, s) if square else (int(x) for x in rng.integers(1, 5, 2))
+            a = random_nonzero(rng, m, n, need_trace=square)
+            shape = FactorShape(m, n, s, t)
+            divisor = realize(scheme, a)
+            for dividend in (kron(a, random_matrix(rng, s, t)), random_matrix(rng, m * s, n * t)):
+                assert divisor.quotient(dividend, shape) == left_quotient(scheme, a, dividend,
+                                                                          shape)
+
+    def test_holds_the_checked_realization(self):
+        rng = np.random.default_rng(85)
+        a = random_nonzero(rng, 3, 2)
+        for name in ("leopardi", "frobenius", "operator"):
+            divisor = realize(name, a)
+            assert isinstance(divisor, Divisor)
+            assert divisor.a is a
+            assert divisor.q == BUILTIN_SCHEMES[name].realization.q_of(a)
+            assert divisor.unit == pfp_scalar(divisor.q, a)
+            assert abs(divisor.unit - 1.0) <= quotients.REALIZATION_TOLERANCE
+            assert (divisor.svd is not None) == (name == "operator")
+        for scheme in ("operator", QuotientScheme.operator(),
+                       BUILTIN_SCHEMES["operator"].realization):
+            assert realize(scheme, a).svd.sigma == svd(a).sigma
+
+    def test_linear_scheme_has_no_divisor(self):
+        with pytest.raises(ConfigurationError):
+            realize(QuotientScheme.linear(lambda a, s, t: {}), Matrix.identity(2))
+
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_errors_match_left_quotient(self, name):
+        scheme = self.SCHEMES[name]
+        a, shape = Matrix.identity(2), FactorShape(2, 2, 2, 2)
+        m = Matrix.ones(4, 4)
+        cases = [
+            (ZeroDivisorError, lambda: realize(scheme, Matrix.zero(2, 2)),
+             lambda: left_quotient(scheme, Matrix.zero(2, 2), m, shape)),
+            (ShapeError, lambda: realize(scheme, a).quotient(m, FactorShape(1, 4, 4, 1)),
+             lambda: left_quotient(scheme, a, m, FactorShape(1, 4, 4, 1))),
+            (ShapeError, lambda: realize(scheme, a).quotient(Matrix.ones(4, 6), shape),
+             lambda: left_quotient(scheme, a, Matrix.ones(4, 6), shape)),
+        ]
+        for error, via_realize, via_left_quotient in cases:
+            with pytest.raises(error):
+                via_realize()
+            with pytest.raises(error):
+                via_left_quotient()
+
+    def test_unpaired_realization_rejected_by_both(self):
+        doubled = Realization(lambda a: 2 * a.conjugate() / pfp_scalar(a.conjugate(), a))
+        a = Matrix.identity(2)
+        with pytest.raises(InvalidRealizationError):
+            realize(doubled, a)
+        with pytest.raises(InvalidRealizationError):
+            left_quotient(doubled, a, Matrix.ones(4, 4), FactorShape(2, 2, 2, 2))
+
+
 class TestRemainder:
     def test_exact_kron_has_zero_remainder(self):
         rng = np.random.default_rng(71)
@@ -643,3 +719,23 @@ class TestFrobeniusOptimality:
                 scale = 10.0 ** rng.uniform(-6, 0)
                 perturbed = c + scale * random_matrix(rng, 2, 3)
                 assert (m - kron(a, perturbed)).frobenius_norm() >= best - 1e-9
+
+
+def _scaled(mat: Matrix, e: int) -> Matrix:
+    """2^e * mat, exact while the entries stay normal."""
+    arr = mat.to_array()
+    return Matrix.from_array(np.ldexp(arr.real, e) + 1j * np.ldexp(arr.imag, e))
+
+
+@pytest.mark.parametrize("e", [600, 1000])
+@pytest.mark.parametrize("name", ["leopardi", "operator"])
+def test_divisor_verdict_at_huge_scales(name, e):
+    # at 2^600 the squared norms overflowed, and every dividend passed as a multiple
+    rng = np.random.default_rng(86)
+    a = random_nonzero(rng, 2, 2)
+    shape = FactorShape(2, 2, 2, 2)
+    product = kron(a, random_matrix(rng, 2, 2))
+    assert is_divisor(name, _scaled(a, e), _scaled(product, e), shape)
+    assert not is_divisor(name, _scaled(a, e), _scaled(random_matrix(rng, 4, 4), e), shape)
+    assert math.isfinite(remainder(name, _scaled(a, e), _scaled(product, e), shape)
+                         .frobenius_norm())
