@@ -33,7 +33,6 @@ from .quotients import (
     realization_for,
     realize,
     resolve_scheme,
-    scheme_named,
     trace_realization,
 )
 from .singular import svd
@@ -256,6 +255,7 @@ class _LinearDivisor(NamedTuple):
 
     scheme: QuotientScheme
     a: Matrix
+    svd = None
 
     def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
         return left_quotient(self.scheme, self.a, m, shape)
@@ -418,17 +418,14 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
     draw = partial(law.draw, square=getattr(evaluator, "square_only", False),
                    sparse=getattr(evaluator, "support_sensitive", False), max_dim=max_dim,
                    restricted=restricted, scalars=scalars)
-    # the operator scheme in any form: its divisors carry the SVD their Q was built from
-    is_operator = getattr(evaluator, "q_of", None) is BUILTIN_SCHEMES["operator"].realization.q_of
-    degenerate = 0
+    # one flag per divisor that carries the SVD its Q was built from
+    degenerate: list[bool] = []
 
     def evaluate(inputs):
-        nonlocal degenerate
         divisors = _divisors(evaluator, inputs)
         components = law.evaluate(evaluator, inputs, divisors)
-        if is_operator:
-            degenerate += sum(_near_degenerate_leading(divisor.svd.sigma)
-                              for divisor in divisors.values())
+        degenerate.extend(_near_degenerate_leading(divisor.svd.sigma)
+                          for divisor in divisors.values() if divisor.svd is not None)
         return components
 
     worst, worst_trial, worst_inputs, _, real_k, complex_k = _run_trials(
@@ -441,8 +438,8 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
             details.append(("max_residual_real_k", real_k[0]))
         if complex_k is not None:
             details.append(("max_residual_complex_k", complex_k[0]))
-    if is_operator:
-        details.append(("degenerate_leading_pairs", degenerate))
+    if degenerate:
+        details.append(("degenerate_leading_pairs", sum(degenerate)))
     return _report(axiom, descriptor, trials, seed, worst, worst_trial,
                    worst_inputs, details)
 
@@ -637,8 +634,8 @@ def _q4_residuals(values: dict) -> dict[str, float]:
     nonzero; the others use A, C.
     """
     out = {}
-    for name, builtin in BUILTIN_SCHEMES.items():
-        a, c = (values["A2"], values["C2"]) if builtin.realization.square_only \
+    for name, realization in BUILTIN_SCHEMES.items():
+        a, c = (values["A2"], values["C2"]) if realization.square_only \
             else (values["A"], values["C"])
         out[name] = relative_residual(
             _q4_forced_value(name, a, c, values["B1"], values["B2"]),
@@ -648,15 +645,14 @@ def _q4_residuals(values: dict) -> dict[str, float]:
 
 def _q5_residuals(values: dict) -> dict[str, float]:
     """Per built-in scheme defined off square domains, the trace-rule residual."""
-    return {name: _eval_q5r(builtin.realization, values,
-                            _divisors(builtin.realization, values))[0]
-            for name, builtin in BUILTIN_SCHEMES.items()
-            if not builtin.realization.square_only}
+    return {name: _eval_q5r(realization, values, _divisors(realization, values))[0]
+            for name, realization in BUILTIN_SCHEMES.items()
+            if not realization.square_only}
 
 
 def _rank_gap_sides(values: dict) -> tuple[Matrix, Matrix]:
     """Q(J) under the trace rule, and the value composition over col x row forces."""
-    q_frob = BUILTIN_SCHEMES["frobenius"].realization.q_of
+    q_frob = BUILTIN_SCHEMES["frobenius"].q_of
     return (trace_realization(values["J"]),
             kron(q_frob(values["col"]), q_frob(values["row"])))
 
@@ -753,7 +749,7 @@ _LAWS: dict[str, _Law] = {
     "Q3": _Law(_eval_q3, _draw_q3, resolve_scheme),
     "Q5R": _Law(_eval_q5r, partial(_draw_block, keys=("M",), trace_rule=True), resolve_scheme),
     "Wcond": _Law(_weight_condition_residuals, _draw_weight_pair,
-                  lambda scheme: getattr(scheme, "weight_rule", scheme)),
+                  lambda scheme: realization_for(scheme).weights),
     "Rcond": _Law(_realization_condition_residuals, _draw_realization_pair, realization_for),
     "PROJ": _Law(_projection_residuals, _draw_basis_dividend, realization_for),
     "Q4": _Law(lambda _, values: tuple(_q4_residuals(values).values())),
@@ -777,7 +773,7 @@ def replay_counterexample(report: AxiomReport, scheme=None) -> float:
         raise ConfigurationError(f"cannot replay axiom {report.axiom!r}")
     if law.subject is None:
         return max(law.evaluate(None, values))
-    subject = law.subject(scheme if scheme is not None else scheme_named(report.scheme))
+    subject = law.subject(scheme if scheme is not None else report.scheme)
     if law.subject is resolve_scheme:
         return max(law.evaluate(subject, values, _divisors(subject, values)))
     return max(law.evaluate(subject, values))

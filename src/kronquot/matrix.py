@@ -330,15 +330,23 @@ def _ldexp(arr: np.ndarray, exp: int) -> np.ndarray:
     return np.ldexp(arr.view(np.float64), exp).view(np.complex128)
 
 
-def _norm(arr: np.ndarray) -> float:
-    """Frobenius norm of a contiguous complex array: the plain sum of squares where
-    no square can have overflowed or lost digits to underflow, else 2^e * ||2^-e arr||."""
+def _scaled_squares(arr: np.ndarray) -> tuple[float, int]:
+    """Sum of squared magnitudes of 2^-e * arr for a contiguous complex array, and e:
+    e = 0 where no square of arr can have overflowed or lost digits to underflow,
+    else the exponent that puts arr's largest real or imaginary part in [0.5, 1)."""
     total = _squares(arr)
     if _SAFE_SQUARES_MIN <= total <= _MAX_FLOAT:
-        return math.sqrt(total)
+        return total, 0
     exp = _exponent(arr)
+    return _squares(_ldexp(arr, -exp)), exp
+
+
+def _norm(arr: np.ndarray) -> float:
+    """Frobenius norm of a contiguous complex array, 2^e * ||2^-e arr|| with e from
+    :func:`_scaled_squares`; ``inf`` only when the norm exceeds the largest float."""
+    total, exp = _scaled_squares(arr)
     try:
-        return math.ldexp(math.sqrt(_squares(_ldexp(arr, -exp))), exp)
+        return math.ldexp(math.sqrt(total), exp)
     except OverflowError:
         return math.inf
 

@@ -32,7 +32,9 @@ number of dividends, ``divisor.quotient(M, shape)`` = pfp(Q(A), M); it
 is an immutable value the caller passes on, and nothing is cached
 between calls. :func:`left_quotient` checks the shapes, realizes and
 applies once, and is the pipeline every uniform scheme evaluates
-through. ``BUILTIN_SCHEMES`` is the one table of the built-in schemes.
+through. ``BUILTIN_SCHEMES`` is the one table of the built-in schemes:
+it maps each name to its :class:`Realization`, the one record that
+declares ``square_only``, ``support_sensitive`` and ``weights``.
 A right quotient reindexes its dividend by a reshape that swaps the
 Kronecker factor order (the perfect shuffle) and divides on the left.
 
@@ -44,6 +46,12 @@ a :class:`Realization`. Every entry point -- :func:`left_quotient`,
 both, through the one resolver :func:`resolve_scheme`. The descriptor a
 report records (``leopardi``, ``uniform(frobenius)``,
 ``weighted(leopardi_weights)``) names a built-in scheme too.
+
+Scale: every built-in Q satisfies Q(2^e A) = Q(A)/2^e, and squared norms
+are taken on 2^-e A, so no divisor scale decides a result. :func:`is_divisor`
+and CLI ``rem`` judge a remainder relative to ||M||_F alone. Only
+``ZERO_THRESHOLD`` is absolute: leopardi and the weighted rules reject a
+divisor whose entries all lie below it.
 
 All scheme objects are immutable and every evaluation is pure;
 user-supplied weight rules and component families must themselves be
@@ -67,7 +75,7 @@ from .errors import (
     SingularRealizationError,
     ZeroDivisorError,
 )
-from .matrix import FactorShape, Matrix, kron
+from .matrix import FactorShape, Matrix, _ldexp, _scaled_squares, kron
 from .pfp import pfp, pfp_scalar
 from .singular import SvdResult, svd
 
@@ -76,6 +84,8 @@ from .singular import SvdResult, svd
 ZERO_THRESHOLD = 1e-300
 
 REALIZATION_TOLERANCE = 1e-10
+# negligible_remainder's bound on ||R||_F / ||M||_F; no absolute term, so no scale decides
+REMAINDER_TOLERANCE = 1e-10
 WEIGHT_SUM_TOLERANCE = 1e-12
 FAMILY_TOLERANCE = 1e-10
 
@@ -91,13 +101,16 @@ class Realization:
     package checks this at every evaluation point. ``square_only`` marks
     a rule defined only on square A with nonzero trace, and
     ``support_sensitive`` one that reads which entries of A are zero;
-    the law checks draw their divisors accordingly.
+    the law checks draw their divisors accordingly. ``weights``, when
+    the scheme is a weighted average, is the rule W with Q(A) = W(A)/A
+    on A's support; the weight-condition checks run on it.
     """
 
     q_of: Callable[[Matrix], Matrix]
     label: str = "custom"
     square_only: bool = False
     support_sensitive: bool = False
+    weights: WeightRule | None = None
 
     def describe(self) -> str:
         return f"uniform({self.label})"
@@ -163,18 +176,13 @@ def leopardi_weights(a: Matrix) -> Matrix:
     return Matrix.from_array(support / count)
 
 
-def _norm_squared(a: Matrix) -> float:
-    # sum of squared magnitudes, computed without the sqrt/square round trip
-    arr = a.to_array()
-    return float(np.vdot(arr, arr).real)
-
-
 def frobenius_weights(a: Matrix) -> Matrix:
-    """Weight |a_ij|^2 / ||A||_F^2: each entry by its share of the energy."""
-    norm2 = _norm_squared(a)
+    """Weight |a_ij|^2 / ||A||_F^2, each entry's share of the energy, taken on 2^-e A."""
+    arr = a.to_array()
+    norm2, exp = _scaled_squares(arr)
     if norm2 == 0.0:
         raise ZeroDivisorError("cannot weight the zero matrix")
-    arr = a.to_array()
+    arr = _ldexp(arr, -exp)
     return Matrix.from_array((arr.real**2 + arr.imag**2) / norm2)
 
 
@@ -223,14 +231,16 @@ def weighted_realization(rule: WeightRule, name: str | None = None) -> Realizati
         return Matrix.from_array(np.divide(warr, arr, out=np.zeros_like(arr), where=support))
 
     return Realization(q_of=q_of, label=name or getattr(rule, "__name__", "weighted"),
-                       support_sensitive=True)
+                       support_sensitive=True, weights=rule)
 
 
 def _frobenius_q(a: Matrix) -> Matrix:
-    norm2 = _norm_squared(a)
+    """conj(A)/||A||_F^2, taken as 2^-e conj(A')/||A'||_F^2 with A' = 2^-e A."""
+    arr = a.to_array()
+    norm2, exp = _scaled_squares(arr)
     if norm2 == 0.0:
         raise ZeroDivisorError("quotient by the zero matrix")
-    return a.conjugate() / norm2
+    return Matrix.from_array(_ldexp(_ldexp(arr, -exp).conj() / complex(norm2), -exp))
 
 
 def _operator_q_from(decomposition: SvdResult) -> Matrix:
@@ -255,49 +265,32 @@ def trace_realization(a: Matrix) -> Matrix:
     return Matrix.identity(a.rows) / tr
 
 
-@dataclasses.dataclass(frozen=True)
-class BuiltinScheme:
-    """A built-in uniform scheme: its realization and, when the scheme is a
-    weighted average, the weight rule W with Q(A) = W(A)/A on A's support."""
-
-    realization: Realization
-    weights: WeightRule | None = None
-
-
 # The one table of built-in schemes: the CLI's --scheme choices, scheme
 # names in the law checks and report descriptors all resolve here.
-BUILTIN_SCHEMES: dict[str, BuiltinScheme] = {
-    "leopardi": BuiltinScheme(weighted_realization(leopardi_weights, "leopardi"),
-                              weights=leopardi_weights),
-    "frobenius": BuiltinScheme(Realization(_frobenius_q, "frobenius"),
-                               weights=frobenius_weights),
-    "operator": BuiltinScheme(Realization(_operator_q, "operator")),
-    "trace": BuiltinScheme(Realization(trace_realization, "trace", square_only=True)),
+BUILTIN_SCHEMES: dict[str, Realization] = {
+    "leopardi": weighted_realization(leopardi_weights, "leopardi"),
+    "frobenius": Realization(_frobenius_q, "frobenius", weights=frobenius_weights),
+    "operator": Realization(_operator_q, "operator"),
+    "trace": Realization(trace_realization, "trace", square_only=True),
 }
-
-
-def scheme_named(name: str) -> QuotientScheme | Realization:
-    """The built-in scheme a name or report descriptor denotes."""
-    for kind, builtin in BUILTIN_SCHEMES.items():
-        if name == kind:
-            return QuotientScheme(kind=kind)
-        if name == builtin.realization.describe():
-            return builtin.realization
-        if builtin.weights is not None \
-                and name == QuotientScheme.weighted(builtin.weights).describe():
-            return QuotientScheme.weighted(builtin.weights)
-    raise ConfigurationError(f"unknown scheme {name!r}")
 
 
 def resolve_scheme(scheme) -> Realization | QuotientScheme:
     """What a scheme evaluates through: a uniform scheme's realization, or a
     linear scheme itself. ``scheme`` is a Realization, a QuotientScheme, or
-    a name or report descriptor of a built-in scheme."""
+    a built-in scheme's name or report descriptor: ``frobenius``,
+    ``uniform(frobenius)`` or ``weighted(frobenius_weights)``."""
     # a Realization comes first: the law checks pass one on every call
     if isinstance(scheme, Realization):
         return scheme
     if isinstance(scheme, str):
-        return resolve_scheme(scheme_named(scheme))
+        for name, realization in BUILTIN_SCHEMES.items():
+            if scheme in (name, realization.describe()):
+                return realization
+            rule = realization.weights
+            if rule is not None and scheme == f"weighted({rule.__name__})":
+                return weighted_realization(rule)
+        raise ConfigurationError(f"unknown scheme {scheme!r}")
     if not isinstance(scheme, QuotientScheme):
         raise ConfigurationError(f"expected a scheme name, QuotientScheme or Realization, "
                                  f"got {scheme!r}")
@@ -305,7 +298,7 @@ def resolve_scheme(scheme) -> Realization | QuotientScheme:
         return weighted_realization(scheme.weight_rule, scheme.label)
     if scheme.kind == "linear":
         return scheme
-    return BUILTIN_SCHEMES[scheme.kind].realization
+    return BUILTIN_SCHEMES[scheme.kind]
 
 
 def realization_for(scheme) -> Realization:
@@ -423,16 +416,14 @@ def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     return m - kron(a, left_quotient(scheme, a, m, shape))
 
 
-def negligible_remainder(r: Matrix, m: Matrix, *, rtol: float = 1e-10,
-                         atol: float = 1e-12) -> bool:
-    """Whether a remainder r of M vanishes up to atol + rtol * ||M||_F."""
-    return r.frobenius_norm() <= atol + rtol * m.frobenius_norm()
+def negligible_remainder(r: Matrix, m: Matrix) -> bool:
+    """Whether a remainder r of M vanishes: ||r||_F <= REMAINDER_TOLERANCE * ||M||_F."""
+    return r.frobenius_norm() <= REMAINDER_TOLERANCE * m.frobenius_norm()
 
 
-def is_divisor(scheme, a: Matrix, m: Matrix, shape: FactorShape, *,
-               rtol: float = 1e-10, atol: float = 1e-12) -> bool:
-    """Whether the remainder vanishes up to atol + rtol * ||M||_F."""
-    return negligible_remainder(remainder(scheme, a, m, shape), m, rtol=rtol, atol=atol)
+def is_divisor(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> bool:
+    """Whether the remainder vanishes relative to M: see :func:`negligible_remainder`."""
+    return negligible_remainder(remainder(scheme, a, m, shape), m)
 
 
 def right_quotient(scheme, m: Matrix, b: Matrix, shape: FactorShape) -> Matrix:

@@ -1,12 +1,13 @@
 """Quotient schemes: worked values, round trips, realizations, remainders."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import kronquot.quotients as quotients
-from kronquot.quotients import BUILTIN_SCHEMES
+from kronquot.quotients import BUILTIN_SCHEMES, resolve_scheme
 from kronquot import (
     ConfigurationError,
     Divisor,
@@ -415,7 +416,10 @@ class TestDispatchAndErrors:
         exact = kron(a, b)
         noisy = exact + random_matrix(rng, 4, 4)
         shape = FactorShape(2, 2, 2, 2)
-        forms = [name, getattr(QuotientScheme, name)(), BUILTIN_SCHEMES[name].realization]
+        forms = [name, getattr(QuotientScheme, name)(), BUILTIN_SCHEMES[name]]
+        # the registry holds the scheme itself: a name resolves to that one record
+        assert resolve_scheme(forms[0]) is BUILTIN_SCHEMES[name]
+        assert resolve_scheme(forms[1]) is BUILTIN_SCHEMES[name]
 
         def results(scheme):
             return ([op(scheme, a, mat, shape).to_array().tobytes()
@@ -428,6 +432,14 @@ class TestDispatchAndErrors:
         assert first[-2:] == [True, False]
         for scheme in forms[1:]:
             assert results(scheme) == first
+
+    def test_declared_weights(self):
+        declared = {name: realization.weights for name, realization in BUILTIN_SCHEMES.items()}
+        assert declared == {"leopardi": leopardi_weights, "frobenius": frobenius_weights,
+                            "operator": None, "trace": None}
+        assert realization_for("weighted(leopardi_weights)").weights is leopardi_weights
+        assert realization_for(QuotientScheme.weighted(frobenius_weights)).weights \
+            is frobenius_weights
 
     def test_unknown_name_rejected_by_name(self):
         a, m, shape = Matrix.identity(2), Matrix.identity(4), FactorShape(2, 2, 2, 2)
@@ -471,12 +483,12 @@ class TestRealize:
             divisor = realize(name, a)
             assert isinstance(divisor, Divisor)
             assert divisor.a is a
-            assert divisor.q == BUILTIN_SCHEMES[name].realization.q_of(a)
+            assert divisor.q == BUILTIN_SCHEMES[name].q_of(a)
             assert divisor.unit == pfp_scalar(divisor.q, a)
             assert abs(divisor.unit - 1.0) <= quotients.REALIZATION_TOLERANCE
             assert (divisor.svd is not None) == (name == "operator")
         for scheme in ("operator", QuotientScheme.operator(),
-                       BUILTIN_SCHEMES["operator"].realization):
+                       BUILTIN_SCHEMES["operator"]):
             assert realize(scheme, a).svd.sigma == svd(a).sigma
 
     def test_linear_scheme_has_no_divisor(self):
@@ -644,13 +656,13 @@ class TestKernelConditions:
         assert relative_residual(lhs, rhs) < 1e-10
 
 
-# Round trips at A = 2^e [[1, .5], [.25, 2]], e = -1000..1000 in steps of 50:
-# per scheme, the exponent ranges (inclusive) that raise, and the typed error.
-# Every other exponent must round-trip to 1e-9.
+# Round trips at A = 2^e A0, e = -1000..1000 in steps of 50, for a real and a
+# complex A0: per scheme, the exponent ranges (inclusive) that raise, and the
+# typed error. Every other exponent must round-trip to 1e-9.
+SCALE_DIVISORS = (np.array([[1, .5], [.25, 2]]), np.array([[1 + .5j, .5j], [.25, 2 - 1j]]))
 SCALE_FAILURES = {
     "leopardi": [(-1000, -1000, ZeroDivisorError)],   # every entry below ZERO_THRESHOLD
-    "frobenius": [(-1000, -550, ZeroDivisorError),    # ||A||_F^2 underflows to 0
-                  (550, 1000, InvalidRealizationError)],  # ... overflows: Q(A) pairs to 0
+    "frobenius": [],
     "operator": [],
     "trace": [],
 }
@@ -662,8 +674,8 @@ def test_round_trip_across_divisor_scales(name, side):
     scheme = SCHEMES[name]
     b = Matrix.from_rows([[1, 2], [3, 4]])
     shape = FactorShape(2, 2, 2, 2)
-    for e in range(-1000, 1001, 50):
-        a = Matrix.from_array(np.ldexp(np.array([[1, .5], [.25, 2]]), e))
+    for base, e in itertools.product(SCALE_DIVISORS, range(-1000, 1001, 50)):
+        a = _scaled(Matrix.from_array(base), e)
         expected = next((err for lo, hi, err in SCALE_FAILURES[name] if lo <= e <= hi), None)
         try:
             if side == "left":
@@ -675,6 +687,13 @@ def test_round_trip_across_divisor_scales(name, side):
             continue
         assert expected is None, f"e={e}: returned instead of raising {expected.__name__}"
         assert relative_residual(got, b) < 1e-9, f"e={e}"
+
+
+@pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
+def test_frobenius_weights_scale_free(e):
+    for base in SCALE_DIVISORS:
+        a = Matrix.from_array(base)
+        assert frobenius_weights(_scaled(a, e)) == frobenius_weights(a)
 
 
 class TestScaleAndConcurrency:
@@ -727,14 +746,20 @@ def _scaled(mat: Matrix, e: int) -> Matrix:
     return Matrix.from_array(np.ldexp(arr.real, e) + 1j * np.ldexp(arr.imag, e))
 
 
-@pytest.mark.parametrize("e", [600, 1000])
+@pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
 @pytest.mark.parametrize("name", ["leopardi", "operator"])
 def test_divisor_verdict_at_huge_scales(name, e):
-    # at 2^600 the squared norms overflowed, and every dividend passed as a multiple
+    # at 2^600 the squared norms overflowed, and every dividend passed as a multiple;
+    # at 2^-600 an absolute tolerance passed every dividend below it
     rng = np.random.default_rng(86)
     a = random_nonzero(rng, 2, 2)
     shape = FactorShape(2, 2, 2, 2)
     product = kron(a, random_matrix(rng, 2, 2))
+    if name == "leopardi" and e == -1000:
+        # every entry of A lies below ZERO_THRESHOLD
+        with pytest.raises(ZeroDivisorError):
+            is_divisor(name, _scaled(a, e), _scaled(product, e), shape)
+        return
     assert is_divisor(name, _scaled(a, e), _scaled(product, e), shape)
     assert not is_divisor(name, _scaled(a, e), _scaled(random_matrix(rng, 4, 4), e), shape)
     assert math.isfinite(remainder(name, _scaled(a, e), _scaled(product, e), shape)
