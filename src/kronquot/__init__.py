@@ -8,9 +8,10 @@ Frobenius-optimal factor, an operator-norm variant, a trace-based rule,
 and general linear rules), right quotients, remainders and divisor
 tests, plus a seeded randomized suite that verifies or refutes the
 candidate algebraic laws per scheme. Every scheme but the general
-linear rules is uniform, A quot M = pfp(Q(A), M), and evaluates through
-one pipeline; a right quotient reindexes its dividend by a reshape that
-swaps the Kronecker factor order and then divides on the left.
+linear rules is uniform, A quot M = pfp(Q(A), M). Every scheme evaluates
+through one pipeline, realize the divisor then apply it; a right quotient
+reindexes its dividend by a reshape that swaps the Kronecker factor
+order and then divides on the left.
 """
 
 from .axioms import (
@@ -60,7 +61,6 @@ from .quotients import (
     is_divisor,
     left_quotient,
     leopardi_weights,
-    linear_quotient,
     realization_for,
     realize,
     remainder,
@@ -113,7 +113,6 @@ __all__ = [
     "leading_pair",
     "left_quotient",
     "leopardi_weights",
-    "linear_quotient",
     "operator_norm",
     "parse_matrix",
     "parse_scalar",

@@ -27,8 +27,10 @@ from .pfp import pfp_scalar
 from .quotients import (
     BUILTIN_SCHEMES,
     Divisor,
+    LinearDivisor,
     QuotientScheme,
     Realization,
+    WeightRule,
     left_quotient,
     realization_for,
     realize,
@@ -249,24 +251,10 @@ def _shape_for(a: Matrix, m: Matrix) -> FactorShape:
     return FactorShape(a.rows, a.cols, m.rows // a.rows, m.cols // a.cols)
 
 
-class _LinearDivisor(NamedTuple):
-    """A divisor under a linear scheme, whose family depends on the block size:
-    nothing is realized ahead of the quotient."""
-
-    scheme: QuotientScheme
-    a: Matrix
-    svd = None
-
-    def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
-        return left_quotient(self.scheme, self.a, m, shape)
-
-
-def _divisors(scheme, inputs: dict) -> dict[str, Divisor | _LinearDivisor]:
-    """A trial's divisors, the inputs named A and B, each realized once under the
-    resolved ``scheme``; the law evaluators divide by them."""
-    return {key: realize(scheme, inputs[key]) if isinstance(scheme, Realization)
-            else _LinearDivisor(scheme, inputs[key])
-            for key in ("A", "B") if key in inputs}
+def _divisors(scheme, inputs: dict) -> dict[str, Divisor | LinearDivisor]:
+    """A trial's divisors, the inputs named A and B, each realized once under
+    ``scheme``; the law evaluators divide by them."""
+    return {key: realize(scheme, inputs[key]) for key in ("A", "B") if key in inputs}
 
 
 # Each law divides by its realized divisors, and once each by the divisors it
@@ -445,6 +433,17 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
 
 
 # -- weight and realization condition checks ----------------------------
+
+def weight_rule_for(scheme) -> WeightRule:
+    """The weight rule W of a weighted scheme, given in any form
+    :func:`resolve_scheme` accepts; ConfigurationError names any other scheme."""
+    rule = realization_for(scheme).weights
+    if rule is None:
+        weighted = " or ".join(name for name, r in BUILTIN_SCHEMES.items() if r.weights)
+        raise ConfigurationError(f"weight conditions need a weighted scheme ({weighted}), "
+                                 f"not {_descriptor(scheme)!r}")
+    return rule
+
 
 def check_weight_conditions(weight_rule, trials: int, seed: int, max_dim: int = 4, *,
                             name: str | None = None) -> AxiomReport:
@@ -748,8 +747,7 @@ _LAWS: dict[str, _Law] = {
     "Q2b": _Law(_eval_q2b, partial(_draw_block, keys=("M", "k")), resolve_scheme),
     "Q3": _Law(_eval_q3, _draw_q3, resolve_scheme),
     "Q5R": _Law(_eval_q5r, partial(_draw_block, keys=("M",), trace_rule=True), resolve_scheme),
-    "Wcond": _Law(_weight_condition_residuals, _draw_weight_pair,
-                  lambda scheme: realization_for(scheme).weights),
+    "Wcond": _Law(_weight_condition_residuals, _draw_weight_pair, weight_rule_for),
     "Rcond": _Law(_realization_condition_residuals, _draw_realization_pair, realization_for),
     "PROJ": _Law(_projection_residuals, _draw_basis_dividend, realization_for),
     "Q4": _Law(lambda _, values: tuple(_q4_residuals(values).values())),

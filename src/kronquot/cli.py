@@ -26,6 +26,7 @@ from .axioms import (
     check_projection,
     check_weight_conditions,
     demo_counterexamples,
+    weight_rule_for,
 )
 from .errors import ConvergenceError, KronError
 from .matrix import FactorShape, Matrix, kron
@@ -101,12 +102,8 @@ def _cmd_pfp(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.axiom == "Wcond":
-        rule = BUILTIN_SCHEMES[args.scheme].weights
-        if rule is None:
-            raise KronError(f"weight conditions need a weighted scheme "
-                            f"(leopardi or frobenius), not {args.scheme!r}")
-        report = check_weight_conditions(rule, args.trials, args.seed, args.dims,
-                                         name=args.scheme)
+        report = check_weight_conditions(weight_rule_for(args.scheme), args.trials, args.seed,
+                                         args.dims, name=args.scheme)
     elif args.axiom == "Proj":
         if BUILTIN_SCHEMES[args.scheme].square_only:
             # E12 and E21 have trace 0; E11, E22, E11+E12, E11+E21 span with trace 1

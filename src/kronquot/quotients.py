@@ -23,35 +23,34 @@ that are *not* exact Kronecker products:
                     equal to delta_uu' * delta_vv'.
 
 All but ``linear`` are uniform: a realization A -> Q(A) defines them
-as A quot M = pfp(Q(A), M). Evaluation splits in two steps. Realizing,
-:func:`realize`, depends on the divisor alone: it rejects an exactly zero
-A, computes Q(A) and checks that Q(A) has A's shape and pairs to 1
-against A; for the operator scheme it keeps the SVD of A that Q(A) was
-built from. The checked :class:`Divisor` it returns then applies to any
-number of dividends, ``divisor.quotient(M, shape)`` = pfp(Q(A), M); it
-is an immutable value the caller passes on, and nothing is cached
+as A quot M = pfp(Q(A), M). Every scheme evaluates in two steps.
+:func:`realize` depends on the divisor alone: it rejects an exactly
+zero A; under a uniform scheme it computes Q(A), checks that Q(A) has
+A's shape and pairs to 1 against A, and returns a :class:`Divisor`
+(for the operator scheme, holding the SVD Q(A) was built from); under a
+linear scheme, a :class:`LinearDivisor`. The value then applies to any
+number of dividends, ``divisor.quotient(M, shape)``; nothing is cached
 between calls. :func:`left_quotient` checks the shapes, realizes and
-applies once, and is the pipeline every uniform scheme evaluates
-through. ``BUILTIN_SCHEMES`` is the one table of the built-in schemes:
-it maps each name to its :class:`Realization`, the one record that
-declares ``square_only``, ``support_sensitive`` and ``weights``.
-A right quotient reindexes its dividend by a reshape that swaps the
-Kronecker factor order (the perfect shuffle) and divides on the left.
+applies once. ``BUILTIN_SCHEMES`` maps each built-in name to its
+:class:`Realization`, the one record that declares ``square_only``,
+``support_sensitive`` and ``weights``. A right quotient reindexes its
+dividend by a reshape that swaps the Kronecker factor order (the
+perfect shuffle) and divides on the left.
 
-A scheme is given either as a built-in name (``"frobenius"``, a key of
-``BUILTIN_SCHEMES``) or as a scheme object: a :class:`QuotientScheme` or
-a :class:`Realization`. Every entry point -- :func:`left_quotient`,
-:func:`right_quotient`, :func:`remainder`, :func:`is_divisor`,
-:func:`realize`, :func:`realization_for` and the law checks -- accepts
-both, through the one resolver :func:`resolve_scheme`. The descriptor a
-report records (``leopardi``, ``uniform(frobenius)``,
-``weighted(leopardi_weights)``) names a built-in scheme too.
+A scheme is given as a built-in name (``"frobenius"``), as the
+descriptor a report records (``uniform(frobenius)``,
+``weighted(leopardi_weights)``), or as a :class:`QuotientScheme` or
+:class:`Realization`. Every entry point accepts each form through the
+one resolver :func:`resolve_scheme`.
 
 Scale: every built-in Q satisfies Q(2^e A) = Q(A)/2^e, and squared norms
 are taken on 2^-e A, so no divisor scale decides a result. :func:`is_divisor`
-and CLI ``rem`` judge a remainder relative to ||M||_F alone. Only
-``ZERO_THRESHOLD`` is absolute: leopardi and the weighted rules reject a
-divisor whose entries all lie below it.
+and CLI ``rem`` judge a remainder relative to ||M||_F alone. Two exact
+thresholds are intended: the weighted rules divide on A's normal entries
+(``ZERO_THRESHOLD`` is the smallest normal float), whose reciprocals are
+finite, and the trace rule rejects only ``tr(A) == 0``, so a trace of
+1e-300 gives a Q near 1e300. Where Q(A) overflows binary64, as for
+[[1e-310, 0], [0, 0]], :func:`realize` raises UnsupportedInputError.
 
 All scheme objects are immutable and every evaluation is pure;
 user-supplied weight rules and component families must themselves be
@@ -71,17 +70,18 @@ from .errors import (
     InvalidFamilyError,
     InvalidRealizationError,
     InvalidWeightsError,
+    NonFiniteEntryError,
     ShapeError,
     SingularRealizationError,
+    UnsupportedInputError,
     ZeroDivisorError,
 )
 from .matrix import FactorShape, Matrix, _ldexp, _scaled_squares, kron
 from .pfp import pfp, pfp_scalar
 from .singular import SvdResult, svd
 
-# Entries below this magnitude count as zero wherever we divide by them;
-# comparing against exact 0.0 would admit subnormal-sized divisors.
-ZERO_THRESHOLD = 1e-300
+# A's support for the weighted rules: its normal entries, whose reciprocals are finite
+ZERO_THRESHOLD = float(np.finfo(np.float64).tiny)
 
 REALIZATION_TOLERANCE = 1e-10
 # negligible_remainder's bound on ||R||_F / ||M||_F; no absolute term, so no scale decides
@@ -225,8 +225,8 @@ def weighted_realization(rule: WeightRule, name: str | None = None) -> Realizati
         arr = a.to_array()
         support = np.abs(arr) >= ZERO_THRESHOLD
         if not support.any():
-            raise ZeroDivisorError(
-                "quotient by the zero matrix (no entries above the zero threshold)")
+            _check_nonzero(a)
+            raise _overflow_error(a)
         warr = _validate_weights(rule(a), a, support)
         return Matrix.from_array(np.divide(warr, arr, out=np.zeros_like(arr), where=support))
 
@@ -334,22 +334,72 @@ class Divisor:
         return pfp(self.q, m)
 
 
-def realize(scheme, a: Matrix) -> Divisor:
-    """A divisor realized under a uniform scheme, given in any form
-    :func:`resolve_scheme` accepts.
+@dataclasses.dataclass(frozen=True)
+class LinearDivisor:
+    """A nonzero divisor A under a linear scheme; made by :func:`realize`.
 
-    Raises ZeroDivisorError for an exactly zero A, whatever the realization
-    raises, and InvalidRealizationError when Q(A) lacks A's shape or does
-    not pair to 1 against A.
+    ``family(a, s, t)`` maps 1-based component indices (u, v, u', v') to
+    m x n matrices; missing components count as zero. It depends on the
+    block size, so each quotient evaluates it and checks that component
+    (u,v,u',v') pairs to delta_uu' * delta_vv' against A.
     """
-    realization = realization_for(scheme)
+
+    family: FamilyRule
+    a: Matrix
+    svd = None
+
+    def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
+        """Entry (u',v') is the sum over u, v of pfp(Q[u,v,u',v'], M)[u,v]."""
+        a = self.a
+        _check_left_shapes(a, m, shape)
+        s, t = shape.s, shape.t
+        components = dict(self.family(a, s, t))
+        for (u, v, u2, v2), comp in components.items():
+            if not (1 <= u <= s and 1 <= u2 <= s and 1 <= v <= t and 1 <= v2 <= t):
+                raise InvalidFamilyError(f"component index ({u},{v},{u2},{v2}) outside "
+                                         f"the {s}x{t} block size")
+            if comp.shape != a.shape:
+                raise InvalidFamilyError(f"component ({u},{v},{u2},{v2}) is "
+                                         f"{comp.rows}x{comp.cols}, expected {a.rows}x{a.cols}")
+        blocks = list(product(range(1, s + 1), range(1, t + 1)))
+        for (u, v), (u2, v2) in product(blocks, blocks):
+            expected = 1.0 if (u == u2 and v == v2) else 0.0
+            comp = components.get((u, v, u2, v2))
+            paired = 0.0 if comp is None else pfp_scalar(comp, a)
+            if abs(paired - expected) > FAMILY_TOLERANCE:
+                raise InvalidFamilyError(
+                    f"component ({u},{v},{u2},{v2}) pairs to {paired} against the "
+                    f"divisor, expected {expected}")
+        out = np.zeros((s, t), dtype=np.complex128)
+        for (u, v, u2, v2), comp in components.items():
+            out[u2 - 1, v2 - 1] += pfp(comp, m).entry(u, v)
+        return Matrix.from_array(out)
+
+
+def _overflow_error(a: Matrix) -> UnsupportedInputError:
+    return UnsupportedInputError(f"Q(A) of the {a.rows}x{a.cols} divisor overflows binary64: "
+                                 "its entries are too small to invert")
+
+
+def realize(scheme, a: Matrix) -> Divisor | LinearDivisor:
+    """A divisor under a scheme in any form :func:`resolve_scheme` accepts: a
+    :class:`Divisor` for a uniform scheme, a :class:`LinearDivisor` for a linear one.
+
+    Raises ZeroDivisorError for an exactly zero A. Under a uniform scheme it
+    also raises what the realization raises, UnsupportedInputError when Q(A)
+    overflows binary64, and InvalidRealizationError when Q(A) lacks A's shape
+    or does not pair to 1 against A.
+    """
+    realization = resolve_scheme(scheme)
     _check_nonzero(a)
-    decomposition = None
-    if realization.q_of is _operator_q:
-        decomposition = svd(a)
-        q = _operator_q_from(decomposition)
-    else:
-        q = realization.q_of(a)
+    if not isinstance(realization, Realization):
+        return LinearDivisor(realization.q_family, a)
+    decomposition = svd(a) if realization.q_of is _operator_q else None
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = realization.q_of(a) if decomposition is None else _operator_q_from(decomposition)
+    except NonFiniteEntryError:
+        raise _overflow_error(a) from None
     if not isinstance(q, Matrix) or q.shape != a.shape:
         raise InvalidRealizationError("realization must return a matrix of the divisor's shape")
     unit = pfp_scalar(q, a)
@@ -360,55 +410,10 @@ def realize(scheme, a: Matrix) -> Divisor:
 
 
 def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """Left quotient of M by A under a scheme, given by name or as a scheme object.
-
-    A uniform scheme checks the shapes, realizes A and applies the
-    :class:`Divisor` to M; a linear scheme goes through
-    :func:`linear_quotient`.
-    """
-    realization = resolve_scheme(scheme)
-    if not isinstance(realization, Realization):
-        return linear_quotient(realization.q_family, a, m, shape)
+    """Left quotient of M by A under a scheme, given by name or as a scheme object:
+    the shapes are checked, A is realized and the divisor applied to M."""
     _check_left_shapes(a, m, shape)
-    return pfp(realize(realization, a).q, m)
-
-
-def linear_quotient(family: FamilyRule, a: Matrix, m: Matrix,
-                    shape: FactorShape) -> Matrix:
-    """Evaluate a general linear quotient from its component family.
-
-    ``family(a, s, t)`` returns a mapping from 1-based component indices
-    (u, v, u', v') to m x n matrices; missing components count as zero.
-    The family is validated eagerly: component (u,v,u',v') must pair to
-    delta_uu' * delta_vv' against the divisor.
-    """
-    _check_left_shapes(a, m, shape)
-    _check_nonzero(a)
-    s, t = shape.s, shape.t
-    components = dict(family(a, s, t))
-    for (u, v, u2, v2), comp in components.items():
-        if not (1 <= u <= s and 1 <= u2 <= s and 1 <= v <= t and 1 <= v2 <= t):
-            raise InvalidFamilyError(f"component index ({u},{v},{u2},{v2}) outside "
-                                     f"the {s}x{t} block size")
-        if comp.shape != a.shape:
-            raise InvalidFamilyError(f"component ({u},{v},{u2},{v2}) is "
-                                     f"{comp.rows}x{comp.cols}, expected {a.rows}x{a.cols}")
-    for u, v in product(range(1, s + 1), range(1, t + 1)):
-        for u2, v2 in product(range(1, s + 1), range(1, t + 1)):
-            expected = 1.0 if (u == u2 and v == v2) else 0.0
-            comp = components.get((u, v, u2, v2))
-            if comp is None:
-                paired = 0.0
-            else:
-                paired = pfp_scalar(comp, a)
-            if abs(paired - expected) > FAMILY_TOLERANCE:
-                raise InvalidFamilyError(
-                    f"component ({u},{v},{u2},{v2}) pairs to {paired} against the "
-                    f"divisor, expected {expected}")
-    out = np.zeros((s, t), dtype=np.complex128)
-    for (u, v, u2, v2), comp in components.items():
-        out[u2 - 1, v2 - 1] += pfp(comp, m).entry(u, v)
-    return Matrix.from_array(out)
+    return realize(scheme, a).quotient(m, shape)
 
 
 def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:

@@ -131,7 +131,7 @@ def vanloan_factor(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
 def family_from_realization(realization):
     """The component family of a uniform quotient: diagonal copies of Q(A).
 
-    Fed to ``linear_quotient``, it evaluates the uniform quotient through
+    Fed to ``QuotientScheme.linear``, it evaluates the uniform quotient through
     the general linear path, a second route to ``left_quotient``.
     """
 

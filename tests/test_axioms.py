@@ -27,7 +27,7 @@ from kronquot import (
 )
 import kronquot.singular as singular
 from kronquot.matfile import from_line
-from oracles import NzIndex
+from oracles import NzIndex, family_from_realization
 
 
 def skew_weights(a):
@@ -117,6 +117,18 @@ class TestCheckAxiom:
         check_axiom(axiom, "operator", 20, 42, 4)
         assert count == calls
 
+    @pytest.mark.parametrize("axiom", ["Q1", "Q2a", "Q2b", "Q3", "Q5R"])
+    def test_linear_diagonal_family_reports_like_its_uniform_scheme(self, axiom):
+        # the diagonal family of Q(A) evaluates the uniform quotient entry by entry
+        linear = QuotientScheme.linear(family_from_realization(realization_for("frobenius")))
+        report = check_axiom(axiom, linear, 40, 42, 4)
+        uniform = check_axiom(axiom, "frobenius", 40, 42, 4)
+        assert (report.max_residual, report.verdict) == (uniform.max_residual, uniform.verdict)
+        assert report.holds == (axiom != "Q5R")
+        if not report.holds:
+            assert report.counterexample.inputs == uniform.counterexample.inputs
+            assert replay_counterexample(report, linear) == report.max_residual
+
     def test_reproducibility_bit_identical(self):
         first = check_axiom("Q3", "leopardi", 30, 7, 3)
         second = check_axiom("Q3", "leopardi", 30, 7, 3)
@@ -192,6 +204,14 @@ class TestWeightConditions:
         assert report.detail("kron_iff_q3") is True
         assert replay_counterexample(
             report, QuotientScheme.weighted(skew_weights)) == report.max_residual > TOLERANCE
+
+    @pytest.mark.parametrize("scheme", ["operator", "trace", QuotientScheme.operator()])
+    def test_replay_on_a_scheme_without_weights_names_it(self, scheme):
+        report = check_weight_conditions(skew_weights, 40, 42)
+        assert not report.holds
+        named = scheme if isinstance(scheme, str) else scheme.describe()
+        with pytest.raises(ConfigurationError, match=f"weighted scheme .*'{named}'"):
+            replay_counterexample(report, scheme)
 
     def test_matching_q3_failure_on_same_seed(self):
         report = check_axiom("Q3", QuotientScheme.weighted(skew_weights), 40, 42, 3)

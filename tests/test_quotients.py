@@ -29,7 +29,6 @@ from kronquot import (
     kron,
     left_quotient,
     leopardi_weights,
-    linear_quotient,
     pfp,
     pfp_scalar,
     realization_for,
@@ -80,7 +79,7 @@ class TestNzIndex:
         assert nz.count == 2
 
     def test_subnormal_squashing(self):
-        nz = NzIndex.of(Matrix.from_rows([[1e-305, 1.0]]))
+        nz = NzIndex.of(Matrix.from_rows([[1e-310, 1.0]]))
         assert nz.positions == frozenset({(1, 2)})
 
 
@@ -334,7 +333,7 @@ class TestLinear:
             a = random_nonzero(rng, 2, 2)
             m = random_matrix(rng, 4, 6)
             shape = FactorShape(2, 2, 2, 3)
-            assert allclose(linear_quotient(fam, a, m, shape),
+            assert allclose(left_quotient(QuotientScheme.linear(fam), a, m, shape),
                             left_quotient("frobenius", a, m, shape))
 
     def test_off_diagonal_component_activates_on_remainders(self):
@@ -351,12 +350,14 @@ class TestLinear:
         b = random_matrix(rng, 2, 2)
         shape = FactorShape(2, 2, 2, 2)
         # round trip unaffected: the extra component is invisible on kron(a, .)
-        assert relative_residual(linear_quotient(family, a, kron(a, b), shape), b) < 1e-13
+        assert relative_residual(left_quotient(QuotientScheme.linear(family), a, kron(a, b), shape),
+                                 b) < 1e-13
         # on a matrix with a remainder part the component feeds entry (2, 2)
         m = kron(a, b) + Matrix.unit(4, 4, 1, 1)
-        full = linear_quotient(family, a, m, shape)
-        diagonal_only = linear_quotient(family_from_realization(realization_for("frobenius")),
-                                        a, m, shape)
+        full = left_quotient(QuotientScheme.linear(family), a, m, shape)
+        diagonal_only = left_quotient(
+            QuotientScheme.linear(family_from_realization(realization_for("frobenius"))),
+            a, m, shape)
         activation = pfp(skew, m).entry(1, 1)
         assert allclose(full - diagonal_only, activation * Matrix.unit(2, 2, 2, 2))
 
@@ -366,16 +367,17 @@ class TestLinear:
         m = Matrix.from_rows([[3 * 2.0 ** -600]])
         shape = FactorShape(1, 1, 1, 1)
         family = {(1, 1, 1, 1): Matrix.from_rows([[2.0 ** 600]])}
-        assert linear_quotient(lambda a, s, t: family, tiny, m, shape) \
+        assert left_quotient(QuotientScheme.linear(lambda a, s, t: family), tiny, m, shape) \
             == Matrix.from_rows([[3]])
         assert left_quotient("leopardi", tiny, m, shape) == Matrix.from_rows([[3]])
         with pytest.raises(ZeroDivisorError):
-            linear_quotient(lambda a, s, t: family, Matrix.zero(1, 1), m, shape)
+            left_quotient(QuotientScheme.linear(lambda a, s, t: family), Matrix.zero(1, 1), m,
+                          shape)
 
     def test_zero_family_rejected_with_component_named(self):
         with pytest.raises(InvalidFamilyError, match=r"\(1,1,1,1\)"):
-            linear_quotient(lambda a, s, t: {}, Matrix.identity(2), Matrix.identity(4),
-                            FactorShape(2, 2, 2, 2))
+            left_quotient(QuotientScheme.linear(lambda a, s, t: {}), Matrix.identity(2),
+                          Matrix.identity(4), FactorShape(2, 2, 2, 2))
 
 
 class TestDispatchAndErrors:
@@ -491,9 +493,21 @@ class TestRealize:
                        BUILTIN_SCHEMES["operator"]):
             assert realize(scheme, a).svd.sigma == svd(a).sigma
 
-    def test_linear_scheme_has_no_divisor(self):
-        with pytest.raises(ConfigurationError):
-            realize(QuotientScheme.linear(lambda a, s, t: {}), Matrix.identity(2))
+    def test_linear_scheme_realizes_a_linear_divisor(self):
+        scheme = QuotientScheme.linear(family_from_realization(realization_for("operator")))
+        rng = np.random.default_rng(87)
+        for _ in range(10):
+            m, n, s, t = (int(x) for x in rng.integers(1, 4, 4))
+            a = random_nonzero(rng, m, n)
+            shape = FactorShape(m, n, s, t)
+            divisor = realize(scheme, a)
+            assert isinstance(divisor, quotients.LinearDivisor)
+            assert divisor.a is a and divisor.svd is None
+            for dividend in (kron(a, random_matrix(rng, s, t)), random_matrix(rng, m * s, n * t)):
+                assert divisor.quotient(dividend, shape) == left_quotient(scheme, a, dividend,
+                                                                          shape)
+        with pytest.raises(ZeroDivisorError):
+            realize(scheme, Matrix.zero(2, 2))
 
     @pytest.mark.parametrize("name", list(SCHEMES))
     def test_errors_match_left_quotient(self, name):
@@ -521,6 +535,56 @@ class TestRealize:
             realize(doubled, a)
         with pytest.raises(InvalidRealizationError):
             left_quotient(doubled, a, Matrix.ones(4, 4), FactorShape(2, 2, 2, 2))
+
+    @pytest.mark.parametrize("name", list(BUILTIN_SCHEMES))
+    def test_overflowing_q_is_a_typed_error(self, name):
+        # every nonzero entry is subnormal: Q(A) ~ 1/1e-310 overflows binary64
+        a = Matrix.from_rows([[1e-310, 0], [0, 0]])
+        with pytest.raises(UnsupportedInputError, match="2x2 divisor overflows"):
+            realize(name, a)
+        with pytest.raises(UnsupportedInputError, match="2x2 divisor overflows"):
+            left_quotient(name, a, Matrix.ones(4, 4), FactorShape(2, 2, 2, 2))
+
+
+def _family(components):
+    return QuotientScheme.linear(lambda a, s, t: components)
+
+
+# Error paths: a call, the typed error it raises, and what its message names.
+ERROR_PATHS = [
+    pytest.param(lambda: left_quotient(QuotientScheme.weighted(lambda a: Matrix.ones(3, 3)),
+                                       Matrix.identity(2), Matrix.identity(4),
+                                       FactorShape(2, 2, 2, 2)),
+                 InvalidWeightsError, "3x3 matrix for a 2x2", id="weights-shape"),
+    pytest.param(lambda: left_quotient(
+        QuotientScheme.weighted(lambda a: Matrix.from_rows([[0.5, 0.5], [0, 0.5]])),
+        Matrix.identity(2), Matrix.identity(4), FactorShape(2, 2, 2, 2)),
+                 InvalidWeightsError, "weight on zero entries", id="weights-off-support"),
+    pytest.param(lambda: left_quotient(_family({(3, 1, 1, 1): Matrix.identity(2)}),
+                                       Matrix.identity(2), Matrix.identity(4),
+                                       FactorShape(2, 2, 2, 2)),
+                 InvalidFamilyError, r"\(3,1,1,1\) outside the 2x2 block size",
+                 id="family-index"),
+    pytest.param(lambda: left_quotient(_family({(1, 1, 1, 1): Matrix.identity(3)}),
+                                       Matrix.identity(2), Matrix.identity(4),
+                                       FactorShape(2, 2, 2, 2)),
+                 InvalidFamilyError, r"\(1,1,1,1\) is 3x3, expected 2x2", id="family-shape"),
+    pytest.param(lambda: realize(Realization(lambda a: Matrix.identity(3)), Matrix.identity(2)),
+                 InvalidRealizationError, "divisor's shape", id="realization-shape"),
+    pytest.param(lambda: resolve_scheme(42), ConfigurationError, "got 42", id="scheme-type"),
+    pytest.param(lambda: QuotientScheme(kind="nonesuch"), ConfigurationError,
+                 "unknown scheme kind 'nonesuch'", id="kind"),
+    pytest.param(lambda: QuotientScheme(kind="weighted"), ConfigurationError,
+                 "weighted scheme needs a weight rule", id="weighted-no-rule"),
+    pytest.param(lambda: QuotientScheme(kind="linear"), ConfigurationError,
+                 "linear scheme needs a component family", id="linear-no-family"),
+]
+
+
+@pytest.mark.parametrize("call,error,named", ERROR_PATHS)
+def test_error_paths_name_the_fault(call, error, named):
+    with pytest.raises(error, match=named):
+        call()
 
 
 class TestRemainder:
@@ -661,7 +725,7 @@ class TestKernelConditions:
 # typed error. Every other exponent must round-trip to 1e-9.
 SCALE_DIVISORS = (np.array([[1, .5], [.25, 2]]), np.array([[1 + .5j, .5j], [.25, 2 - 1j]]))
 SCALE_FAILURES = {
-    "leopardi": [(-1000, -1000, ZeroDivisorError)],   # every entry below ZERO_THRESHOLD
+    "leopardi": [],
     "frobenius": [],
     "operator": [],
     "trace": [],
@@ -755,11 +819,6 @@ def test_divisor_verdict_at_huge_scales(name, e):
     a = random_nonzero(rng, 2, 2)
     shape = FactorShape(2, 2, 2, 2)
     product = kron(a, random_matrix(rng, 2, 2))
-    if name == "leopardi" and e == -1000:
-        # every entry of A lies below ZERO_THRESHOLD
-        with pytest.raises(ZeroDivisorError):
-            is_divisor(name, _scaled(a, e), _scaled(product, e), shape)
-        return
     assert is_divisor(name, _scaled(a, e), _scaled(product, e), shape)
     assert not is_divisor(name, _scaled(a, e), _scaled(random_matrix(rng, 4, 4), e), shape)
     assert math.isfinite(remainder(name, _scaled(a, e), _scaled(product, e), shape)
