@@ -193,10 +193,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args leaves the parser unchanged, so calls share it
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

@@ -20,10 +20,11 @@ Tokens are separated by any run of whitespace. Writers emit 17
 significant digits, which reproduces every binary64 value exactly on
 read-back.
 
-Reads and writes go a row at a time: a data row is checked against the
-grammar with one regular-expression match and converted with one
-``complex`` call per token; a row is written with one ``str.format``
-call. Errors name the line of the text at fault and, through
+Reads and writes go a row at a time. A data row of ASCII digits, ``.eE+-i``
+and blanks takes one ``complex`` call per token, which accepts exactly the
+grammar on those characters; the token regular expression runs only on a
+row with another character or a token ``complex`` refuses. A row is written
+with one ``str.format`` call. Errors name the line at fault and, through
 :func:`read_matrix`, the file.
 """
 
@@ -39,11 +40,11 @@ from .errors import MatrixFormatError, NonFiniteEntryError
 from .matrix import Matrix
 
 _FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-# a, a+bi / a-bi and bi with the shared [+-]?F prefix factored out: the plain
-# three-way alternation makes a whole-row match several times slower
-_TOKEN = rf"[+-]?(?:{_FLOAT}(?:[+-](?:{_FLOAT})?i)?|(?:{_FLOAT})?i)"
-_TOKEN_RE = re.compile(_TOKEN)
-_ROW_RE = re.compile(rf"(?:{_TOKEN})(?:\s+(?:{_TOKEN}))*")
+# a, a+bi / a-bi and bi, with the shared [+-]?F prefix factored out
+_TOKEN_RE = re.compile(rf"[+-]?(?:{_FLOAT}(?:[+-](?:{_FLOAT})?i)?|(?:{_FLOAT})?i)")
+# complex() accepts exactly the grammar on these; it would also take the letters
+# of nan/inf, "_", parentheses, "j"/"J" and non-ASCII or \x1c-\x1f whitespace
+_ROW_CHARS = b"0123456789.eE+-i \t\n\r\x0b\x0c"
 
 # Token templates indexed by form: a+bi / a-bi, a, bi. The sign of the
 # general form is the sign bit of b, so -0.0 writes as "-0".
@@ -108,10 +109,16 @@ def parse_matrix(text: str) -> Matrix:
         if len(tokens) != cols:
             raise MatrixFormatError(f"row {row + 1} has {len(tokens)} token(s), "
                                     f"expected {cols}", line=lineno)
-        if not _ROW_RE.fullmatch(line):
-            for token in line.split():
-                if not _TOKEN_RE.fullmatch(token):
-                    raise MatrixFormatError(f"bad scalar token {token!r}", line=lineno)
+        try:
+            if line.isascii() and not line.encode().translate(None, _ROW_CHARS):
+                out[row] = np.fromiter(map(complex, tokens), np.complex128, cols)
+                continue
+        except ValueError:
+            pass
+        # another character, or a token complex() refuses: the regex names the bad token
+        for token in line.split():
+            if not _TOKEN_RE.fullmatch(token):
+                raise MatrixFormatError(f"bad scalar token {token!r}", line=lineno)
         out[row] = np.fromiter(map(complex, tokens), np.complex128, cols)
     try:
         return Matrix._adopt(out)

@@ -172,7 +172,10 @@ def leopardi_weights(a: Matrix) -> Matrix:
     support = np.abs(a.to_array()) >= ZERO_THRESHOLD
     count = int(support.sum())
     if count == 0:
-        raise ZeroDivisorError("cannot weight the zero matrix")
+        if a.is_zero():
+            raise ZeroDivisorError("cannot weight the zero matrix")
+        raise UnsupportedInputError(f"cannot weight the {a.rows}x{a.cols} divisor: "
+                                    "its nonzero entries are all subnormal")
     return Matrix.from_array(support / count)
 
 
@@ -361,8 +364,9 @@ class LinearDivisor:
             if comp.shape != a.shape:
                 raise InvalidFamilyError(f"component ({u},{v},{u2},{v2}) is "
                                          f"{comp.rows}x{comp.cols}, expected {a.rows}x{a.cols}")
-        blocks = list(product(range(1, s + 1), range(1, t + 1)))
-        for (u, v), (u2, v2) in product(blocks, blocks):
+        # a missing component pairs to 0, so only the diagonal ones must be present
+        diagonal = {(u, v, u, v) for u, v in product(range(1, s + 1), range(1, t + 1))}
+        for u, v, u2, v2 in sorted(components.keys() | diagonal):
             expected = 1.0 if (u == u2 and v == v2) else 0.0
             comp = components.get((u, v, u2, v2))
             paired = 0.0 if comp is None else pfp_scalar(comp, a)

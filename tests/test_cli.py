@@ -1,11 +1,15 @@
 """CLI contract: subcommands, exit codes, file round trips."""
 
+import contextlib
+import io
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import kronquot.singular as singular
+from kronquot import cli
 from kronquot import Matrix, kron, pfp, read_matrix, relative_residual, write_matrix
 from kronquot.cli import main
 
@@ -290,3 +294,48 @@ def test_write_then_read_is_bit_exact_for_random_matrices(tmp_path):
         write_matrix(path, m)
         assert read_matrix(path) == m
         assert read_matrix(path).entries == m.entries
+
+
+def test_calls_reuse_one_parser(fixtures, capsys, monkeypatch):
+    _, paths, _ = fixtures
+
+    def forbidden():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "_build_parser", forbidden)
+    argv = ["quot", "--scheme", "leopardi", "--shape", "2,2,2,2", str(paths["A"]), str(paths["M"])]
+    for _ in range(5):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "2 2\n1.5 0\n0 1.5\n"
+    # usage errors and help leave the shared parser as it was
+    assert main(["quot", "--scheme", "nonesuch", "--shape", "2,2,2,2", "a", "b"]) == 2
+    assert main(["quot", "--help"]) == 0
+    assert main(["check", "--axiom", "Q1", "--scheme", "trace", "--trials", "5"]) == 0
+    assert main(argv) == 0
+    assert capsys.readouterr().out.endswith("2 2\n1.5 0\n0 1.5\n")
+
+
+def test_threaded_calls_write_what_serial_calls_write(fixtures, tmp_path):
+    _, paths, _ = fixtures
+    jobs = [["quot", "--scheme", scheme, "--shape", "2,2,2,2", str(paths["A"]), str(paths["AB"])]
+            for scheme in ("leopardi", "frobenius", "operator", "trace")]
+    jobs += [["rquot", "--scheme", "operator", "--shape", "2,2,2,2", str(paths["AB"]),
+              str(paths["B"])], ["kron", str(paths["A"]), str(paths["B"])],
+             ["pfp", str(paths["A"]), str(paths["AB"])],
+             ["rem", "--scheme", "frobenius", "--shape", "2,2,2,2", str(paths["A"]),
+              str(paths["AB"])]]
+
+    def run(job, prefix):
+        out = tmp_path / f"{prefix}-{job}.mat"
+        assert main([*jobs[job], "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    serial = [run(job, "serial") for job in range(len(jobs))]
+
+    def worker(thread):
+        return [run(job, f"t{thread}-r{rep}") for rep in range(3) for job in range(len(jobs))]
+
+    with contextlib.redirect_stdout(io.StringIO()):  # rem's trailer
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(worker, range(4)))
+    assert results == [serial * 3] * 4

@@ -1,5 +1,7 @@
 """Matrix text format: token grammar, round trips, failure modes."""
 
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -255,8 +257,101 @@ def test_valid_rows_skip_the_per_entry_paths(monkeypatch):
     def forbidden(*args):
         raise AssertionError("per-entry path taken")
 
+    class ForbiddenRegex:
+        fullmatch = staticmethod(forbidden)
+
     monkeypatch.setattr(matfile, "parse_scalar", forbidden)
     monkeypatch.setattr(matfile, "format_scalar", forbidden)
+    monkeypatch.setattr(matfile, "_TOKEN_RE", ForbiddenRegex)
     monkeypatch.setattr(Matrix, "entry", forbidden)
     assert format_matrix(m) == text
     assert np.array_equal(_bits(parse_matrix(text)), _bits(m))
+    # what format_matrix writes never needs the token regex, at any size
+    big = _special_matrix(64)
+    assert np.array_equal(_bits(parse_matrix(format_matrix(big))), _bits(big))
+
+
+# -- the regex-free row path -----------------------------------------------
+
+def _complex_accepts(token):
+    try:
+        complex(token.replace("i", "j"))
+    except ValueError:
+        return False
+    return True
+
+
+def test_complex_accepts_exactly_the_grammar_on_short_tokens():
+    """Every token of length 1-6 over 01.eE+-i: the fast path's premise."""
+    for length in range(1, 7):
+        for chars in itertools.product("01.eE+-i", repeat=length):
+            token = "".join(chars)
+            assert bool(matfile._TOKEN_RE.fullmatch(token)) == _complex_accepts(token), token
+
+
+def test_complex_accepts_exactly_the_grammar_on_random_tokens():
+    rng = np.random.default_rng(26)
+    alphabet = list("0123456789.eE+-i")
+    # weight the separators and exponents up so that long tokens still parse sometimes
+    weights = np.array([1.0] * 10 + [2.0] * 6)
+    weights /= weights.sum()
+    accepted = 0
+    for _ in range(20000):
+        token = "".join(rng.choice(alphabet, int(rng.integers(1, 31)), p=weights))
+        ok = bool(matfile._TOKEN_RE.fullmatch(token))
+        assert ok == _complex_accepts(token), token
+        accepted += ok
+        # and the matrix parser agrees with the scalar one on the token
+        try:
+            got = parse_matrix(f"1 2\n1 {token}\n").entry(1, 2)
+        except MatrixFormatError as exc:
+            assert not ok and exc.line == 2 and repr(token) in exc.reason
+        except NonFiniteEntryError:
+            assert ok and not cmath.isfinite(parse_scalar(token))
+        else:
+            assert ok and repr(got) == repr(parse_scalar(token))
+    assert accepted > 1000
+
+
+@pytest.mark.parametrize("sep", ["\xa0", "\u2003", "\x1f", "\x1f \xa0\t"])
+def test_unicode_whitespace_between_tokens(sep):
+    m = _special_matrix(6)
+    header, *rows = format_matrix(m).splitlines()
+    text = "\n".join([header, *(row.replace(" ", sep) for row in rows)])
+    assert np.array_equal(_bits(parse_matrix(text)), _bits(m))
+
+
+@pytest.mark.parametrize("end", ["\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\x0b\x0c"])
+def test_unicode_line_ends_between_rows(end):
+    m = _special_matrix(6)
+    text = format_matrix(m)
+    assert np.array_equal(_bits(parse_matrix(text.replace("\n", end))), _bits(m))
+
+
+# (text, line, token): rows the character test hands to the token regex, and the
+# error each raised before it existed
+_FOREIGN = [
+    ("1 2\n1 2j\n", 2, "2j"),
+    ("1 2\n1 2J\n", 2, "2J"),
+    ("1 2\n(1) 2\n", 2, "(1)"),
+    ("1 2\n1 1_0\n", 2, "1_0"),
+    ("1 2\ninf 1\n", 2, "inf"),
+    ("1 2\n1 -nan\n", 2, "-nan"),
+    ("1 2\n1 infinityi\n", 2, "infinityi"),
+    ("2 2\n1 2\n3 4\u00e9\n", 3, "4\u00e9"),
+    ("1 2\n1\xa0x\n", 2, "x"),
+    ("1 2\n1 e5\n", 2, "e5"),
+    ("1 2\n1 1e\n", 2, "1e"),
+    ("1 2\n. 1\n", 2, "."),
+    ("1 2\n1 +-1\n", 2, "+-1"),
+    ("1 2\n1 1+2\n", 2, "1+2"),
+    ("1 2\n1 ii\n", 2, "ii"),
+    ("1 3\n1 2i+1 -\n", 2, "2i+1"),
+]
+
+
+@pytest.mark.parametrize("text,line,token", _FOREIGN)
+def test_rows_off_the_fast_path_name_the_bad_token(text, line, token):
+    with pytest.raises(MatrixFormatError) as info:
+        parse_matrix(text)
+    assert (info.value.line, info.value.reason) == (line, f"bad scalar token {token!r}")

@@ -546,8 +546,41 @@ class TestRealize:
             left_quotient(name, a, Matrix.ones(4, 4), FactorShape(2, 2, 2, 2))
 
 
+    def test_weight_rule_on_a_subnormal_divisor_names_it(self):
+        # nonzero, but no entry is normal: not the zero matrix's error
+        with pytest.raises(UnsupportedInputError,
+                           match=r"^cannot weight the 2x3 divisor: .* all subnormal$"):
+            leopardi_weights(Matrix.from_rows([[1e-310, 0, 0], [0, -5e-324j, 0]]))
+        with pytest.raises(ZeroDivisorError, match="^cannot weight the zero matrix$"):
+            leopardi_weights(Matrix.zero(2, 3))
+
+
 def _family(components):
     return QuotientScheme.linear(lambda a, s, t: components)
+
+
+_DIAGONAL = {(u, v, u, v): Matrix.identity(2) / 2 for u in (1, 2) for v in (1, 2)}
+
+
+@pytest.mark.parametrize("changes,message", [
+    ({(2, 2, 2, 2): None, (2, 1, 1, 2): Matrix.identity(2)},
+     "component (2,1,1,2) pairs to (2+0j) against the divisor, expected 0.0"),
+    ({(1, 2, 1, 2): None, (2, 1, 1, 1): Matrix.identity(2)},
+     "component (1,2,1,2) pairs to 0.0 against the divisor, expected 1.0"),
+    ({(2, 2, 2, 2): 2 * Matrix.identity(2), (1, 2, 2, 1): Matrix.unit(2, 2, 1, 1),
+      (1, 1, 2, 2): Matrix.unit(2, 2, 2, 2)},
+     "component (1,1,2,2) pairs to (1+0j) against the divisor, expected 0.0"),
+    ({(1, 1, 1, 1): None, (2, 2, 2, 2): None},
+     "component (1,1,1,1) pairs to 0.0 against the divisor, expected 1.0"),
+])
+def test_linear_family_reports_its_first_fault(changes, message):
+    """Of several faults, the first in (u,v,u',v') order, whatever the family's order."""
+    components = {key: comp for key, comp in {**_DIAGONAL, **changes}.items() if comp is not None}
+    for order in (list(components.items()), list(reversed(components.items()))):
+        with pytest.raises(InvalidFamilyError) as info:
+            left_quotient(_family(dict(order)), Matrix.identity(2), Matrix.identity(4),
+                          FactorShape(2, 2, 2, 2))
+        assert str(info.value) == message
 
 
 # Error paths: a call, the typed error it raises, and what its message names.
