@@ -68,7 +68,7 @@ from .quotients import (
     trace_realization,
     weighted_realization,
 )
-from .singular import SvdResult, leading_pair, operator_norm, svd
+from .singular import SvdResult, svd
 
 __version__ = "0.1.0"
 
@@ -110,10 +110,8 @@ __all__ = [
     "frobenius_weights",
     "is_divisor",
     "kron",
-    "leading_pair",
     "left_quotient",
     "leopardi_weights",
-    "operator_norm",
     "parse_matrix",
     "parse_scalar",
     "pfp",

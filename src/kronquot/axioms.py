@@ -28,7 +28,6 @@ from .quotients import (
     BUILTIN_SCHEMES,
     Divisor,
     LinearDivisor,
-    QuotientScheme,
     Realization,
     WeightRule,
     left_quotient,
@@ -36,6 +35,7 @@ from .quotients import (
     realize,
     resolve_scheme,
     trace_realization,
+    weighted_realization,
 )
 from .singular import svd
 
@@ -174,12 +174,6 @@ def _random_nonzero(rng: np.random.Generator, rows: int, cols: int, *,
         if need_trace and abs(complex(np.trace(arr))) < 1e-6:
             continue
         return Matrix.from_array(arr)
-
-
-def _descriptor(scheme) -> str:
-    """The scheme a report records: a built-in name or descriptor as given, else its
-    ``describe()``."""
-    return scheme if isinstance(scheme, str) else scheme.describe()
 
 
 def _draw_block(rng, trial, square, sparse, max_dim, restricted, scalars, *,
@@ -387,8 +381,10 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
                 restricted: bool = False, scalars: Sequence[complex] = SCALARS) -> AxiomReport:
     """Randomized check of one quotient axiom for one scheme.
 
-    ``scheme`` is a built-in name or a scheme object: a QuotientScheme,
-    or a Realization checked through its induced uniform quotient. Divisors
+    ``scheme`` is given in any form :func:`resolve_scheme` accepts: a
+    built-in name or report descriptor, a Realization checked through its
+    induced uniform quotient, or a linear scheme. The report records the
+    scheme's one descriptor, ``resolve_scheme(scheme).describe()``. Divisors
     are drawn square with nonzero trace for a ``square_only``
     realization, and partly zero in a third of the trials for a
     ``support_sensitive`` one. ``restricted=True`` draws the dividend
@@ -402,7 +398,6 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
         raise ConfigurationError(f"unknown axiom {axiom!r}; expected one of {expected}")
     _validate_common(trials, seed, max_dim)
     evaluator = resolve_scheme(scheme)
-    descriptor = _descriptor(scheme)
     draw = partial(law.draw, square=getattr(evaluator, "square_only", False),
                    sparse=getattr(evaluator, "support_sensitive", False), max_dim=max_dim,
                    restricted=restricted, scalars=scalars)
@@ -428,7 +423,7 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
             details.append(("max_residual_complex_k", complex_k[0]))
     if degenerate:
         details.append(("degenerate_leading_pairs", sum(degenerate)))
-    return _report(axiom, descriptor, trials, seed, worst, worst_trial,
+    return _report(axiom, evaluator.describe(), trials, seed, worst, worst_trial,
                    worst_inputs, details)
 
 
@@ -437,12 +432,12 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
 def weight_rule_for(scheme) -> WeightRule:
     """The weight rule W of a weighted scheme, given in any form
     :func:`resolve_scheme` accepts; ConfigurationError names any other scheme."""
-    rule = realization_for(scheme).weights
-    if rule is None:
+    realization = realization_for(scheme)
+    if realization.weights is None:
         weighted = " or ".join(name for name, r in BUILTIN_SCHEMES.items() if r.weights)
         raise ConfigurationError(f"weight conditions need a weighted scheme ({weighted}), "
-                                 f"not {_descriptor(scheme)!r}")
-    return rule
+                                 f"not {realization.describe()!r}")
+    return realization.weights
 
 
 def check_weight_conditions(weight_rule, trials: int, seed: int, max_dim: int = 4, *,
@@ -455,12 +450,11 @@ def check_weight_conditions(weight_rule, trials: int, seed: int, max_dim: int = 
     scheme with the same seed and records whether the verdicts agree.
     """
     _validate_common(trials, seed, max_dim)
-    label = name or getattr(weight_rule, "__name__", "custom")
+    scheme = weighted_realization(weight_rule, name or getattr(weight_rule, "__name__", "custom"))
     law = _LAWS["Wcond"]
     worst, worst_trial, worst_inputs, (worst_t, worst_k), _, _ = _run_trials(
         partial(law.draw, max_dim=max_dim), partial(law.evaluate, weight_rule), trials, seed)
 
-    scheme = QuotientScheme.weighted(weight_rule, name=label)
     q1 = check_axiom("Q1", scheme, trials, seed, max_dim)
     q3 = check_axiom("Q3", scheme, trials, seed, max_dim)
     transpose_holds = worst_t <= TOLERANCE
@@ -475,14 +469,14 @@ def check_weight_conditions(weight_rule, trials: int, seed: int, max_dim: int = 
         ("transpose_iff_q1", transpose_holds == q1.holds),
         ("kron_iff_q3", kron_holds == q3.holds),
     )
-    return _report("Wcond", f"weighted({label})", trials, seed, worst,
+    return _report("Wcond", scheme.describe(), trials, seed, worst,
                    worst_trial, worst_inputs, details)
 
 
-def check_realization_conditions(realization: Realization, trials: int, seed: int,
-                                 max_dim: int = 4, *,
+def check_realization_conditions(realization, trials: int, seed: int, max_dim: int = 4, *,
                                  scalars: Sequence[complex] = SCALARS) -> AxiomReport:
-    """Check the three Q(.) identities characterizing Q1, Q2b and Q3.
+    """Check the three Q(.) identities characterizing Q1, Q2b and Q3 for a uniform
+    scheme, given in any form :func:`realization_for` accepts.
 
     Each identity is evaluated directly on random draws, then cross-run
     through check_axiom on the induced uniform quotient with the same
@@ -492,6 +486,7 @@ def check_realization_conditions(realization: Realization, trials: int, seed: in
     """
     _validate_common(trials, seed, max_dim)
     law = _LAWS["Rcond"]
+    realization = law.subject(realization)
     run = _run_trials(partial(law.draw, square_only=realization.square_only, max_dim=max_dim,
                               scalars=scalars), partial(law.evaluate, realization), trials, seed)
     worst, worst_trial, worst_inputs, (worst_t, worst_s, worst_k), real_k, complex_k = run
@@ -611,7 +606,7 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
     )
     inputs = {f"basis.{idx + 1}": mat for idx, mat in enumerate(basis)}
     inputs["M"] = worst_inputs["M"]
-    return _report("PROJ", _descriptor(scheme), trials, seed,
+    return _report("PROJ", realization.describe(), trials, seed,
                    max(biorth_worst, recon_worst), worst_trial, inputs, details,
                    verdict="holds" if biorth_holds and recon_holds else "fails")
 

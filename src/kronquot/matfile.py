@@ -9,7 +9,7 @@ Layout::
     am1 am2 ... amn
 
 Token grammar, with ``F`` a decimal binary64 literal such as ``1.5``,
-``.5``, ``2.`` or ``-2e-3`` (digits, an optional point, an optional
+``.5``, ``2.`` or ``-2e-3`` (ASCII digits, an optional point, an optional
 exponent; no ``nan``, ``inf`` or underscores)::
 
     token := [+-]? F                  a
@@ -39,7 +39,7 @@ import numpy as np
 from .errors import MatrixFormatError, NonFiniteEntryError
 from .matrix import Matrix
 
-_FLOAT = r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_FLOAT = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # a, a+bi / a-bi and bi, with the shared [+-]?F prefix factored out
 _TOKEN_RE = re.compile(rf"[+-]?(?:{_FLOAT}(?:[+-](?:{_FLOAT})?i)?|(?:{_FLOAT})?i)")
 # complex() accepts exactly the grammar on these; it would also take the letters

@@ -37,11 +37,16 @@ applies once. ``BUILTIN_SCHEMES`` maps each built-in name to its
 dividend by a reshape that swaps the Kronecker factor order (the
 perfect shuffle) and divides on the left.
 
-A scheme is given as a built-in name (``"frobenius"``), as the
-descriptor a report records (``uniform(frobenius)``,
-``weighted(leopardi_weights)``), or as a :class:`QuotientScheme` or
-:class:`Realization`. Every entry point accepts each form through the
-one resolver :func:`resolve_scheme`.
+There is one scheme type per kind. A uniform scheme is a
+:class:`Realization`: a ``BUILTIN_SCHEMES`` entry, or one made by
+:func:`weighted_realization` or by hand. A linear scheme is a
+:class:`LinearScheme`, made by ``QuotientScheme.linear(family)``.
+``QuotientScheme`` only gathers constructors that return these objects.
+A scheme is given as such an object or as a string: a built-in name
+(``"frobenius"``) or a descriptor a report records (``uniform(frobenius)``,
+``weighted(leopardi_weights)``). Every entry point accepts each form through
+the one resolver :func:`resolve_scheme`, and every form of one scheme
+records the one descriptor its object's ``describe()`` gives.
 
 Scale: every built-in Q satisfies Q(2^e A) = Q(A)/2^e, and squared norms
 are taken on 2^-e A, so no divisor scale decides a result. :func:`is_divisor`
@@ -113,56 +118,30 @@ class Realization:
     weights: WeightRule | None = None
 
     def describe(self) -> str:
-        return f"uniform({self.label})"
+        """The one descriptor reports record for this scheme, however it was named:
+        the bare name of a ``BUILTIN_SCHEMES`` entry, ``weighted(label)`` for a rule
+        that declares its weights, as every :func:`weighted_realization` does, and
+        ``uniform(label)`` for any other."""
+        if BUILTIN_SCHEMES.get(self.label) is self:
+            return self.label
+        return f"{'uniform' if self.weights is None else 'weighted'}({self.label})"
 
 
 @dataclasses.dataclass(frozen=True)
-class QuotientScheme:
-    """A named quotient rule; build via the classmethod constructors."""
+class LinearScheme:
+    """A general linear quotient, fixed by its component family; :func:`realize`
+    turns it into a :class:`LinearDivisor`. Build one with ``QuotientScheme.linear``."""
 
-    kind: str
-    weight_rule: WeightRule | None = None
-    q_family: FamilyRule | None = None
-    label: str | None = None
+    family: FamilyRule
+    label: str
 
     def __post_init__(self):
-        if self.kind not in BUILTIN_SCHEMES and self.kind not in ("weighted", "linear"):
-            raise ConfigurationError(f"unknown scheme kind {self.kind!r}")
-        if self.kind == "weighted" and self.weight_rule is None:
-            raise ConfigurationError("weighted scheme needs a weight rule")
-        if self.kind == "linear" and self.q_family is None:
-            raise ConfigurationError("linear scheme needs a component family")
-
-    @classmethod
-    def leopardi(cls) -> QuotientScheme:
-        return cls(kind="leopardi")
-
-    @classmethod
-    def frobenius(cls) -> QuotientScheme:
-        return cls(kind="frobenius")
-
-    @classmethod
-    def operator(cls) -> QuotientScheme:
-        return cls(kind="operator")
-
-    @classmethod
-    def trace(cls) -> QuotientScheme:
-        return cls(kind="trace")
-
-    @classmethod
-    def weighted(cls, rule: WeightRule, name: str | None = None) -> QuotientScheme:
-        label = name or getattr(rule, "__name__", "custom")
-        return cls(kind="weighted", weight_rule=rule, label=label)
-
-    @classmethod
-    def linear(cls, family: FamilyRule, name: str | None = None) -> QuotientScheme:
-        label = name or getattr(family, "__name__", "custom")
-        return cls(kind="linear", q_family=family, label=label)
+        if not callable(self.family):
+            raise ConfigurationError(
+                f"linear scheme needs a component family, got {self.family!r}")
 
     def describe(self) -> str:
-        if self.kind in ("weighted", "linear"):
-            return f"{self.kind}({self.label})"
-        return self.kind
+        return f"linear({self.label})"
 
 
 # -- built-in weight rules -------------------------------------------
@@ -222,7 +201,10 @@ def _check_nonzero(a: Matrix) -> None:
 # -- realizations of the built-in uniform schemes ----------------------
 
 def weighted_realization(rule: WeightRule, name: str | None = None) -> Realization:
-    """Q(A)[i,j] = W(A)[i,j] / A[i,j] on the nonzero entries, 0 elsewhere."""
+    """Q(A)[i,j] = W(A)[i,j] / A[i,j] on the nonzero entries, 0 elsewhere; a
+    ConfigurationError when ``rule`` is not callable."""
+    if not callable(rule):
+        raise ConfigurationError(f"weighted scheme needs a weight rule, got {rule!r}")
 
     def q_of(a: Matrix) -> Matrix:
         arr = a.to_array()
@@ -233,7 +215,7 @@ def weighted_realization(rule: WeightRule, name: str | None = None) -> Realizati
         warr = _validate_weights(rule(a), a, support)
         return Matrix.from_array(np.divide(warr, arr, out=np.zeros_like(arr), where=support))
 
-    return Realization(q_of=q_of, label=name or getattr(rule, "__name__", "weighted"),
+    return Realization(q_of=q_of, label=name or getattr(rule, "__name__", "custom"),
                        support_sensitive=True, weights=rule)
 
 
@@ -278,30 +260,45 @@ BUILTIN_SCHEMES: dict[str, Realization] = {
 }
 
 
-def resolve_scheme(scheme) -> Realization | QuotientScheme:
-    """What a scheme evaluates through: a uniform scheme's realization, or a
-    linear scheme itself. ``scheme`` is a Realization, a QuotientScheme, or
-    a built-in scheme's name or report descriptor: ``frobenius``,
-    ``uniform(frobenius)`` or ``weighted(frobenius_weights)``."""
-    # a Realization comes first: the law checks pass one on every call
-    if isinstance(scheme, Realization):
+class QuotientScheme:
+    """Constructors of the scheme objects; the class itself has no instances.
+
+    ``QuotientScheme.frobenius()`` is ``BUILTIN_SCHEMES["frobenius"]``, and
+    likewise for the other built-ins; ``weighted`` is :func:`weighted_realization`,
+    and ``linear(family, name)`` makes a :class:`LinearScheme` labelled ``name``,
+    by default the family's ``__name__``.
+    """
+
+    leopardi = staticmethod(lambda: BUILTIN_SCHEMES["leopardi"])
+    frobenius = staticmethod(lambda: BUILTIN_SCHEMES["frobenius"])
+    operator = staticmethod(lambda: BUILTIN_SCHEMES["operator"])
+    trace = staticmethod(lambda: BUILTIN_SCHEMES["trace"])
+    weighted = staticmethod(weighted_realization)
+
+    @staticmethod
+    def linear(family: FamilyRule, name: str | None = None) -> LinearScheme:
+        return LinearScheme(family, name or getattr(family, "__name__", "custom"))
+
+
+def resolve_scheme(scheme) -> Realization | LinearScheme:
+    """The one object of a scheme: a Realization if it is uniform, a LinearScheme
+    if it is linear. Such an object is returned as it is; a string is a built-in
+    name or a descriptor a report records: ``frobenius``,
+    ``uniform(frobenius)``, ``weighted(leopardi_weights)`` or
+    ``weighted(frobenius_weights)``. The result's ``describe()`` is the one
+    descriptor of the scheme, whichever form named it."""
+    if isinstance(scheme, (Realization, LinearScheme)):
         return scheme
     if isinstance(scheme, str):
         for name, realization in BUILTIN_SCHEMES.items():
-            if scheme in (name, realization.describe()):
+            if scheme in (name, f"uniform({name})"):
                 return realization
             rule = realization.weights
             if rule is not None and scheme == f"weighted({rule.__name__})":
                 return weighted_realization(rule)
         raise ConfigurationError(f"unknown scheme {scheme!r}")
-    if not isinstance(scheme, QuotientScheme):
-        raise ConfigurationError(f"expected a scheme name, QuotientScheme or Realization, "
-                                 f"got {scheme!r}")
-    if scheme.kind == "weighted":
-        return weighted_realization(scheme.weight_rule, scheme.label)
-    if scheme.kind == "linear":
-        return scheme
-    return BUILTIN_SCHEMES[scheme.kind]
+    raise ConfigurationError(f"expected a scheme name, a Realization or a linear scheme, "
+                             f"got {scheme!r}")
 
 
 def realization_for(scheme) -> Realization:
@@ -396,8 +393,8 @@ def realize(scheme, a: Matrix) -> Divisor | LinearDivisor:
     """
     realization = resolve_scheme(scheme)
     _check_nonzero(a)
-    if not isinstance(realization, Realization):
-        return LinearDivisor(realization.q_family, a)
+    if isinstance(realization, LinearScheme):
+        return LinearDivisor(realization.family, a)
     decomposition = svd(a) if realization.q_of is _operator_q else None
     try:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, UnsupportedInputError
+from .errors import ConvergenceError, UnsupportedInputError
 from .matrix import Matrix, _exponent, _ldexp
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -325,15 +325,3 @@ def svd(a: Matrix) -> SvdResult:
     return SvdResult(u=Matrix.from_array(u), sigma=scaled_back, v=Matrix.from_array(v),
                      sweeps=sweeps, rotations=rotations, offdiag_ratio=ratio)
 
-
-def operator_norm(a: Matrix) -> float:
-    """Largest singular value; zero exactly when the matrix is zero."""
-    return svd(a).sigma[0]
-
-
-def leading_pair(a: Matrix) -> tuple[Matrix, float, Matrix]:
-    """Leading singular triple (u1, sigma1, v1) with u1' A v1 = sigma1 > 0."""
-    if a.is_zero():
-        raise DegenerateInputError("the zero matrix has no leading singular pair")
-    result = svd(a)
-    return result.u.column(1), result.sigma[0], result.v.column(1)

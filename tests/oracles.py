@@ -10,12 +10,14 @@ import math
 import numpy as np
 
 from kronquot import (
+    DegenerateInputError,
     FactorShape,
     Matrix,
     UnsupportedInputError,
     ZeroDivisorError,
     format_scalar,
     kron,
+    svd,
 )
 from kronquot.quotients import ZERO_THRESHOLD
 
@@ -131,8 +133,10 @@ def vanloan_factor(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
 def family_from_realization(realization):
     """The component family of a uniform quotient: diagonal copies of Q(A).
 
-    Fed to ``QuotientScheme.linear``, it evaluates the uniform quotient through
-    the general linear path, a second route to ``left_quotient``.
+    Fed to ``QuotientScheme.linear``, it makes a linear scheme that evaluates
+    the uniform quotient of ``realization`` (a Realization, such as
+    ``realization_for("frobenius")``) through the general linear path, a
+    second route to ``left_quotient``.
     """
 
     def family(a: Matrix, s: int, t: int):
@@ -176,3 +180,16 @@ def jacobi_eigenvalues(h: Matrix, tol: float = 1e-13, max_sweeps: int = 100) -> 
                 rot[q, q] = c * np.conj(phase)
                 a = rot.conj().T @ a @ rot
     return sorted((float(x.real) for x in np.diag(a)), reverse=True)
+
+
+def operator_norm(a: Matrix) -> float:
+    """Largest singular value; zero exactly when the matrix is zero."""
+    return svd(a).sigma[0]
+
+
+def leading_pair(a: Matrix) -> tuple[Matrix, float, Matrix]:
+    """Leading singular triple (u1, sigma1, v1) with u1' A v1 = sigma1 > 0."""
+    if a.is_zero():
+        raise DegenerateInputError("the zero matrix has no leading singular pair")
+    result = svd(a)
+    return result.u.column(1), result.sigma[0], result.v.column(1)

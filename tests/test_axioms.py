@@ -27,6 +27,7 @@ from kronquot import (
 )
 import kronquot.singular as singular
 from kronquot.matfile import from_line
+from kronquot.quotients import resolve_scheme
 from oracles import NzIndex, family_from_realization
 
 
@@ -339,6 +340,39 @@ def test_failing_trials_are_pinned_and_replay_exactly(make, scheme, trial):
     assert report.verdict == "fails"
     assert report.counterexample.trial == trial
     assert replay_counterexample(report, scheme) == report.max_residual
+
+
+# every descriptor string a report may record, old and new
+DESCRIPTORS = ["leopardi", "frobenius", "operator", "trace",
+               "uniform(leopardi)", "uniform(frobenius)", "uniform(operator)", "uniform(trace)",
+               "weighted(leopardi_weights)", "weighted(frobenius_weights)"]
+# spanning, with nonzero traces, and not biorthonormal under any built-in Q
+NONZERO_TRACE_BASIS = [Matrix.identity(2), Matrix.unit(2, 2, 1, 1),
+                       Matrix.from_rows([[1, 1], [0, 0]]), Matrix.from_rows([[1, 0], [1, 0]])]
+
+
+@pytest.mark.parametrize("descriptor", DESCRIPTORS)
+def test_every_descriptor_replays_and_resolves_again(descriptor):
+    # the trace rule satisfies Q5R, so only its projection report fails
+    reports = [check_projection(NONZERO_TRACE_BASIS, descriptor, 20, 42, 3)]
+    if "trace" not in descriptor:
+        reports.append(check_axiom("Q5R", descriptor, 20, 42, 3))
+    canonical = resolve_scheme(descriptor).describe()
+    for report in reports:
+        assert report.verdict == "fails"
+        assert report.scheme == canonical
+        # the report replays under the string it was checked with, under the
+        # descriptor it records, and as an old report that recorded that string
+        assert replay_counterexample(report, descriptor) == report.max_residual
+        assert replay_counterexample(report) == report.max_residual
+        old = dataclasses.replace(report, scheme=descriptor)
+        assert replay_counterexample(old) == report.max_residual
+    # the recorded descriptor names the same scheme: the checks repeat bit for bit
+    assert resolve_scheme(canonical).describe() == canonical
+    again = [check_projection(NONZERO_TRACE_BASIS, canonical, 20, 42, 3)]
+    if "trace" not in descriptor:
+        again.append(check_axiom("Q5R", canonical, 20, 42, 3))
+    assert [r.to_json() for r in again] == [r.to_json() for r in reports]
 
 
 def test_replay_requires_counterexample():

@@ -44,6 +44,8 @@ def test_parse_scalar(token, value):
 @pytest.mark.parametrize("token", [
     "1+2j", "(1+2i)", "nan", "inf", "-inf", "1e", "++1", "1 2", "", "2ii", "1.2.3",
     "i5", "1+2", "--1",
+    # decimal digits outside ASCII 0-9, which complex() reads but the grammar excludes
+    "١", "2٩i", "1+۲i", "1e१", "１",
 ])
 def test_parse_scalar_rejects(token):
     with pytest.raises(MatrixFormatError):
@@ -199,6 +201,11 @@ _REJECTS = [
     ("# c\n\n2 2\n1 2\n# between rows\n\n3 4x\n", 7, "'4x'"),
     ("# c\n2 2\n\n1 2 3\n3 4\n", 4, "row 1 has 3 token(s)"),
     ("1 3\n1 2+i nan\n", 2, "'nan'"),
+    # Arabic-Indic, extended Arabic-Indic, Devanagari and fullwidth digits
+    ("1 2\n١ 2٩i\n", 2, "'١'"),
+    ("1 2\n1 2٩i\n", 2, "'2٩i'"),
+    ("1 2\n1+۲i 1e१\n", 2, "'1+۲i'"),
+    ("1 1\n１\n", 2, "'１'"),
 ]
 
 

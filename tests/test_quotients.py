@@ -24,6 +24,9 @@ from kronquot import (
     UnsupportedInputError,
     ZeroDivisorError,
     allclose,
+    check_axiom,
+    check_projection,
+    check_realization_conditions,
     frobenius_weights,
     is_divisor,
     kron,
@@ -37,6 +40,7 @@ from kronquot import (
     remainder,
     right_quotient,
     trace_realization,
+    weighted_realization,
 )
 from kronquot.singular import svd
 from oracles import (
@@ -46,6 +50,11 @@ from oracles import (
     shuffle_by_index,
     vanloan_factor,
 )
+
+# a basis of the 2x2 matrices, and one whose elements all have nonzero trace
+_UNIT_BASIS = [Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)]
+_TRACE_BASIS = [Matrix.unit(2, 2, 1, 1), Matrix.unit(2, 2, 2, 2),
+                Matrix.from_rows([[1, 1], [0, 0]]), Matrix.from_rows([[1, 0], [1, 0]])]
 
 SCHEMES = {
     "leopardi": QuotientScheme.leopardi(),
@@ -411,17 +420,20 @@ class TestDispatchAndErrors:
 
     @pytest.mark.parametrize("name", ["leopardi", "frobenius", "operator", "trace"])
     def test_every_naming_form_agrees(self, name):
-        # a built-in name, its QuotientScheme and its realization are one scheme
+        # a built-in name, its QuotientScheme call, its realization and its
+        # uniform(...) descriptor are one scheme
         rng = np.random.default_rng(83)
         a = random_nonzero(rng, 2, 2, need_trace=True)
         b = random_nonzero(rng, 2, 2, need_trace=True)
         exact = kron(a, b)
         noisy = exact + random_matrix(rng, 4, 4)
         shape = FactorShape(2, 2, 2, 2)
-        forms = [name, getattr(QuotientScheme, name)(), BUILTIN_SCHEMES[name]]
-        # the registry holds the scheme itself: a name resolves to that one record
-        assert resolve_scheme(forms[0]) is BUILTIN_SCHEMES[name]
-        assert resolve_scheme(forms[1]) is BUILTIN_SCHEMES[name]
+        forms = [name, getattr(QuotientScheme, name)(), BUILTIN_SCHEMES[name],
+                 realization_for(name), f"uniform({name})"]
+        # the registry holds the scheme itself: every form resolves to that one record
+        assert getattr(QuotientScheme, name)() is BUILTIN_SCHEMES[name]
+        for scheme in forms:
+            assert resolve_scheme(scheme) is BUILTIN_SCHEMES[name]
 
         def results(scheme):
             return ([op(scheme, a, mat, shape).to_array().tobytes()
@@ -434,6 +446,20 @@ class TestDispatchAndErrors:
         assert first[-2:] == [True, False]
         for scheme in forms[1:]:
             assert results(scheme) == first
+
+        # and every form records the bare name in every report
+        basis = _TRACE_BASIS if name == "trace" else _UNIT_BASIS
+
+        def reports(scheme):
+            return [check_axiom("Q1", scheme, 4, 42, 3),
+                    check_projection(basis, scheme, 4, 42, 3),
+                    check_realization_conditions(scheme, 4, 42, 3)]
+
+        first = [report.to_json() for report in reports(forms[0])]
+        for scheme in forms:
+            got = reports(scheme)
+            assert [report.scheme for report in got] == [name] * 3
+            assert [report.to_json() for report in got] == first
 
     def test_declared_weights(self):
         declared = {name: realization.weights for name, realization in BUILTIN_SCHEMES.items()}
@@ -605,12 +631,16 @@ ERROR_PATHS = [
     pytest.param(lambda: realize(Realization(lambda a: Matrix.identity(3)), Matrix.identity(2)),
                  InvalidRealizationError, "divisor's shape", id="realization-shape"),
     pytest.param(lambda: resolve_scheme(42), ConfigurationError, "got 42", id="scheme-type"),
-    pytest.param(lambda: QuotientScheme(kind="nonesuch"), ConfigurationError,
-                 "unknown scheme kind 'nonesuch'", id="kind"),
-    pytest.param(lambda: QuotientScheme(kind="weighted"), ConfigurationError,
-                 "weighted scheme needs a weight rule", id="weighted-no-rule"),
-    pytest.param(lambda: QuotientScheme(kind="linear"), ConfigurationError,
-                 "linear scheme needs a component family", id="linear-no-family"),
+    pytest.param(lambda: weighted_realization(None), ConfigurationError,
+                 "weighted scheme needs a weight rule, got None", id="weighted-no-rule"),
+    pytest.param(lambda: QuotientScheme.linear(None), ConfigurationError,
+                 "linear scheme needs a component family, got None", id="linear-no-family"),
+    pytest.param(lambda: QuotientScheme.weighted("nope"), ConfigurationError,
+                 "weighted scheme needs a weight rule, got 'nope'",
+                 id="weighted-rule-not-callable"),
+    pytest.param(lambda: QuotientScheme.linear("nope"), ConfigurationError,
+                 "linear scheme needs a component family, got 'nope'",
+                 id="linear-family-not-callable"),
 ]
 
 

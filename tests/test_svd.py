@@ -12,12 +12,10 @@ from kronquot import (
     DegenerateInputError,
     Matrix,
     UnsupportedInputError,
-    leading_pair,
-    operator_norm,
     relative_residual,
     svd,
 )
-from oracles import jacobi_eigenvalues
+from oracles import jacobi_eigenvalues, leading_pair, operator_norm
 
 
 def random_matrix(rng, rows, cols):
