@@ -15,7 +15,6 @@ order and then divides on the left.
 """
 
 from .axioms import (
-    REAL_SCALARS,
     SCALARS,
     TOLERANCE,
     AxiomReport,
@@ -31,7 +30,6 @@ from .errors import (
     BlockIndexError,
     ConfigurationError,
     ConvergenceError,
-    DegenerateInputError,
     InvalidFamilyError,
     InvalidRealizationError,
     InvalidWeightsError,
@@ -51,7 +49,7 @@ from .matfile import (
     read_matrix,
     write_matrix,
 )
-from .matrix import FactorShape, Matrix, allclose, block, kron, relative_residual
+from .matrix import FactorShape, Matrix, block, kron, relative_residual
 from .pfp import pfp, pfp_scalar
 from .quotients import (
     Divisor,
@@ -78,7 +76,6 @@ __all__ = [
     "ConfigurationError",
     "ConvergenceError",
     "Counterexample",
-    "DegenerateInputError",
     "Divisor",
     "FactorShape",
     "InvalidFamilyError",
@@ -89,7 +86,6 @@ __all__ = [
     "MatrixFormatError",
     "NonFiniteEntryError",
     "QuotientScheme",
-    "REAL_SCALARS",
     "Realization",
     "SCALARS",
     "ShapeError",
@@ -98,7 +94,6 @@ __all__ = [
     "TOLERANCE",
     "UnsupportedInputError",
     "ZeroDivisorError",
-    "allclose",
     "block",
     "check_axiom",
     "check_projection",

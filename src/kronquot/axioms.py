@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from functools import partial
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
@@ -47,7 +48,6 @@ TOLERANCE = 1e-8
 # Scalar draws for the homogeneity axioms; the complex values expose
 # rules that scale with conj(k) or |k| instead of k.
 SCALARS = (2 + 0j, -2 + 0j, 0.5 + 0j, -0.5 + 0j, 1j, 1 + 1j)
-REAL_SCALARS = (2 + 0j, -2 + 0j, 0.5 + 0j, -0.5 + 0j)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -349,13 +349,40 @@ def _run_trials(draw, evaluate, trials: int, seed: int):
     return worst, worst_trial, worst_inputs, maxima, by_real_k.get(True), by_real_k.get(False)
 
 
-def _validate_common(trials: int, seed: int, max_dim: int) -> None:
+def _as_int(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _validate_common(trials, seed, max_dim) -> tuple[int, int, int]:
+    """trials, seed and max_dim as ints, once each is an integer in its range."""
+    trials = _as_int(trials, "trials")
+    seed = _as_int(seed, "seed")
+    max_dim = _as_int(max_dim, "max_dim")
     if trials < 1:
         raise ConfigurationError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed}")
     if not 1 <= max_dim <= 6:
         raise ConfigurationError(f"max_dim must lie in 1..6, got {max_dim}")
+    return trials, seed, max_dim
+
+
+def _checked_descriptor(evaluator) -> str:
+    """The descriptor a check records for a scheme object; ConfigurationError when
+    that string resolves to another rule, which a replay would then evaluate."""
+    descriptor = evaluator.describe()
+    try:
+        named = resolve_scheme(descriptor)
+    except ConfigurationError:
+        return descriptor  # it names no built-in, so a replay needs ``scheme=``
+    if named.q_of is not evaluator.q_of and (evaluator.weights is None
+                                              or named.weights is not evaluator.weights):
+        raise ConfigurationError(f"scheme label {evaluator.label!r} would be recorded as "
+                                 f"{descriptor!r}, a different rule; choose another label")
+    return descriptor
 
 
 def _report(axiom: str, scheme: str, trials: int, seed: int, worst: float,
@@ -391,13 +418,12 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
     as an exact Kronecker product of the matching form, the regime
     where every quotient must comply.
     """
-    law = _LAWS.get(axiom)
-    if law is None or law.subject is not resolve_scheme:
-        expected = tuple(name for name, entry in _LAWS.items()
-                         if entry.subject is resolve_scheme)
-        raise ConfigurationError(f"unknown axiom {axiom!r}; expected one of {expected}")
-    _validate_common(trials, seed, max_dim)
+    if axiom not in _SCHEME_LAWS:
+        raise ConfigurationError(f"unknown axiom {axiom!r}; expected one of {_SCHEME_LAWS}")
+    law = _LAWS[axiom]
+    trials, seed, max_dim = _validate_common(trials, seed, max_dim)
     evaluator = resolve_scheme(scheme)
+    descriptor = _checked_descriptor(evaluator)
     draw = partial(law.draw, square=getattr(evaluator, "square_only", False),
                    sparse=getattr(evaluator, "support_sensitive", False), max_dim=max_dim,
                    restricted=restricted, scalars=scalars)
@@ -423,8 +449,7 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
             details.append(("max_residual_complex_k", complex_k[0]))
     if degenerate:
         details.append(("degenerate_leading_pairs", sum(degenerate)))
-    return _report(axiom, evaluator.describe(), trials, seed, worst, worst_trial,
-                   worst_inputs, details)
+    return _report(axiom, descriptor, trials, seed, worst, worst_trial, worst_inputs, details)
 
 
 # -- weight and realization condition checks ----------------------------
@@ -440,17 +465,19 @@ def weight_rule_for(scheme) -> WeightRule:
     return realization.weights
 
 
-def check_weight_conditions(weight_rule, trials: int, seed: int, max_dim: int = 4, *,
-                            name: str | None = None) -> AxiomReport:
+def check_weight_conditions(weight_rule, trials: int, seed: int,
+                            max_dim: int = 4) -> AxiomReport:
     """Check the two weight-rule identities that characterize Q1 and Q3.
 
     A weighted quotient transposes compatibly iff W(A^T) = W(A)^T, and
     composes over Kronecker products iff W(A kron B) = W(A) kron W(B).
     The report cross-runs check_axiom(Q1/Q3) on the induced weighted
-    scheme with the same seed and records whether the verdicts agree.
+    scheme, ``weighted_realization(weight_rule)``, with the same seed and
+    records whether the verdicts agree; its descriptor is the report's scheme.
     """
-    _validate_common(trials, seed, max_dim)
-    scheme = weighted_realization(weight_rule, name or getattr(weight_rule, "__name__", "custom"))
+    trials, seed, max_dim = _validate_common(trials, seed, max_dim)
+    scheme = weighted_realization(weight_rule)
+    descriptor = _checked_descriptor(scheme)
     law = _LAWS["Wcond"]
     worst, worst_trial, worst_inputs, (worst_t, worst_k), _, _ = _run_trials(
         partial(law.draw, max_dim=max_dim), partial(law.evaluate, weight_rule), trials, seed)
@@ -469,7 +496,7 @@ def check_weight_conditions(weight_rule, trials: int, seed: int, max_dim: int = 
         ("transpose_iff_q1", transpose_holds == q1.holds),
         ("kron_iff_q3", kron_holds == q3.holds),
     )
-    return _report("Wcond", scheme.describe(), trials, seed, worst,
+    return _report("Wcond", descriptor, trials, seed, worst,
                    worst_trial, worst_inputs, details)
 
 
@@ -484,9 +511,10 @@ def check_realization_conditions(realization, trials: int, seed: int, max_dim: i
     and is recorded under the ``*_iff_*`` detail keys. Divisors are
     square with nonzero trace when the realization is ``square_only``.
     """
-    _validate_common(trials, seed, max_dim)
+    trials, seed, max_dim = _validate_common(trials, seed, max_dim)
     law = _LAWS["Rcond"]
     realization = law.subject(realization)
+    descriptor = _checked_descriptor(realization)
     run = _run_trials(partial(law.draw, square_only=realization.square_only, max_dim=max_dim,
                               scalars=scalars), partial(law.evaluate, realization), trials, seed)
     worst, worst_trial, worst_inputs, (worst_t, worst_s, worst_k), real_k, complex_k = run
@@ -516,7 +544,7 @@ def check_realization_conditions(realization, trials: int, seed: int, max_dim: i
         ("scale_iff_q2b", s_holds == q2b.holds),
         ("kron_iff_q3", k_holds == q3.holds),
     ])
-    return _report("Rcond", realization.describe(), trials, seed, worst,
+    return _report("Rcond", descriptor, trials, seed, worst,
                    worst_trial, worst_inputs, details)
 
 
@@ -569,7 +597,7 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
     exactly when pfp_scalar(Q(A_j), A_k) = delta_jk. Both sides are
     measured; their verdicts are expected to agree.
     """
-    _validate_common(trials, seed, max_dim)
+    trials, seed, max_dim = _validate_common(trials, seed, max_dim)
     if not basis:
         raise ConfigurationError("empty basis")
     m, n = basis[0].rows, basis[0].cols
@@ -584,6 +612,7 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
 
     law = _LAWS["PROJ"]
     realization = law.subject(scheme)
+    descriptor = _checked_descriptor(realization)
     # the basis is realized once; biorthonormality depends on no draw, so the
     # trials evaluate reconstruction only
     divisors = [realize(realization, mat) for mat in basis]
@@ -606,7 +635,7 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
     )
     inputs = {f"basis.{idx + 1}": mat for idx, mat in enumerate(basis)}
     inputs["M"] = worst_inputs["M"]
-    return _report("PROJ", realization.describe(), trials, seed,
+    return _report("PROJ", descriptor, trials, seed,
                    max(biorth_worst, recon_worst), worst_trial, inputs, details,
                    verdict="holds" if biorth_holds and recon_holds else "fails")
 
@@ -749,6 +778,9 @@ _LAWS: dict[str, _Law] = {
     "Q5": _Law(lambda _, values: tuple(_q5_residuals(values).values())),
     "Q3xTR": _Law(lambda _, values: (relative_residual(*_rank_gap_sides(values)),)),
 }
+
+# the laws check_axiom runs, in table order: those stated on a scheme
+_SCHEME_LAWS = tuple(name for name, law in _LAWS.items() if law.subject is resolve_scheme)
 
 
 def replay_counterexample(report: AxiomReport, scheme=None) -> float:

@@ -22,6 +22,7 @@ import sys
 
 from . import matfile
 from .axioms import (
+    _SCHEME_LAWS,
     check_axiom,
     check_projection,
     check_weight_conditions,
@@ -103,7 +104,7 @@ def _cmd_pfp(args) -> int:
 def _cmd_check(args) -> int:
     if args.axiom == "Wcond":
         report = check_weight_conditions(weight_rule_for(args.scheme), args.trials, args.seed,
-                                         args.dims, name=args.scheme)
+                                         args.dims)
     elif args.axiom == "Proj":
         if BUILTIN_SCHEMES[args.scheme].square_only:
             # E12 and E21 have trace 0; E11, E22, E11+E12, E11+E21 span with trace 1
@@ -176,8 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pfp)
 
     p = sub.add_parser("check", help="randomized axiom check; exit 0 holds, 1 fails")
-    p.add_argument("--axiom", choices=["Q1", "Q2a", "Q2b", "Q3", "Q5R", "Wcond", "Proj"],
-                   required=True)
+    p.add_argument("--axiom", choices=[*_SCHEME_LAWS, "Wcond", "Proj"], required=True)
     p.add_argument("--scheme", choices=sorted(BUILTIN_SCHEMES), required=True)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=42)

@@ -67,10 +67,6 @@ class UnsupportedInputError(KronError):
     """Input is outside the operation's declared domain."""
 
 
-class DegenerateInputError(KronError):
-    """Input admits no well-defined answer (e.g. leading pair of 0)."""
-
-
 class ConfigurationError(KronError):
     """Invalid configuration of a property check."""
 

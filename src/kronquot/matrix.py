@@ -125,11 +125,6 @@ class Matrix:
         return cls.from_array(a)
 
     @classmethod
-    def basis_column(cls, n: int, i: int) -> Matrix:
-        """The i-th standard basis column vector of length n (1-based)."""
-        return cls.unit(n, 1, i, 1)
-
-    @classmethod
     def ones(cls, rows: int, cols: int) -> Matrix:
         return cls.from_array(np.ones((_as_positive_int(rows, "rows"),
                                        _as_positive_int(cols, "cols"))))
@@ -175,10 +170,6 @@ class Matrix:
 
     def conjugate(self) -> Matrix:
         return Matrix.from_array(self._a.conj())
-
-    def adjoint(self) -> Matrix:
-        """Conjugate transpose."""
-        return Matrix.from_array(self._a.conj().T)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -306,13 +297,6 @@ def block(m: Matrix, shape: FactorShape, i: int, j: int) -> Matrix:
         raise BlockIndexError(f"block ({i},{j}) outside the {shape.m}x{shape.n} block grid")
     s, t = shape.s, shape.t
     return Matrix.from_array(m._a[(i - 1) * s : i * s, (j - 1) * t : j * t])
-
-
-def allclose(a: Matrix, b: Matrix, *, rtol: float = 1e-10, atol: float = 1e-12) -> bool:
-    """Entrywise |a - b| <= atol + rtol * |b|, the package's equality metric."""
-    if a.shape != b.shape:
-        return False
-    return bool(np.allclose(a._a, b._a, rtol=rtol, atol=atol))
 
 
 def _squares(arr: np.ndarray) -> float:

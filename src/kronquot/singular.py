@@ -67,7 +67,7 @@ _VECTORIZE_FROM_COLS = 9
 
 @dataclasses.dataclass(frozen=True)
 class SvdResult:
-    """Decomposition A = u * Sigma * v.adjoint() with sigma on Sigma's diagonal.
+    """Decomposition A = u * Sigma * v.conjugate().transpose(), sigma on Sigma's diagonal.
 
     The last three fields report the Jacobi run: ``sweeps`` made (the last
     one rotated nothing), plane ``rotations`` applied, and ``offdiag_ratio``,
@@ -81,12 +81,6 @@ class SvdResult:
     sweeps: int
     rotations: int
     offdiag_ratio: float
-
-    def reconstruct(self) -> Matrix:
-        sig = np.zeros((self.u.rows, self.v.rows), dtype=np.complex128)
-        for k, value in enumerate(self.sigma):
-            sig[k, k] = value
-        return Matrix.from_array(self.u.to_array() @ sig @ self.v.to_array().conj().T)
 
 
 class _Schedule(NamedTuple):

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 Everything here recomputes results by literal index arithmetic or by a
-different algorithm than the library, so agreement is meaningful.
+different algorithm than the library, so agreement is meaningful. The
+tests' entrywise equality metric, ``allclose``, lives here too.
 """
 
 import dataclasses
@@ -10,9 +11,10 @@ import math
 import numpy as np
 
 from kronquot import (
-    DegenerateInputError,
     FactorShape,
+    KronError,
     Matrix,
+    SvdResult,
     UnsupportedInputError,
     ZeroDivisorError,
     format_scalar,
@@ -20,6 +22,25 @@ from kronquot import (
     svd,
 )
 from kronquot.quotients import ZERO_THRESHOLD
+
+
+class DegenerateInputError(KronError):
+    """Input admits no well-defined answer: :func:`leading_pair` of the zero matrix."""
+
+
+def allclose(a: Matrix, b: Matrix, *, rtol: float = 1e-10, atol: float = 1e-12) -> bool:
+    """Entrywise |a - b| <= atol + rtol * |b|, the tests' equality metric."""
+    if a.shape != b.shape:
+        return False
+    return bool(np.allclose(a.to_array(), b.to_array(), rtol=rtol, atol=atol))
+
+
+def reconstruct(result: SvdResult) -> Matrix:
+    """u * Sigma * v' from a decomposition's three factors."""
+    sig = np.zeros((result.u.rows, result.v.rows), dtype=np.complex128)
+    for k, value in enumerate(result.sigma):
+        sig[k, k] = value
+    return Matrix.from_array(result.u.to_array() @ sig @ result.v.to_array().conj().T)
 
 
 def kron_by_index(a: Matrix, b: Matrix) -> Matrix:
@@ -122,9 +143,9 @@ def vanloan_factor(a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     eye_n = Matrix.identity(nn)
     out = np.zeros((s, t), dtype=np.complex128)
     for i in range(1, s + 1):
-        left = kron(eye_m, Matrix.basis_column(s, i)).transpose()
+        left = kron(eye_m, Matrix.unit(s, 1, i, 1)).transpose()
         for j in range(1, t + 1):
-            right = kron(eye_n, Matrix.basis_column(t, j))
+            right = kron(eye_n, Matrix.unit(t, 1, j, 1))
             m_tilde = left @ m @ right
             out[i - 1, j - 1] = (m_tilde.transpose() @ a).trace() / norm2
     return Matrix.from_array(out)

@@ -2,16 +2,19 @@
 
 import dataclasses
 import json
+import re
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
 
 from kronquot import (
     ConfigurationError,
+    Counterexample,
     Matrix,
     QuotientScheme,
-    REAL_SCALARS,
+    Realization,
     TOLERANCE,
     check_axiom,
     check_projection,
@@ -26,9 +29,12 @@ from kronquot import (
     weighted_realization,
 )
 import kronquot.singular as singular
-from kronquot.matfile import from_line
-from kronquot.quotients import resolve_scheme
+from kronquot.matfile import from_line, to_line
+from kronquot.quotients import BUILTIN_SCHEMES, resolve_scheme
 from oracles import NzIndex, family_from_realization
+
+# the real values of SCALARS, for draws of real scalars only
+REAL_SCALARS = (2 + 0j, -2 + 0j, 0.5 + 0j, -0.5 + 0j)
 
 
 def skew_weights(a):
@@ -142,7 +148,8 @@ class TestCheckAxiom:
         assert a.max_residual != b.max_residual
 
     def test_configuration_errors(self):
-        with pytest.raises(ConfigurationError):
+        expected = "expected one of ('Q1', 'Q2a', 'Q2b', 'Q3', 'Q5R')"
+        with pytest.raises(ConfigurationError, match=re.escape(expected)):
             check_axiom("Q9", "leopardi", 10, 1, 4)
         with pytest.raises(ConfigurationError):
             check_axiom("Q1", "nonesuch", 10, 1, 4)
@@ -152,6 +159,21 @@ class TestCheckAxiom:
             check_axiom("Q1", "leopardi", 10, -3, 4)
         with pytest.raises(ConfigurationError):
             check_axiom("Q1", "leopardi", 10, 1, 9)
+        checks = [partial(check_axiom, "Q1", "leopardi"),
+                  partial(check_weight_conditions, leopardi_weights),
+                  partial(check_realization_conditions, "leopardi"),
+                  partial(check_projection, UNIT_BASIS, "frobenius")]
+        for name, bad in [("seed", 1.5), ("trials", 2.5), ("seed", "1"), ("max_dim", 2.5)]:
+            args = {"trials": 10, "seed": 1, "max_dim": 4, name: bad}
+            for check in checks:
+                with pytest.raises(ConfigurationError, match=f"^{name} must be an integer"):
+                    check(**args)
+        # True and numpy integers are integers, and reports record them as ints
+        for check in checks:
+            report = check(True, np.int64(7), np.int32(2))
+            assert (report.trials, report.seed) == (1, 7)
+            assert type(report.trials) is int and type(report.seed) is int
+            json.loads(report.to_json())
 
 
 class TestSerialization:
@@ -279,6 +301,15 @@ class TestProjection:
         with pytest.raises(ConfigurationError):
             check_projection(UNIT_BASIS, scheme, 10, 42)
 
+    @pytest.mark.parametrize("basis,text", [
+        ([], "empty basis"),
+        ([Matrix.identity(2), Matrix.zero(1, 2)], "share one shape"),
+        ([Matrix.zero(2, 2)] * 4, "does not span"),
+    ], ids=["empty", "mixed-shapes", "rank-0"])
+    def test_malformed_basis_rejected(self, basis, text):
+        with pytest.raises(ConfigurationError, match=text):
+            check_projection(basis, "frobenius", 10, 42)
+
 
 class TestDemos:
     def test_three_failing_reports_with_witnesses(self):
@@ -380,6 +411,67 @@ def test_replay_requires_counterexample():
     assert report.holds
     with pytest.raises(ConfigurationError):
         replay_counterexample(report)
+
+
+def test_replay_rejects_a_doctored_report():
+    report = check_axiom("Q5R", "frobenius", 20, 42, 3)
+    with pytest.raises(ConfigurationError, match="cannot replay axiom 'Q9'"):
+        replay_counterexample(dataclasses.replace(report, axiom="Q9"))
+    inputs = (("A", to_line(Matrix.identity(2))), ("M", to_line(Matrix.identity(3))))
+    doctored = dataclasses.replace(report, axiom="Q1", counterexample=Counterexample(
+        trial=0, residual=1.0, inputs=inputs))
+    with pytest.raises(ConfigurationError, match="3x3 is not block-compatible with divisor 2x2"):
+        replay_counterexample(doctored)
+
+
+LEOPARDI_Q = BUILTIN_SCHEMES["leopardi"].q_of
+
+
+class TestRecordedDescriptor:
+    """No check records a descriptor that resolves to a rule other than the one it
+    evaluated, so a replay without ``scheme=`` never evaluates the wrong rule."""
+
+    def test_a_label_naming_another_rule_is_rejected(self):
+        impostor = Realization(LEOPARDI_Q, "frobenius", support_sensitive=True)
+        checks = [partial(check_axiom, "Q5R", impostor),
+                  partial(check_realization_conditions, impostor),
+                  partial(check_projection, UNIT_BASIS, impostor)]
+        for check in checks:
+            with pytest.raises(ConfigurationError, match="label 'frobenius'"):
+                check(20, 42, 3)
+
+        def rule(a):
+            return frobenius_weights(a)
+
+        rule.__name__ = "leopardi_weights"
+        with pytest.raises(ConfigurationError, match="label 'leopardi_weights'"):
+            check_weight_conditions(rule, 20, 42, 3)
+
+    def test_relabelled_the_rule_replays_only_as_itself(self):
+        relabelled = Realization(LEOPARDI_Q, "mine", support_sensitive=True)
+        report = check_axiom("Q5R", relabelled, 20, 42, 3)
+        assert report.scheme == "uniform(mine)"
+        assert report.max_residual == 1.7607529597249447
+        assert replay_counterexample(report, relabelled) == report.max_residual
+        with pytest.raises(ConfigurationError, match="unknown scheme 'uniform\\(mine\\)'"):
+            replay_counterexample(report)
+
+    @pytest.mark.parametrize("name", ["operator", "trace"])
+    def test_an_equal_copy_of_a_builtin_checks(self, name):
+        copy = dataclasses.replace(BUILTIN_SCHEMES[name], support_sensitive=False)
+        assert copy == BUILTIN_SCHEMES[name] and copy is not BUILTIN_SCHEMES[name]
+        report = check_axiom("Q1", copy, 20, 42, 3)
+        assert report.scheme == f"uniform({name})"
+        assert dataclasses.replace(report, scheme=name) == check_axiom("Q1", name, 20, 42, 3)
+        assert check_realization_conditions(name, 20, 42, 3).scheme == name
+
+    def test_a_weighted_rule_replays_under_its_descriptor(self):
+        scheme = weighted_realization(leopardi_weights)
+        report = check_axiom("Q5R", scheme, 20, 42, 3)
+        assert report.scheme == "weighted(leopardi_weights)"
+        assert resolve_scheme(report.scheme) is not scheme
+        assert replay_counterexample(report) == report.max_residual
+        assert replay_counterexample(report, scheme) == report.max_residual
 
 
 class TestIffConsistencyAtFullTrials:

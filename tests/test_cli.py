@@ -10,8 +10,17 @@ import pytest
 
 import kronquot.singular as singular
 from kronquot import cli
-from kronquot import Matrix, kron, pfp, read_matrix, relative_residual, write_matrix
+from kronquot import (
+    Matrix,
+    check_weight_conditions,
+    kron,
+    pfp,
+    read_matrix,
+    relative_residual,
+    write_matrix,
+)
 from kronquot.cli import main
+from kronquot.quotients import BUILTIN_SCHEMES, resolve_scheme
 
 
 @pytest.fixture
@@ -162,6 +171,18 @@ class TestCheckCommand:
         assert code == 2
         assert "weighted scheme" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scheme", ["leopardi", "frobenius"])
+    def test_weight_conditions_record_the_library_descriptor(self, scheme, capsys):
+        code = main(["check", "--axiom", "Wcond", "--scheme", scheme,
+                     "--trials", "20", "--seed", "42", "--json"])
+        assert code == 0
+        out = capsys.readouterr().out
+        rule = BUILTIN_SCHEMES[scheme].weights
+        assert out == check_weight_conditions(rule, 20, 42).to_json() + "\n"
+        descriptor = json.loads(out)["scheme"]
+        assert descriptor == f"weighted({scheme}_weights)"
+        assert resolve_scheme(descriptor).weights is rule
+
     def test_projection_check(self, capsys):
         code = main(["check", "--axiom", "Proj", "--scheme", "frobenius",
                      "--trials", "20", "--seed", "42"])
@@ -234,6 +255,10 @@ class TestErrorExits:
                      str(paths["A"]), str(paths["M"])]) == 2
         assert main(["quot", "--scheme", "leopardi", "--shape", "2,2,2,x",
                      str(paths["A"]), str(paths["M"])]) == 2
+        capsys.readouterr()
+        assert main(["quot", "--scheme", "leopardi", "--shape", "2,2,0,2",
+                     str(paths["A"]), str(paths["M"])]) == 2
+        assert "--shape components must be positive, got '2,2,0,2'" in capsys.readouterr().err
 
     def test_unknown_scheme_is_usage_error(self, fixtures):
         _, paths, _ = fixtures

@@ -1,22 +1,23 @@
 """Matrix core: construction, kron, blocks, reductions, product laws."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+import kronquot.matrix as matrix_mod
 from kronquot import (
     BlockIndexError,
     FactorShape,
     Matrix,
     NonFiniteEntryError,
     ShapeError,
-    allclose,
     block,
     kron,
     relative_residual,
 )
-from oracles import kron_by_index
+from oracles import allclose, kron_by_index
 
 
 def random_matrix(rng, rows, cols, integer=False):
@@ -42,6 +43,21 @@ class TestConstruction:
         with pytest.raises(ShapeError):
             Matrix.zero(2, -1)
 
+    @pytest.mark.parametrize("make,error,text", [
+        (lambda: Matrix(2.5, 1, [1, 2]), ShapeError, "rows must be an integer"),
+        (lambda: Matrix.from_rows([]), ShapeError, "at least one row"),
+        (lambda: Matrix.from_rows([[1, 2], [3]]), ShapeError, "unequal lengths"),
+        (lambda: Matrix.from_array(np.zeros(3)), ShapeError, "ndim=1"),
+        (lambda: Matrix.from_array(np.zeros((0, 2))), ShapeError, "must be positive"),
+        (lambda: Matrix.diagonal([]), ShapeError, "at least one value"),
+        (lambda: Matrix.unit(2, 2, 3, 1), BlockIndexError, "entry (3,1)"),
+        (lambda: Matrix.identity(2).column(3), BlockIndexError, "column 3"),
+    ], ids=["non-integer", "no-rows", "ragged", "ndim", "empty-dim", "diagonal",
+            "unit-index", "column-index"])
+    def test_malformed_construction_names_the_fault(self, make, error, text):
+        with pytest.raises(error, match=re.escape(text)):
+            make()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0, float("nan"))])
     def test_rejects_non_finite(self, bad):
         with pytest.raises(NonFiniteEntryError):
@@ -66,7 +82,11 @@ class TestConstruction:
 
     def test_unit_and_basis_column(self):
         assert Matrix.unit(2, 3, 1, 2) == Matrix.from_rows([[0, 1, 0], [0, 0, 0]])
-        assert Matrix.basis_column(3, 2) == Matrix.from_rows([[0], [1], [0]])
+        assert Matrix.unit(3, 1, 2, 1) == Matrix.from_rows([[0], [1], [0]])
+
+    def test_repr_round_trips(self):
+        m = Matrix.from_rows([[1, 0.1, -2.5e-300], [1 / 3 + 2j, -1j, 0]])
+        assert eval(repr(m), {"Matrix": Matrix}) == m
 
     def test_entries_are_row_major(self):
         assert Matrix.from_rows([[1, 2], [3, 4]]).entries == (1, 2, 3, 4)
@@ -90,6 +110,11 @@ class TestKron:
     def test_zero_annihilates(self):
         b = Matrix.from_rows([[1, 2], [3, 4]])
         assert kron(Matrix.zero(1, 1), b) == Matrix.zero(2, 2)
+
+    def test_size_beyond_the_index_range_rejected(self, monkeypatch):
+        monkeypatch.setattr(matrix_mod, "_MAX_INDEX", 3)
+        with pytest.raises(ShapeError, match="index range"):
+            kron(Matrix.identity(2), Matrix.identity(2))
 
     def test_matches_index_oracle(self):
         # 1-ulp slack: the vectorized product kernel may fuse multiply-adds
@@ -159,8 +184,9 @@ class TestEntrywiseOps:
     def test_adjoint_is_involution(self):
         rng = np.random.default_rng(7)
         a = random_matrix(rng, 3, 2)
-        assert a.adjoint().adjoint() == a
-        assert a.adjoint() == a.conjugate().transpose()
+        adjoint = a.conjugate().transpose()
+        assert adjoint.conjugate().transpose() == a
+        assert adjoint == Matrix.from_array(a.to_array().conj().T)
 
 
 class TestReductions:
@@ -310,3 +336,25 @@ class TestComparisons:
     def test_matmul_shape_error(self):
         with pytest.raises(ShapeError):
             Matrix.zero(2, 3) @ Matrix.zero(2, 3)
+
+    def test_add_and_subtract_need_one_shape(self):
+        with pytest.raises(ShapeError, match="cannot add a 2x3 and a 3x2"):
+            Matrix.zero(2, 3) + Matrix.zero(3, 2)
+        with pytest.raises(ShapeError, match="cannot subtract a 2x3 and a 3x2"):
+            Matrix.zero(2, 3) - Matrix.zero(3, 2)
+
+    def test_relative_residual_needs_one_shape(self):
+        with pytest.raises(ShapeError, match="cannot compare a 2x3 and a 3x2"):
+            relative_residual(Matrix.zero(2, 3), Matrix.zero(3, 2))
+
+    def test_operators_decline_non_matrices(self):
+        m = Matrix.identity(2)
+        for op in (lambda: m + 1, lambda: m - 1, lambda: m @ 1):
+            with pytest.raises(TypeError):
+                op()
+        assert m.__eq__(1) is NotImplemented
+        assert m != 1
+
+    def test_matrix_division_rejected(self):
+        with pytest.raises(TypeError, match="quotient schemes"):
+            Matrix.identity(2) / Matrix.identity(2)

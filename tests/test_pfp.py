@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from kronquot import Matrix, ShapeError, allclose, kron, pfp, pfp_scalar, relative_residual
-from oracles import pfp_by_double_sum
+from kronquot import Matrix, ShapeError, kron, pfp, pfp_scalar, relative_residual
+from oracles import allclose, pfp_by_double_sum
 
 
 def random_matrix(rng, rows, cols):

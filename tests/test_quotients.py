@@ -23,7 +23,6 @@ from kronquot import (
     SingularRealizationError,
     UnsupportedInputError,
     ZeroDivisorError,
-    allclose,
     check_axiom,
     check_projection,
     check_realization_conditions,
@@ -45,6 +44,7 @@ from kronquot import (
 from kronquot.singular import svd
 from oracles import (
     NzIndex,
+    allclose,
     family_from_realization,
     perfect_shuffle,
     shuffle_by_index,
@@ -403,6 +403,12 @@ class TestDispatchAndErrors:
         with pytest.raises(ZeroDivisorError):
             left_quotient(SCHEMES[name], Matrix.zero(2, 2), Matrix.zero(4, 4),
                           FactorShape(2, 2, 2, 2))
+
+    @pytest.mark.parametrize("rule", [leopardi_weights, frobenius_weights,
+                                      BUILTIN_SCHEMES["frobenius"].q_of])
+    def test_rules_called_directly_reject_the_zero_matrix(self, rule):
+        with pytest.raises(ZeroDivisorError):
+            rule(Matrix.zero(2, 3))
 
     def test_trace_scheme_domain(self):
         with pytest.raises(SingularRealizationError):
