@@ -38,7 +38,7 @@ from .quotients import (
     trace_realization,
     weighted_realization,
 )
-from .singular import svd
+from .singular import _rank_of, svd
 
 # Verdict threshold: generous headroom over double-precision rounding at
 # these tiny sizes, while a law that genuinely fails leaves residuals
@@ -48,8 +48,6 @@ TOLERANCE = 1e-8
 # Scalar draws for the homogeneity axioms; the complex values expose
 # rules that scale with conj(k) or |k| instead of k.
 SCALARS = (2 + 0j, -2 + 0j, 0.5 + 0j, -0.5 + 0j, 1j, 1 + 1j)
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -158,25 +156,29 @@ def _dim(rng: np.random.Generator, max_dim: int) -> int:
     return int(rng.integers(1, max_dim + 1))
 
 
+def _random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Real, then imaginary parts uniform on [-1, 1)."""
+    return rng.uniform(-1.0, 1.0, (rows, cols)) + 1j * rng.uniform(-1.0, 1.0, (rows, cols))
+
+
 def _random_matrix(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
-    arr = rng.uniform(-1.0, 1.0, (rows, cols)) + 1j * rng.uniform(-1.0, 1.0, (rows, cols))
-    return Matrix.from_array(arr)
+    return Matrix._adopt(_random_complex(rng, rows, cols))
 
 
 def _random_nonzero(rng: np.random.Generator, rows: int, cols: int, *,
                     sparsify: bool = False, need_trace: bool = False) -> Matrix:
     while True:
-        arr = rng.uniform(-1.0, 1.0, (rows, cols)) + 1j * rng.uniform(-1.0, 1.0, (rows, cols))
+        arr = _random_complex(rng, rows, cols)
         if sparsify:
             arr = arr * (rng.random((rows, cols)) < 0.5)
         if math.sqrt(float(np.vdot(arr, arr).real)) < 1e-6:
             continue
         if need_trace and abs(complex(np.trace(arr))) < 1e-6:
             continue
-        return Matrix.from_array(arr)
+        return Matrix._adopt(arr)
 
 
-def _draw_block(rng, trial, square, sparse, max_dim, restricted, scalars, *,
+def _draw_block(rng, trial, square, sparse, max_dim, restricted, *,
                 keys: tuple[str, ...], trace_rule: bool = False) -> dict:
     """The one-divisor draws: A (m x n), then in the order of ``keys`` a scalar for
     "k" and a dividend (ms x nt) for each other key; the trace rule needs m = n, s = t."""
@@ -188,7 +190,7 @@ def _draw_block(rng, trial, square, sparse, max_dim, restricted, scalars, *,
     inputs = {"A": a}
     for key in keys:
         if key == "k":
-            inputs[key] = complex(rng.choice(scalars))
+            inputs[key] = complex(rng.choice(SCALARS))
         elif restricted:
             inputs[key] = kron(a, _random_matrix(rng, s, t))
         else:
@@ -196,7 +198,7 @@ def _draw_block(rng, trial, square, sparse, max_dim, restricted, scalars, *,
     return inputs
 
 
-def _draw_q3(rng, trial, square, sparse, max_dim, restricted, scalars) -> dict:
+def _draw_q3(rng, trial, square, sparse, max_dim, restricted) -> dict:
     m = _dim(rng, max_dim)
     n = m if square else _dim(rng, max_dim)
     s2 = _dim(rng, max_dim)
@@ -220,14 +222,14 @@ def _draw_weight_pair(rng, trial, max_dim) -> dict:
     return {"A": a, "B": b}
 
 
-def _draw_realization_pair(rng, trial, square_only, max_dim, scalars) -> dict:
+def _draw_realization_pair(rng, trial, square_only, max_dim) -> dict:
     m = _dim(rng, max_dim)
     n = m if square_only else _dim(rng, max_dim)
     s = _dim(rng, max_dim)
     t = s if square_only else _dim(rng, max_dim)
     a = _random_nonzero(rng, m, n, need_trace=square_only)
     b = _random_nonzero(rng, s, t, need_trace=square_only)
-    return {"A": a, "B": b, "k": complex(rng.choice(scalars))}
+    return {"A": a, "B": b, "k": complex(rng.choice(SCALARS))}
 
 
 def _draw_basis_dividend(rng, trial, m, n, max_dim) -> dict:
@@ -405,7 +407,7 @@ def _report(axiom: str, scheme: str, trials: int, seed: int, worst: float,
 
 
 def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
-                restricted: bool = False, scalars: Sequence[complex] = SCALARS) -> AxiomReport:
+                restricted: bool = False) -> AxiomReport:
     """Randomized check of one quotient axiom for one scheme.
 
     ``scheme`` is given in any form :func:`resolve_scheme` accepts: a
@@ -416,7 +418,9 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
     realization, and partly zero in a third of the trials for a
     ``support_sensitive`` one. ``restricted=True`` draws the dividend
     as an exact Kronecker product of the matching form, the regime
-    where every quotient must comply.
+    where every quotient must comply. Q2a and Q2b draw k from ``SCALARS``;
+    a Q2b report also records its maxima over real and over complex k,
+    ``max_residual_real_k`` and ``max_residual_complex_k``.
     """
     if axiom not in _SCHEME_LAWS:
         raise ConfigurationError(f"unknown axiom {axiom!r}; expected one of {_SCHEME_LAWS}")
@@ -426,7 +430,7 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
     descriptor = _checked_descriptor(evaluator)
     draw = partial(law.draw, square=getattr(evaluator, "square_only", False),
                    sparse=getattr(evaluator, "support_sensitive", False), max_dim=max_dim,
-                   restricted=restricted, scalars=scalars)
+                   restricted=restricted)
     # one flag per divisor that carries the SVD its Q was built from
     degenerate: list[bool] = []
 
@@ -500,8 +504,8 @@ def check_weight_conditions(weight_rule, trials: int, seed: int,
                    worst_trial, worst_inputs, details)
 
 
-def check_realization_conditions(realization, trials: int, seed: int, max_dim: int = 4, *,
-                                 scalars: Sequence[complex] = SCALARS) -> AxiomReport:
+def check_realization_conditions(realization, trials: int, seed: int,
+                                 max_dim: int = 4) -> AxiomReport:
     """Check the three Q(.) identities characterizing Q1, Q2b and Q3 for a uniform
     scheme, given in any form :func:`realization_for` accepts.
 
@@ -510,19 +514,22 @@ def check_realization_conditions(realization, trials: int, seed: int, max_dim: i
     seed; a one-sided disagreement would flag a bug in the suite itself
     and is recorded under the ``*_iff_*`` detail keys. Divisors are
     square with nonzero trace when the realization is ``square_only``.
+    The scale identity draws k from ``SCALARS`` and also records its maxima
+    over real and over complex k, ``q_scale_residual_real_k`` and
+    ``q_scale_residual_complex_k``.
     """
     trials, seed, max_dim = _validate_common(trials, seed, max_dim)
     law = _LAWS["Rcond"]
     realization = law.subject(realization)
     descriptor = _checked_descriptor(realization)
-    run = _run_trials(partial(law.draw, square_only=realization.square_only, max_dim=max_dim,
-                              scalars=scalars), partial(law.evaluate, realization), trials, seed)
+    run = _run_trials(partial(law.draw, square_only=realization.square_only, max_dim=max_dim),
+                      partial(law.evaluate, realization), trials, seed)
     worst, worst_trial, worst_inputs, (worst_t, worst_s, worst_k), real_k, complex_k = run
 
     # the cross-runs draw dense divisors, like the identity checks above
     dense = dataclasses.replace(realization, support_sensitive=False)
     q1 = check_axiom("Q1", dense, trials, seed, max_dim)
-    q2b = check_axiom("Q2b", dense, trials, seed, max_dim, scalars=scalars)
+    q2b = check_axiom("Q2b", dense, trials, seed, max_dim)
     q3 = check_axiom("Q3", dense, trials, seed, min(max_dim, 3))
     t_holds = worst_t <= TOLERANCE
     s_holds = worst_s <= TOLERANCE
@@ -551,11 +558,7 @@ def check_realization_conditions(realization, trials: int, seed: int, max_dim: i
 # -- projection / basis expansion check ----------------------------------
 
 def _numerical_rank(mat: Matrix) -> int:
-    sigma = svd(mat).sigma
-    if not sigma or sigma[0] == 0.0:
-        return 0
-    cutoff = max(mat.rows, mat.cols) * _EPS * sigma[0]
-    return int(sum(1 for x in sigma if x > cutoff))
+    return _rank_of(svd(mat).sigma, mat.rows, mat.cols)
 
 
 def _biorthonormal_residual(basis: Sequence[Divisor]) -> tuple[float, tuple[int, int]]:
@@ -600,13 +603,16 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
     trials, seed, max_dim = _validate_common(trials, seed, max_dim)
     if not basis:
         raise ConfigurationError("empty basis")
+    for position, mat in enumerate(basis, 1):
+        if not isinstance(mat, Matrix):
+            raise ConfigurationError(f"basis element {position} is not a Matrix: {mat!r}")
     m, n = basis[0].rows, basis[0].cols
     if any(mat.shape != (m, n) for mat in basis):
         raise ConfigurationError("basis matrices must share one shape")
     if len(basis) != m * n:
         raise ConfigurationError(f"a basis of the {m}x{n} matrices needs {m * n} "
                                  f"elements, got {len(basis)}")
-    stack = Matrix.from_array(np.array([mat.to_array().ravel() for mat in basis]))
+    stack = Matrix._adopt(np.array([mat._a.ravel() for mat in basis]))
     if _numerical_rank(stack) != m * n:
         raise ConfigurationError("basis does not span the matrix space")
 

@@ -6,6 +6,14 @@ indices are 1-based (the usual linear-algebra convention); storage is
 0-based row-major underneath. Values are immutable after construction
 and every operation is a pure function, so concurrent use needs no
 synchronization.
+
+Copying is decided here, at the boundary. The public constructors
+(``Matrix(...)``, ``from_rows``, ``from_array``) copy what the caller
+passes and ``to_array()`` copies what it returns, so no caller can reach
+the data a matrix holds. Every operation returns a fresh value built by
+``Matrix._adopt``, which takes an array no one will write again, checks
+that it is C-contiguous complex128 with finite entries, and freezes it
+without a copy; the package reads other matrices' data through ``._a``.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BlockIndexError, NonFiniteEntryError, ShapeError
+from .errors import BlockIndexError, NonFiniteEntryError, ShapeError, UnsupportedInputError
 
 _MAX_INDEX = np.iinfo(np.intp).max
 
@@ -41,6 +49,13 @@ def _as_positive_int(value, what: str) -> int:
     return n
 
 
+def _as_index(value, what: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BlockIndexError(f"{what} index must be an integer, got {value!r}") from None
+
+
 class Matrix:
     """An immutable ``rows x cols`` matrix of complex floats.
 
@@ -55,14 +70,12 @@ class Matrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[ScalarLike]):
         rows = _as_positive_int(rows, "rows")
         cols = _as_positive_int(cols, "cols")
-        a = np.asarray(list(entries) if not isinstance(entries, np.ndarray) else entries,
-                       dtype=np.complex128)
+        a = np.array(entries if isinstance(entries, np.ndarray) else list(entries),
+                     dtype=np.complex128)
         if a.ndim != 1 or a.size != rows * cols:
             raise ShapeError(f"expected {rows * cols} entries for a "
                              f"{rows}x{cols} matrix, got {a.size}")
-        if not np.isfinite(a).all():
-            raise NonFiniteEntryError("matrix entries must be finite (no NaN/Inf)")
-        self._a = _freeze(a.reshape(rows, cols).copy())
+        self._a = Matrix._adopt(a.reshape(rows, cols))._a
 
     # -- constructors ------------------------------------------------
 
@@ -79,7 +92,7 @@ class Matrix:
     @classmethod
     def from_array(cls, arr) -> Matrix:
         """Build from a 2-D array-like (the data is copied)."""
-        a = np.array(arr, dtype=np.complex128, copy=True)
+        a = np.array(arr, dtype=np.complex128, order="C")
         if a.ndim != 2:
             raise ShapeError(f"expected a 2-D array, got ndim={a.ndim}")
         if a.shape[0] < 1 or a.shape[1] < 1:
@@ -88,46 +101,54 @@ class Matrix:
 
     @classmethod
     def _adopt(cls, a: np.ndarray) -> Matrix:
-        """Take ownership of a fresh, non-empty 2-D complex128 array without copying it.
+        """The matrix holding a non-empty 2-D array, frozen in place without a copy.
 
-        The caller must hold the only reference to ``a``; it is frozen in place.
+        No one may write ``a`` afterwards. UnsupportedInputError unless it is
+        C-contiguous complex128, NonFiniteEntryError unless its entries are finite.
         """
+        if a.dtype != np.complex128 or not a.flags.c_contiguous:
+            raise UnsupportedInputError("a matrix adopts only C-contiguous complex128 data, "
+                                        f"got {a.dtype} with strides {a.strides}")
         if not np.isfinite(a).all():
             raise NonFiniteEntryError("matrix entries must be finite (no NaN/Inf)")
+        a.setflags(write=False)
         m = object.__new__(cls)
-        m._a = _freeze(a)
+        m._a = a
         return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> Matrix:
-        return cls.from_array(np.zeros((_as_positive_int(rows, "rows"),
-                                        _as_positive_int(cols, "cols"))))
+        return cls._adopt(np.zeros((_as_positive_int(rows, "rows"),
+                                    _as_positive_int(cols, "cols")), dtype=np.complex128))
 
     @classmethod
     def identity(cls, n: int) -> Matrix:
-        return cls.from_array(np.eye(_as_positive_int(n, "n")))
+        return cls._adopt(np.eye(_as_positive_int(n, "n"), dtype=np.complex128))
 
     @classmethod
     def diagonal(cls, values: Sequence[ScalarLike]) -> Matrix:
-        if not values:
-            raise ShapeError("diagonal needs at least one value")
-        return cls.from_array(np.diag(np.asarray(values, dtype=np.complex128)))
+        values = np.asarray(values, dtype=np.complex128)
+        if values.ndim != 1 or not values.size:
+            raise ShapeError("diagonal needs at least one value in a 1-D sequence, "
+                             f"got shape {values.shape}")
+        return cls._adopt(np.diag(values))
 
     @classmethod
     def unit(cls, rows: int, cols: int, i: int, j: int) -> Matrix:
         """The matrix with a single 1 at 1-based position (i, j)."""
         rows = _as_positive_int(rows, "rows")
         cols = _as_positive_int(cols, "cols")
+        i, j = _as_index(i, "row"), _as_index(j, "column")
         if not (1 <= i <= rows and 1 <= j <= cols):
             raise BlockIndexError(f"entry ({i},{j}) outside a {rows}x{cols} matrix")
         a = np.zeros((rows, cols), dtype=np.complex128)
         a[i - 1, j - 1] = 1.0
-        return cls.from_array(a)
+        return cls._adopt(a)
 
     @classmethod
     def ones(cls, rows: int, cols: int) -> Matrix:
-        return cls.from_array(np.ones((_as_positive_int(rows, "rows"),
-                                       _as_positive_int(cols, "cols"))))
+        return cls._adopt(np.ones((_as_positive_int(rows, "rows"),
+                                   _as_positive_int(cols, "cols")), dtype=np.complex128))
 
     # -- basic attributes --------------------------------------------
 
@@ -150,11 +171,13 @@ class Matrix:
 
     def entry(self, i: int, j: int) -> complex:
         """The entry at 1-based position (i, j)."""
+        i, j = _as_index(i, "row"), _as_index(j, "column")
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise BlockIndexError(f"entry ({i},{j}) outside a {self.rows}x{self.cols} matrix")
         return complex(self._a[i - 1, j - 1])
 
     def column(self, j: int) -> Matrix:
+        j = _as_index(j, "column")
         if not 1 <= j <= self.cols:
             raise BlockIndexError(f"column {j} outside a {self.rows}x{self.cols} matrix")
         return Matrix.from_array(self._a[:, j - 1 : j])
@@ -166,10 +189,10 @@ class Matrix:
     # -- structural operations ---------------------------------------
 
     def transpose(self) -> Matrix:
-        return Matrix.from_array(self._a.T)
+        return Matrix._adopt(np.ascontiguousarray(self._a.T))
 
     def conjugate(self) -> Matrix:
-        return Matrix.from_array(self._a.conj())
+        return Matrix._adopt(self._a.conj())
 
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -200,28 +223,28 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other, "add")
-        return Matrix.from_array(self._a + other._a)
+        return Matrix._adopt(self._a + other._a)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other, "subtract")
-        return Matrix.from_array(self._a - other._a)
+        return Matrix._adopt(self._a - other._a)
 
     def __neg__(self):
-        return Matrix.from_array(-self._a)
+        return Matrix._adopt(-self._a)
 
     def __mul__(self, k):
         if isinstance(k, Matrix):
             raise TypeError("use A @ B for the matrix product")
-        return Matrix.from_array(self._a * complex(k))
+        return Matrix._adopt(self._a * complex(k))
 
     __rmul__ = __mul__
 
     def __truediv__(self, k):
         if isinstance(k, Matrix):
             raise TypeError("matrix/matrix division is not defined; see the quotient schemes")
-        return Matrix.from_array(self._a / complex(k))
+        return Matrix._adopt(self._a / complex(k))
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -229,7 +252,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        return Matrix.from_array(self._a @ other._a)
+        return Matrix._adopt(self._a @ other._a)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -246,12 +269,6 @@ class Matrix:
 def _py(x: np.complex128):
     z = complex(x)
     return z.real if z.imag == 0.0 else z
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclasses.dataclass(frozen=True)
@@ -287,12 +304,13 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     cols = a.cols * b.cols
     if rows > _MAX_INDEX or cols > _MAX_INDEX or rows * cols > _MAX_INDEX:
         raise ShapeError(f"Kronecker product size {rows}x{cols} exceeds the platform index range")
-    return Matrix.from_array(np.kron(a._a, b._a))
+    return Matrix._adopt(np.kron(a._a, b._a))
 
 
 def block(m: Matrix, shape: FactorShape, i: int, j: int) -> Matrix:
     """The s x t block in block-row i, block-column j (1-based)."""
     shape.require(m)
+    i, j = _as_index(i, "block row"), _as_index(j, "block column")
     if not (1 <= i <= shape.m and 1 <= j <= shape.n):
         raise BlockIndexError(f"block ({i},{j}) outside the {shape.m}x{shape.n} block grid")
     s, t = shape.s, shape.t

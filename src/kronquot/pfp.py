@@ -39,7 +39,7 @@ def pfp(a: Matrix, m: Matrix) -> Matrix:
     s, t = big.rows // mm, big.cols // nn
     blocks = big._a.reshape(mm, s, nn, t)
     out = np.einsum("jk,jukv->uv", small._a, blocks)
-    return Matrix.from_array(out)
+    return Matrix._adopt(out)
 
 
 def pfp_scalar(a: Matrix, c: Matrix) -> complex:

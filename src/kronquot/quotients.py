@@ -148,24 +148,23 @@ class LinearScheme:
 
 def leopardi_weights(a: Matrix) -> Matrix:
     """Equal weight 1/nnz(A) on every nonzero entry."""
-    support = np.abs(a.to_array()) >= ZERO_THRESHOLD
+    support = np.abs(a._a) >= ZERO_THRESHOLD
     count = int(support.sum())
     if count == 0:
         if a.is_zero():
             raise ZeroDivisorError("cannot weight the zero matrix")
         raise UnsupportedInputError(f"cannot weight the {a.rows}x{a.cols} divisor: "
                                     "its nonzero entries are all subnormal")
-    return Matrix.from_array(support / count)
+    return Matrix._adopt((support / count).astype(np.complex128))
 
 
 def frobenius_weights(a: Matrix) -> Matrix:
     """Weight |a_ij|^2 / ||A||_F^2, each entry's share of the energy, taken on 2^-e A."""
-    arr = a.to_array()
-    norm2, exp = _scaled_squares(arr)
+    norm2, exp = _scaled_squares(a._a)
     if norm2 == 0.0:
         raise ZeroDivisorError("cannot weight the zero matrix")
-    arr = _ldexp(arr, -exp)
-    return Matrix.from_array((arr.real**2 + arr.imag**2) / norm2)
+    arr = _ldexp(a._a, -exp)
+    return Matrix._adopt(((arr.real**2 + arr.imag**2) / norm2).astype(np.complex128))
 
 
 def _validate_weights(w: Matrix, a: Matrix, support: np.ndarray) -> np.ndarray:
@@ -173,7 +172,7 @@ def _validate_weights(w: Matrix, a: Matrix, support: np.ndarray) -> np.ndarray:
     if w.shape != a.shape:
         raise InvalidWeightsError(f"weight rule returned a {w.rows}x{w.cols} matrix "
                                   f"for a {a.rows}x{a.cols} argument")
-    warr = w.to_array()
+    warr = w._a
     total = complex(warr[support].sum())
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise InvalidWeightsError(f"weights over the nonzero entries sum to {total}, expected 1")
@@ -184,11 +183,11 @@ def _validate_weights(w: Matrix, a: Matrix, support: np.ndarray) -> np.ndarray:
 
 # -- operand checks --------------------------------------------------
 
-def _check_left_shapes(a: Matrix, m: Matrix, shape: FactorShape) -> None:
-    """The divisor and the dividend fit the factor shape."""
-    if (a.rows, a.cols) != (shape.m, shape.n):
-        raise ShapeError(f"divisor is {a.rows}x{a.cols}, expected "
-                         f"{shape.m}x{shape.n} for factor shape "
+def _check_shapes(divisor: Matrix, rows: int, cols: int, m: Matrix, shape: FactorShape) -> None:
+    """The divisor is rows x cols and the dividend fits the factor shape."""
+    if divisor.shape != (rows, cols):
+        raise ShapeError(f"divisor is {divisor.rows}x{divisor.cols}, expected "
+                         f"{rows}x{cols} for factor shape "
                          f"(m={shape.m}, n={shape.n}, s={shape.s}, t={shape.t})")
     shape.require(m, "dividend")
 
@@ -207,13 +206,13 @@ def weighted_realization(rule: WeightRule, name: str | None = None) -> Realizati
         raise ConfigurationError(f"weighted scheme needs a weight rule, got {rule!r}")
 
     def q_of(a: Matrix) -> Matrix:
-        arr = a.to_array()
+        arr = a._a
         support = np.abs(arr) >= ZERO_THRESHOLD
         if not support.any():
             _check_nonzero(a)
             raise _overflow_error(a)
         warr = _validate_weights(rule(a), a, support)
-        return Matrix.from_array(np.divide(warr, arr, out=np.zeros_like(arr), where=support))
+        return Matrix._adopt(np.divide(warr, arr, out=np.zeros_like(arr), where=support))
 
     return Realization(q_of=q_of, label=name or getattr(rule, "__name__", "custom"),
                        support_sensitive=True, weights=rule)
@@ -221,11 +220,10 @@ def weighted_realization(rule: WeightRule, name: str | None = None) -> Realizati
 
 def _frobenius_q(a: Matrix) -> Matrix:
     """conj(A)/||A||_F^2, taken as 2^-e conj(A')/||A'||_F^2 with A' = 2^-e A."""
-    arr = a.to_array()
-    norm2, exp = _scaled_squares(arr)
+    norm2, exp = _scaled_squares(a._a)
     if norm2 == 0.0:
         raise ZeroDivisorError("quotient by the zero matrix")
-    return Matrix.from_array(_ldexp(_ldexp(arr, -exp).conj() / complex(norm2), -exp))
+    return Matrix._adopt(_ldexp(_ldexp(a._a, -exp).conj() / complex(norm2), -exp))
 
 
 def _operator_q_from(decomposition: SvdResult) -> Matrix:
@@ -330,7 +328,7 @@ class Divisor:
 
     def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
         """A quot M = pfp(Q(A), M), once A and M fit the factor shape."""
-        _check_left_shapes(self.a, m, shape)
+        _check_shapes(self.a, shape.m, shape.n, m, shape)
         return pfp(self.q, m)
 
 
@@ -351,7 +349,7 @@ class LinearDivisor:
     def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
         """Entry (u',v') is the sum over u, v of pfp(Q[u,v,u',v'], M)[u,v]."""
         a = self.a
-        _check_left_shapes(a, m, shape)
+        _check_shapes(a, shape.m, shape.n, m, shape)
         s, t = shape.s, shape.t
         components = dict(self.family(a, s, t))
         for (u, v, u2, v2), comp in components.items():
@@ -374,7 +372,7 @@ class LinearDivisor:
         out = np.zeros((s, t), dtype=np.complex128)
         for (u, v, u2, v2), comp in components.items():
             out[u2 - 1, v2 - 1] += pfp(comp, m).entry(u, v)
-        return Matrix.from_array(out)
+        return Matrix._adopt(out)
 
 
 def _overflow_error(a: Matrix) -> UnsupportedInputError:
@@ -413,7 +411,7 @@ def realize(scheme, a: Matrix) -> Divisor | LinearDivisor:
 def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     """Left quotient of M by A under a scheme, given by name or as a scheme object:
     the shapes are checked, A is realized and the divisor applied to M."""
-    _check_left_shapes(a, m, shape)
+    _check_shapes(a, shape.m, shape.n, m, shape)
     return realize(scheme, a).quotient(m, shape)
 
 
@@ -439,11 +437,7 @@ def right_quotient(scheme, m: Matrix, b: Matrix, shape: FactorShape) -> Matrix:
     becomes kron(B, A) -- the perfect shuffle, applied as a reshape --
     and the result is divided on the left by B.
     """
-    if (b.rows, b.cols) != (shape.s, shape.t):
-        raise ShapeError(f"divisor is {b.rows}x{b.cols}, expected "
-                         f"{shape.s}x{shape.t} for factor shape "
-                         f"(m={shape.m}, n={shape.n}, s={shape.s}, t={shape.t})")
-    shape.require(m, "dividend")
+    _check_shapes(b, shape.s, shape.t, m, shape)
     mm, nn, s, t = shape
-    swapped = m.to_array().reshape(mm, s, nn, t).transpose(1, 0, 3, 2).reshape(s * mm, t * nn)
-    return left_quotient(scheme, b, Matrix.from_array(swapped), FactorShape(s, t, mm, nn))
+    swapped = m._a.reshape(mm, s, nn, t).transpose(1, 0, 3, 2).reshape(s * mm, t * nn)
+    return left_quotient(scheme, b, Matrix._adopt(swapped), FactorShape(s, t, mm, nn))

@@ -214,7 +214,7 @@ def _one_sided_jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     Returns (w, sigma, v, (sweeps, rotations, offdiag_ratio)) with
     w = work @ v, v unitary, w's columns mutually orthogonal, and sigma =
     column norms sorted descending (w and v columns permuted to match);
-    w and v are fresh arrays.
+    w and v are fresh arrays, v C-contiguous.
     """
     rows, ncols = work.shape
     stack = np.zeros((ncols, rows + ncols), dtype=np.complex128)
@@ -235,7 +235,14 @@ def _one_sided_jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     w = stack[:, :rows]
     sigma = np.sqrt(np.einsum("ij,ij->i", w.conj(), w).real)
     order = np.argsort(-sigma, kind="stable")
-    return w.T[:, order], sigma[order], stack[:, rows:].T[:, order], (sweeps, rotations, ratio)
+    v = np.ascontiguousarray(stack[:, rows:].T[:, order])
+    return w.T[:, order], sigma[order], v, (sweeps, rotations, ratio)
+
+
+def _rank_of(sigma, rows: int, cols: int) -> int:
+    """How many singular values of a rows x cols matrix exceed max(rows, cols) eps sigma_1."""
+    cutoff = max(rows, cols) * _EPS * sigma[0]
+    return int(np.count_nonzero(np.asarray(sigma) > cutoff))
 
 
 def _phase_of(col: np.ndarray) -> complex:
@@ -294,10 +301,7 @@ def svd(a: Matrix) -> SvdResult:
         v = np.zeros((n, n), dtype=np.complex128)
         data_from_w = False
 
-    top = sigma[0] if sigma.size else 0.0
-    cutoff = max(m, n) * _EPS * top
-    rank = int(np.sum(sigma > cutoff))
-
+    rank = _rank_of(sigma, m, n)
     for k in range(rank):
         if data_from_w:
             u[:, k] = w[:, k] / sigma[k]
@@ -316,6 +320,6 @@ def svd(a: Matrix) -> SvdResult:
             f"the largest singular value of the {m}x{n} input overflows binary64; "
             "rescale the input") from None
     sweeps, rotations, ratio = stats
-    return SvdResult(u=Matrix.from_array(u), sigma=scaled_back, v=Matrix.from_array(v),
+    return SvdResult(u=Matrix._adopt(u), sigma=scaled_back, v=Matrix._adopt(v),
                      sweeps=sweeps, rotations=rotations, offdiag_ratio=ratio)
 

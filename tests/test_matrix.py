@@ -52,8 +52,12 @@ class TestConstruction:
         (lambda: Matrix.diagonal([]), ShapeError, "at least one value"),
         (lambda: Matrix.unit(2, 2, 3, 1), BlockIndexError, "entry (3,1)"),
         (lambda: Matrix.identity(2).column(3), BlockIndexError, "column 3"),
+        (lambda: Matrix.unit(2, 2, 1.5, 1), BlockIndexError,
+         "row index must be an integer, got 1.5"),
+        (lambda: Matrix.identity(2).column(1.5), BlockIndexError,
+         "column index must be an integer, got 1.5"),
     ], ids=["non-integer", "no-rows", "ragged", "ndim", "empty-dim", "diagonal",
-            "unit-index", "column-index"])
+            "unit-index", "column-index", "unit-float-index", "column-float-index"])
     def test_malformed_construction_names_the_fault(self, make, error, text):
         with pytest.raises(error, match=re.escape(text)):
             make()
@@ -79,6 +83,8 @@ class TestConstruction:
             m.entry(0, 1)
         with pytest.raises(BlockIndexError):
             m.entry(1, 3)
+        with pytest.raises(BlockIndexError, match="row index must be an integer, got 1.5"):
+            m.entry(1.5, 1)
 
     def test_unit_and_basis_column(self):
         assert Matrix.unit(2, 3, 1, 2) == Matrix.from_rows([[0, 1, 0], [0, 0, 0]])
@@ -160,6 +166,8 @@ class TestBlock:
             block(m, FactorShape(2, 2, 2, 2), 3, 1)
         with pytest.raises(BlockIndexError):
             block(m, FactorShape(2, 2, 2, 2), 1, 0)
+        with pytest.raises(BlockIndexError, match="block row index must be an integer, got 1.0"):
+            block(Matrix.identity(2), FactorShape(1, 1, 2, 2), 1.0, 1)
 
     def test_block_kron_round_trip_is_exact(self):
         rng = np.random.default_rng(6)
