@@ -24,7 +24,7 @@ class NonFiniteEntryError(KronError, ValueError):
 
 
 class MatrixFormatError(KronError, ValueError):
-    """Malformed matrix text.
+    """Malformed matrix text, or a matrix entry or scalar that is not a number.
 
     ``reason`` says what is wrong; ``line`` (1-based, in the text) and
     ``path`` (the file read) locate it when known, and the message

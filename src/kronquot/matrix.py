@@ -25,7 +25,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BlockIndexError, NonFiniteEntryError, ShapeError, UnsupportedInputError
+from .errors import (
+    BlockIndexError,
+    MatrixFormatError,
+    NonFiniteEntryError,
+    ShapeError,
+    UnsupportedInputError,
+)
 
 _MAX_INDEX = np.iinfo(np.intp).max
 
@@ -56,6 +62,39 @@ def _as_index(value, what: str) -> int:
         raise BlockIndexError(f"{what} index must be an integer, got {value!r}") from None
 
 
+def _is_number(x) -> bool:
+    try:
+        np.array(x, dtype=np.complex128)
+    except (TypeError, ValueError):
+        return False
+    return x is not None  # which converts to NaN
+
+
+def _reject_non_numeric(values, cols: int = 1) -> None:
+    """Raise MatrixFormatError naming the first entry of ``values`` that is not a number.
+
+    For a constructor's failure path (numpy's conversion error, or the
+    finite check, since None converts to NaN), so valid input pays nothing
+    for it. Positions are 1-based and row-major, ``cols`` per row when
+    ``values`` is not 2-D. Returns when every entry is a number, and the
+    caller re-raises its own error.
+    """
+    obj = np.array(values, dtype=object)
+    if obj.ndim == 2:
+        cols = obj.shape[1]
+    for k, x in enumerate(obj.reshape(-1)):
+        if not _is_number(x):
+            i, j = divmod(k, cols)
+            raise MatrixFormatError(f"entry ({i + 1},{j + 1}) is not a number: {x!r}") from None
+
+
+def _scalar(k) -> complex:
+    try:
+        return complex(k)
+    except (TypeError, ValueError):
+        raise MatrixFormatError(f"scalar is not a number: {k!r}") from None
+
+
 class Matrix:
     """An immutable ``rows x cols`` matrix of complex floats.
 
@@ -70,12 +109,16 @@ class Matrix:
     def __init__(self, rows: int, cols: int, entries: Iterable[ScalarLike]):
         rows = _as_positive_int(rows, "rows")
         cols = _as_positive_int(cols, "cols")
-        a = np.array(entries if isinstance(entries, np.ndarray) else list(entries),
-                     dtype=np.complex128)
-        if a.ndim != 1 or a.size != rows * cols:
-            raise ShapeError(f"expected {rows * cols} entries for a "
-                             f"{rows}x{cols} matrix, got {a.size}")
-        self._a = Matrix._adopt(a.reshape(rows, cols))._a
+        values = entries if isinstance(entries, np.ndarray) else list(entries)
+        try:
+            a = np.array(values, dtype=np.complex128)
+            if a.ndim != 1 or a.size != rows * cols:
+                raise ShapeError(f"expected {rows * cols} entries for a "
+                                 f"{rows}x{cols} matrix, got {a.size}")
+            self._a = Matrix._adopt(a.reshape(rows, cols))._a
+        except (TypeError, ValueError):
+            _reject_non_numeric(values, cols)
+            raise
 
     # -- constructors ------------------------------------------------
 
@@ -92,12 +135,16 @@ class Matrix:
     @classmethod
     def from_array(cls, arr) -> Matrix:
         """Build from a 2-D array-like (the data is copied)."""
-        a = np.array(arr, dtype=np.complex128, order="C")
-        if a.ndim != 2:
-            raise ShapeError(f"expected a 2-D array, got ndim={a.ndim}")
-        if a.shape[0] < 1 or a.shape[1] < 1:
-            raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
-        return cls._adopt(a)
+        try:
+            a = np.array(arr, dtype=np.complex128, order="C")
+            if a.ndim != 2:
+                raise ShapeError(f"expected a 2-D array, got ndim={a.ndim}")
+            if a.shape[0] < 1 or a.shape[1] < 1:
+                raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
+            return cls._adopt(a)
+        except (TypeError, ValueError):
+            _reject_non_numeric(arr)
+            raise
 
     @classmethod
     def _adopt(cls, a: np.ndarray) -> Matrix:
@@ -237,14 +284,14 @@ class Matrix:
     def __mul__(self, k):
         if isinstance(k, Matrix):
             raise TypeError("use A @ B for the matrix product")
-        return Matrix._adopt(self._a * complex(k))
+        return Matrix._adopt(self._a * _scalar(k))
 
     __rmul__ = __mul__
 
     def __truediv__(self, k):
         if isinstance(k, Matrix):
             raise TypeError("matrix/matrix division is not defined; see the quotient schemes")
-        return Matrix._adopt(self._a / complex(k))
+        return Matrix._adopt(self._a / _scalar(k))
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):

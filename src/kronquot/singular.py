@@ -6,7 +6,9 @@ pair literally, so this module pins every freedom:
 
 * singular values are sorted in non-increasing order; ties keep the
   post-sweep column order (stable sort), and which vector a column holds
-  on exactly tied values depends on the rotation order below;
+  on exactly tied values depends on the rotation order below and, from
+  ``_VECTORIZE_FROM_COLS`` columns on, on the start basis (LAPACK's,
+  unless the columns are already orthogonal);
 * each right singular vector is re-phased so that its largest-magnitude
   entry (lowest index on magnitude ties) is real and positive;
 * the matching left singular vector carries the compensating phase, so
@@ -35,8 +37,24 @@ pairs one at a time from Python scalars. A pair whose off-diagonal ratio
 is at most ``_PAIR_TOL`` is left unrotated; the sweeps stop after a
 sweep that rotates nothing.
 
+The vectorized path also starts from a better basis than the identity:
+LAPACK's right singular vectors V0 of the scaled input
+(``np.linalg.svd``), so the sweeps orthogonalize 2^-e * A * V0 and build
+V = V0 * V_J. They then only certify and polish LAPACK's answer, usually
+in one or two sweeps. Two cases keep the identity start: columns that
+are already orthogonal (no pair ratio of the Gram matrix above
+``_PAIR_TOL``), so that identity, diagonal, permutation and unitary
+inputs keep their bits, and a LinAlgError from LAPACK. The sort, phase
+rule, rank cutoff, Gram-Schmidt fill and stopping rule are the same
+either way. Unlike the identity start, this one gives no relative
+accuracy for tiny sigma of column-graded inputs: the product A * V0
+carries errors of order eps * sigma_1. Every consumer in the package
+reads sigma normwise (the rank cutoff, the degeneracy probe, the leading
+pair), so none of them needs it.
+
 Everything is a pure function of the input bits: calling twice on equal
-inputs returns bit-identical results.
+inputs returns bit-identical results, whatever the BLAS thread count,
+for one build of numpy and its LAPACK.
 """
 
 from __future__ import annotations
@@ -61,7 +79,9 @@ _SWEEPS_PER_COLUMN = 30
 # Executor crossover: from this many columns on, a round-robin step rotates
 # its disjoint pairs in one vectorized update; below it, one at a time. At
 # 9 columns both take the same time; at 6-8 the scalar executor is 2-23%
-# faster, and at 10-12 the vectorized one 14-37%.
+# faster, and at 10-12 the vectorized one 14-37%. The vectorized path also
+# starts from LAPACK's basis, so the law-check divisors (at most 4x4) keep
+# the identity start.
 _VECTORIZE_FROM_COLS = 9
 
 
@@ -70,7 +90,9 @@ class SvdResult:
     """Decomposition A = u * Sigma * v.conjugate().transpose(), sigma on Sigma's diagonal.
 
     The last three fields report the Jacobi run: ``sweeps`` made (the last
-    one rotated nothing), plane ``rotations`` applied, and ``offdiag_ratio``,
+    one rotated nothing; usually 1-2 from ``_VECTORIZE_FROM_COLS`` columns
+    on, where the sweeps start from LAPACK's basis), plane ``rotations``
+    applied, and ``offdiag_ratio``,
     the largest |w_x' w_y| / (||w_x|| ||w_y||) over the column pairs of the
     last sweep, at most ``_PAIR_TOL``.
     """
@@ -207,6 +229,27 @@ def _sweep_vectorized(stack: np.ndarray, rows: int) -> tuple[np.ndarray, int, fl
     return stack, rotations, worst
 
 
+def _lapack_start(work: np.ndarray) -> np.ndarray | None:
+    """LAPACK's right singular vectors of ``work``, the basis the sweeps polish.
+
+    None, so that the sweeps start from the identity, when the columns are
+    already orthogonal (no pair ratio of the Gram matrix above
+    ``_PAIR_TOL``) or when LAPACK raises LinAlgError.
+    """
+    gram = work.conj().T @ work
+    norms = np.sqrt(gram.diagonal().real)
+    scale = np.outer(norms, norms)
+    ratio = np.divide(np.abs(gram), scale, out=np.zeros(scale.shape), where=scale > 0.0)
+    np.fill_diagonal(ratio, 0.0)
+    if ratio.max() <= _PAIR_TOL:
+        return None
+    try:
+        _, _, vh = np.linalg.svd(work, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return None
+    return vh.conj().T
+
+
 def _one_sided_jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                                  tuple[int, int, float]]:
     """Orthogonalize the columns of ``work`` by round-robin plane rotations.
@@ -218,9 +261,15 @@ def _one_sided_jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     rows, ncols = work.shape
     stack = np.zeros((ncols, rows + ncols), dtype=np.complex128)
-    stack[:, :rows] = work.T
-    stack.reshape(-1)[rows::rows + ncols + 1] = 1.0  # V starts as the identity
-    sweep = _sweep_vectorized if ncols >= _VECTORIZE_FROM_COLS else _sweep_pairwise
+    vectorized = ncols >= _VECTORIZE_FROM_COLS
+    start = _lapack_start(work) if vectorized else None
+    if start is None:
+        stack[:, :rows] = work.T
+        stack.reshape(-1)[rows::rows + ncols + 1] = 1.0  # V starts as the identity
+    else:
+        stack[:, :rows] = (work @ start).T
+        stack[:, rows:] = start.T
+    sweep = _sweep_vectorized if vectorized else _sweep_pairwise
     budget = max(1, _SWEEPS_PER_COLUMN * ncols)
     rotations = 0
     for sweeps in range(1, budget + 1):

@@ -11,6 +11,7 @@ from kronquot import (
     BlockIndexError,
     FactorShape,
     Matrix,
+    MatrixFormatError,
     NonFiniteEntryError,
     ShapeError,
     block,
@@ -56,8 +57,18 @@ class TestConstruction:
          "row index must be an integer, got 1.5"),
         (lambda: Matrix.identity(2).column(1.5), BlockIndexError,
          "column index must be an integer, got 1.5"),
+        # non-numeric values: a KronError that is also a ValueError, naming the
+        # 1-based entry (or the scalar) and the value's repr
+        (lambda: Matrix(2, 2, "abcd"), MatrixFormatError, "entry (1,1) is not a number: 'a'"),
+        (lambda: Matrix.from_array([[1, "x"]]), MatrixFormatError,
+         "entry (1,2) is not a number: 'x'"),
+        (lambda: Matrix.identity(2) * "x", MatrixFormatError, "scalar is not a number: 'x'"),
+        # None converts to NaN, but it is no number rather than a non-finite one
+        (lambda: Matrix.from_rows([[1, 2], [3, None]]), MatrixFormatError,
+         "entry (2,2) is not a number: None"),
     ], ids=["non-integer", "no-rows", "ragged", "ndim", "empty-dim", "diagonal",
-            "unit-index", "column-index", "unit-float-index", "column-float-index"])
+            "unit-index", "column-index", "unit-float-index", "column-float-index",
+            "string-entries", "array-string-entry", "string-scalar", "none-entry"])
     def test_malformed_construction_names_the_fault(self, make, error, text):
         with pytest.raises(error, match=re.escape(text)):
             make()

@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -163,6 +167,28 @@ class TestInvariants:
             assert abs(got - sigma1) <= 1e-9 * max(1.0, sigma1)
 
 
+def same_bits(r1, r2):
+    return (r1.sigma == r2.sigma and r1.u.entries == r2.u.entries
+            and r1.v.entries == r2.v.entries)
+
+
+# SHA-256 of U, sigma and V over the vectorized path's shapes, for comparing
+# processes that differ only in their environment
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from kronquot import Matrix, svd
+digest = hashlib.sha256()
+rng = np.random.default_rng(55)
+for rows, cols in ((9, 9), (16, 16), (32, 32), (32, 12), (12, 32)):
+    a = rng.uniform(-1, 1, (rows, cols)) + 1j * rng.uniform(-1, 1, (rows, cols))
+    result = svd(Matrix.from_array(a))
+    for part in (result.u.to_array(), np.array(result.sigma), result.v.to_array()):
+        digest.update(part.tobytes())
+print(digest.hexdigest())
+"""
+
+
 class TestDeterminism:
     def test_bit_identical_repeat_calls(self):
         rng = np.random.default_rng(45)
@@ -173,6 +199,30 @@ class TestDeterminism:
             assert r1.sigma == r2.sigma
             assert r1.u.entries == r2.u.entries
             assert r1.v.entries == r2.v.entries
+
+    @pytest.mark.parametrize("rows, cols", [(9, 9), (16, 16), (32, 32), (32, 12), (12, 32)])
+    def test_bit_identical_repeat_calls_from_a_lapack_start(self, rows, cols):
+        a = random_matrix(np.random.default_rng(56), rows, cols)
+        assert same_bits(svd(a), svd(Matrix.from_array(a.to_array())))
+
+    def test_blas_thread_count_leaves_the_bits(self):
+        digests = []
+        for threads in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            proc = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.strip())
+        assert digests[0] == digests[1]
+
+    def test_threads_get_the_serial_bits(self):
+        a = random_matrix(np.random.default_rng(57), 24, 24)
+        serial = svd(a)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(lambda _: svd(a), range(16)))
+        assert all(same_bits(result, serial) for result in results)
 
 
 class TestOperatorNorm:
@@ -279,3 +329,98 @@ def test_sweep_statistics():
     already_orthogonal = svd(Matrix.diagonal([1, 3, 2]))
     assert (already_orthogonal.sweeps, already_orthogonal.rotations,
             already_orthogonal.offdiag_ratio) == (1, 0, 0.0)
+
+
+def permutation_matrix(order):
+    """The matrix whose column k is the standard basis vector e_order[k]."""
+    return Matrix.from_array(np.eye(len(order))[:, order])
+
+
+class TestFromNineColumns:
+    """The vectorized path, which polishes LAPACK's right singular vectors."""
+
+    @pytest.mark.parametrize("k", [9, 16, 32])
+    def test_orthogonal_columns_keep_the_identity_start(self, monkeypatch, k):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("orthogonal columns need no LAPACK start")
+
+        monkeypatch.setattr(np.linalg, "svd", unreachable)
+        rng = np.random.default_rng(58)
+        eye = Matrix.identity(k)
+
+        result = svd(eye)
+        assert (result.u, result.sigma, result.v) == (eye, (1.0,) * k, eye)
+
+        # integer magnitudes, some negative: sorted descending by a permutation V
+        values = rng.permutation(np.arange(1, k + 1)) * rng.choice([-1.0, 1.0], k)
+        result = svd(Matrix.diagonal(values))
+        order = np.argsort(-np.abs(values), kind="stable")
+        assert result.sigma == tuple(float(x) for x in np.abs(values)[order])
+        assert result.v == permutation_matrix(order)
+        assert result.u == Matrix.from_array(np.eye(k)[:, order] * np.sign(values)[order])
+
+        # tied sigma: the columns keep their order, so V = I and U = A
+        perm = permutation_matrix(rng.permutation(k))
+        result = svd(perm)
+        assert (result.u, result.sigma, result.v) == (perm, (1.0,) * k, eye)
+
+        q, _ = np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))
+        result = svd(Matrix.from_array(q))
+        order = np.argmax(np.abs(result.v.to_array()), axis=0)
+        assert result.v == permutation_matrix(order)
+        assert result.u == Matrix.from_array(q[:, order] / np.array(result.sigma))
+        assert all(abs(x - 1.0) <= 1e-14 for x in result.sigma)
+
+    def test_sigma_matches_lapack(self):
+        rng = np.random.default_rng(59)
+        for rows, cols in ((9, 9), (16, 16), (25, 25), (40, 40), (40, 9), (9, 40),
+                           (33, 20), (20, 33)):
+            a = random_matrix(rng, rows, cols)
+            sigma = svd(a).sigma
+            want = np.linalg.svd(a.to_array(), compute_uv=False)
+            assert max(abs(got - x) for got, x in zip(sigma, want)) <= 1e-14 * want[0]
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("e", [-1000, 1000])
+    def test_power_of_two_scaling_is_exact(self, n, e):
+        a = random_matrix(np.random.default_rng(60), n, n)
+        base = svd(a)
+        scaled = svd(Matrix.from_array(np.ldexp(a.to_array().view(float), e).view(complex)))
+        assert scaled.sigma == tuple(math.ldexp(x, e) for x in base.sigma)
+        assert scaled.u.entries == base.u.entries
+        assert scaled.v.entries == base.v.entries
+
+    def test_lapack_failure_falls_back_to_the_identity_start(self, monkeypatch):
+        calls = []
+
+        def fail(*args, **kwargs):
+            calls.append(1)
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        rng = np.random.default_rng(61)
+        for rows, cols in ((16, 16), (24, 12), (12, 24)):
+            a = random_matrix(rng, rows, cols)
+            result = svd(a)
+            check_invariants(a, result)
+            check_phase_convention(result)
+        assert len(calls) == 3
+
+    def test_convergence_error_from_a_lapack_start(self, monkeypatch):
+        # at cond ~ 1e8 the start is off by ~eps * 1e8, so its one sweep rotates
+        monkeypatch.setattr(svd_mod, "_SWEEPS_PER_COLUMN", 0)
+        rng = np.random.default_rng(62)
+        q1, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+        q2, _ = np.linalg.qr(rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)))
+        a = Matrix.from_array(q1 @ np.diag(np.logspace(0, -8, 16)) @ q2)
+        with pytest.raises(ConvergenceError) as info:
+            svd(a)
+        assert info.value.residual > svd_mod._PAIR_TOL
+
+    def test_at_most_two_sweeps(self):
+        rng = np.random.default_rng(63)
+        for _ in range(40):
+            short = int(rng.integers(9, 33))
+            long = int(rng.integers(short, 41))
+            rows, cols = (long, short) if rng.integers(2) else (short, long)
+            assert svd(random_matrix(rng, rows, cols)).sweeps <= 2
