@@ -143,7 +143,10 @@ class Matrix:
                 raise ShapeError(f"matrix dimensions must be positive, got {a.shape}")
             return cls._adopt(a)
         except (TypeError, ValueError):
-            _reject_non_numeric(arr)
+            rows = np.array(arr, dtype=object)
+            if rows.ndim == 1 and len({np.size(row) for row in rows}) > 1:
+                raise ShapeError("rows have unequal lengths") from None
+            _reject_non_numeric(rows)
             raise
 
     @classmethod
@@ -174,11 +177,16 @@ class Matrix:
 
     @classmethod
     def diagonal(cls, values: Sequence[ScalarLike]) -> Matrix:
-        values = np.asarray(values, dtype=np.complex128)
-        if values.ndim != 1 or not values.size:
-            raise ShapeError("diagonal needs at least one value in a 1-D sequence, "
-                             f"got shape {values.shape}")
-        return cls._adopt(np.diag(values))
+        try:
+            a = np.asarray(values, dtype=np.complex128)
+            if a.ndim != 1 or not a.size:
+                raise ShapeError("diagonal needs at least one value in a 1-D sequence, "
+                                 f"got shape {a.shape}")
+            return cls._adopt(np.diag(a))
+        except (TypeError, ValueError):
+            obj = np.array(values, dtype=object)
+            _reject_non_numeric(np.diag(obj) if obj.ndim == 1 else obj)
+            raise
 
     @classmethod
     def unit(cls, rows: int, cols: int, i: int, j: int) -> Matrix:

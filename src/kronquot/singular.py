@@ -6,9 +6,8 @@ pair literally, so this module pins every freedom:
 
 * singular values are sorted in non-increasing order; ties keep the
   post-sweep column order (stable sort), and which vector a column holds
-  on exactly tied values depends on the rotation order below and, from
-  ``_VECTORIZE_FROM_COLS`` columns on, on the start basis (LAPACK's,
-  unless the columns are already orthogonal);
+  on exactly tied values depends on the start basis (LAPACK's, unless
+  the columns are already orthogonal) and the rotation order below;
 * each right singular vector is re-phased so that its largest-magnitude
   entry (lowest index on magnitude ties) is real and positive;
 * the matching left singular vector carries the compensating phase, so
@@ -24,33 +23,28 @@ never overflow, scaling A by a power of two scales sigma by exactly that
 power while entries and singular values stay in the normal range, and
 UnsupportedInputError is raised only when sigma_1 itself overflows.
 
+The sweeps start from LAPACK's right singular vectors V0 of the scaled
+input (``np.linalg.svd``): they orthogonalize 2^-e * A * V0 and build
+V = V0 * V_J, so they only certify and polish LAPACK's answer, usually
+in one or two sweeps. Two cases start from the identity instead:
+columns that are already orthogonal (no pair ratio of the Gram matrix
+above ``_PAIR_TOL``), so that identity, diagonal, permutation and
+unitary inputs keep their bits, and a LinAlgError from LAPACK. Unlike
+the identity start, LAPACK's gives no relative accuracy for tiny sigma
+of column-graded inputs: the product A * V0 carries errors of order
+eps * sigma_1. Every consumer in the package reads sigma normwise (the
+rank cutoff, the degeneracy probe, the leading pair), so none of them
+needs it.
+
 Each sweep follows the round-robin (Brent-Luk) ordering: n - 1 steps
 for even n, n for odd n, each step pairing disjoint columns, and every
 unordered pair met exactly once. Step 0 pairs (0, 1), (2, 3), ..., and
-after each sweep the columns stand in their original order again. Two
-executors run the same schedule with the same rotation formula. From
-``_VECTORIZE_FROM_COLS`` columns on, a step rotates all its pairs at
-once: one batched 2x2 Gram product, the rotation coefficients computed
-elementwise, one batched 2x2 product that applies them, and one row
-permutation into the next step's pairing. Below it, a step rotates its
-pairs one at a time from Python scalars. A pair whose off-diagonal ratio
-is at most ``_PAIR_TOL`` is left unrotated; the sweeps stop after a
-sweep that rotates nothing.
-
-The vectorized path also starts from a better basis than the identity:
-LAPACK's right singular vectors V0 of the scaled input
-(``np.linalg.svd``), so the sweeps orthogonalize 2^-e * A * V0 and build
-V = V0 * V_J. They then only certify and polish LAPACK's answer, usually
-in one or two sweeps. Two cases keep the identity start: columns that
-are already orthogonal (no pair ratio of the Gram matrix above
-``_PAIR_TOL``), so that identity, diagonal, permutation and unitary
-inputs keep their bits, and a LinAlgError from LAPACK. The sort, phase
-rule, rank cutoff, Gram-Schmidt fill and stopping rule are the same
-either way. Unlike the identity start, this one gives no relative
-accuracy for tiny sigma of column-graded inputs: the product A * V0
-carries errors of order eps * sigma_1. Every consumer in the package
-reads sigma normwise (the rank cutoff, the degeneracy probe, the leading
-pair), so none of them needs it.
+after each sweep the columns stand in their original order again. A
+step rotates all its pairs at once: one batched 2x2 Gram product, the
+rotation coefficients computed elementwise, one batched 2x2 product
+that applies them, and one row permutation into the next step's
+pairing. A pair whose off-diagonal ratio is at most ``_PAIR_TOL`` is
+left unrotated; the sweeps stop after a sweep that rotates nothing.
 
 Everything is a pure function of the input bits: calling twice on equal
 inputs returns bit-identical results, whatever the BLAS thread count,
@@ -62,7 +56,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -76,25 +69,15 @@ _EPS = float(np.finfo(np.float64).eps)
 _PAIR_TOL = 1e-14
 _SWEEPS_PER_COLUMN = 30
 
-# Executor crossover: from this many columns on, a round-robin step rotates
-# its disjoint pairs in one vectorized update; below it, one at a time. At
-# 9 columns both take the same time; at 6-8 the scalar executor is 2-23%
-# faster, and at 10-12 the vectorized one 14-37%. The vectorized path also
-# starts from LAPACK's basis, so the law-check divisors (at most 4x4) keep
-# the identity start.
-_VECTORIZE_FROM_COLS = 9
-
 
 @dataclasses.dataclass(frozen=True)
 class SvdResult:
     """Decomposition A = u * Sigma * v.conjugate().transpose(), sigma on Sigma's diagonal.
 
     The last three fields report the Jacobi run: ``sweeps`` made (the last
-    one rotated nothing; usually 1-2 from ``_VECTORIZE_FROM_COLS`` columns
-    on, where the sweeps start from LAPACK's basis), plane ``rotations``
-    applied, and ``offdiag_ratio``,
-    the largest |w_x' w_y| / (||w_x|| ||w_y||) over the column pairs of the
-    last sweep, at most ``_PAIR_TOL``.
+    one rotated nothing; usually 1-2), plane ``rotations`` applied, and
+    ``offdiag_ratio``, the largest |w_x' w_y| / (||w_x|| ||w_y||) over the
+    column pairs of the last sweep, at most ``_PAIR_TOL``.
     """
 
     u: Matrix
@@ -105,20 +88,6 @@ class SvdResult:
     offdiag_ratio: float
 
 
-class _Schedule(NamedTuple):
-    """One sweep of the round-robin ordering of ``ncols`` columns.
-
-    ``steps[k]`` holds step k's disjoint pairs (x, y) with x < y. Step k
-    lays the columns out as its pairs in order, followed on odd counts by
-    the column it leaves unpaired; step 0's layout is 0, 1, ..., ncols-1.
-    ``layout[moves[k]]`` turns step k's layout into step k+1's, and the
-    last move turns it back into step 0's.
-    """
-
-    steps: tuple[tuple[tuple[int, int], ...], ...]
-    moves: np.ndarray
-
-
 def _layout(pairs, ncols: int) -> list[int]:
     """The pairs side by side, then the column they leave out, if any."""
     paired = [c for pair in pairs for c in pair]
@@ -126,8 +95,16 @@ def _layout(pairs, ncols: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _round_robin(ncols: int) -> _Schedule:
-    """The Brent-Luk schedule: every unordered column pair meets once per sweep."""
+def _round_robin(ncols: int) -> np.ndarray:
+    """The Brent-Luk schedule: every unordered column pair meets once per sweep.
+
+    Step k lays the columns out as its disjoint pairs side by side, the
+    first of each pair the lower column, followed on odd counts by the
+    column it leaves unpaired; step 0's layout is 0, 1, ..., ncols-1.
+    Row k of the result, ``moves[k]``, turns step k's layout into step
+    k+1's by ``layout[moves[k]]``, and the last move turns it back into
+    step 0's.
+    """
     players = ncols + ncols % 2  # on odd counts, whoever meets player ncols sits out
     rounds = []
     for k in range(players - 1):
@@ -142,62 +119,27 @@ def _round_robin(ncols: int) -> _Schedule:
     layouts = np.array([_layout(step, ncols) for step in steps])
     moves = np.take_along_axis(np.argsort(layouts, axis=1), np.roll(layouts, -1, axis=0), axis=1)
     moves.setflags(write=False)
-    return _Schedule(steps, moves)
-
-
-def _sweep_pairwise(stack: np.ndarray, rows: int) -> tuple[np.ndarray, int, float]:
-    """One sweep, one pair at a time with scalar rotation coefficients.
-
-    ``stack`` row j holds column j of W (its first ``rows`` entries) and
-    then column j of V; both rotate together. Returns the stack, the
-    rotations applied and the largest pair ratio met.
-    """
-    rotations = 0
-    worst = 0.0
-    for step in _round_robin(stack.shape[0]).steps:
-        for x, y in step:
-            sx = stack[x]
-            sy = stack[y]
-            wx = sx[:rows]
-            wy = sy[:rows]
-            alpha = float(np.vdot(wx, wx).real)
-            beta = float(np.vdot(wy, wy).real)
-            gamma = complex(np.vdot(wx, wy))
-            g = abs(gamma)
-            # sqrt before multiplying: alpha*beta can underflow for columns
-            # far below the largest one and would mute the rotation
-            scale = math.sqrt(alpha) * math.sqrt(beta)
-            if scale == 0.0:
-                continue
-            ratio = g / scale
-            worst = max(worst, ratio)
-            if ratio <= _PAIR_TOL:
-                continue
-            rotations += 1
-            phase_conj = gamma.conjugate() / g
-            tau = (beta - alpha) / (2.0 * g)
-            tee = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-            c = 1.0 / math.hypot(1.0, tee)
-            s = tee * c
-            stack[x], stack[y] = (c * sx - (s * phase_conj) * sy,
-                                  s * sx + (c * phase_conj) * sy)
-    return stack, rotations, worst
+    return moves
 
 
 _IDENTITY = np.eye(2)
 
 
-def _sweep_vectorized(stack: np.ndarray, rows: int) -> tuple[np.ndarray, int, float]:
+def _sweep(stack: np.ndarray, rows: int) -> tuple[np.ndarray, int, float]:
     """One sweep, rotating all of a step's disjoint pairs in one update.
 
-    Same stack, schedule, rotation formula and return value as
-    ``_sweep_pairwise``; a pair under ``_PAIR_TOL`` gets the identity.
+    ``stack`` row j holds column j of W (its first ``rows`` entries) and
+    then column j of V; both rotate together, and a pair under
+    ``_PAIR_TOL`` gets the identity. Returns the stack, the rotations
+    applied and the largest pair ratio met.
     """
     ncols, width = stack.shape
     half = ncols // 2
+    if not half:  # a single column has no pairs
+        return stack, 0, 0.0
     rotations = 0
     worst = 0.0
-    for move in _round_robin(ncols).moves:
+    for move in _round_robin(ncols):
         pairs = stack[:2 * half].reshape(half, 2, width)
         w = pairs[:, :, :rows]
         gram = w.conj() @ w.transpose(0, 2, 1)  # gram[p, i, j] = w_i' w_j of pair p
@@ -205,13 +147,15 @@ def _sweep_vectorized(stack: np.ndarray, rows: int) -> tuple[np.ndarray, int, fl
         beta = gram[:, 1, 1].real
         gamma = gram[:, 0, 1]
         g = np.abs(gamma)
+        # sqrt before multiplying: alpha*beta can underflow for columns
+        # far below the largest one and would mute the rotation
         scale = np.sqrt(alpha) * np.sqrt(beta)
         ratio = np.divide(g, scale, out=np.zeros(half), where=scale > 0.0)
-        worst = max(worst, float(ratio.max()))
-        turn = ratio > _PAIR_TOL
-        count = int(np.count_nonzero(turn))
-        if count:
-            rotations += count
+        step_worst = float(ratio.max())
+        worst = max(worst, step_worst)
+        if step_worst > _PAIR_TOL:
+            turn = ratio > _PAIR_TOL
+            rotations += int(np.count_nonzero(turn))
             g = np.where(turn, g, 1.0)
             tau = (beta - alpha) / (2.0 * g)
             tee = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
@@ -261,19 +205,17 @@ def _one_sided_jacobi(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     rows, ncols = work.shape
     stack = np.zeros((ncols, rows + ncols), dtype=np.complex128)
-    vectorized = ncols >= _VECTORIZE_FROM_COLS
-    start = _lapack_start(work) if vectorized else None
+    start = _lapack_start(work) if ncols > 1 else None  # one column has no pairs
     if start is None:
         stack[:, :rows] = work.T
         stack.reshape(-1)[rows::rows + ncols + 1] = 1.0  # V starts as the identity
     else:
         stack[:, :rows] = (work @ start).T
         stack[:, rows:] = start.T
-    sweep = _sweep_vectorized if vectorized else _sweep_pairwise
     budget = max(1, _SWEEPS_PER_COLUMN * ncols)
     rotations = 0
     for sweeps in range(1, budget + 1):
-        stack, rotated, ratio = sweep(stack, rows)
+        stack, rotated, ratio = _sweep(stack, rows)
         rotations += rotated
         if not rotated:
             break
@@ -310,22 +252,22 @@ def _gram_schmidt_fill(q: np.ndarray, start: int) -> None:
     # Any k orthonormal columns leave some standard basis vector with
     # residual norm >= 1/sqrt(dim), so first-fit with this threshold succeeds.
     threshold = 0.5 / math.sqrt(dim)
-    col = start
-    for candidate in range(dim):
-        if col == dim:
-            return
-        x = np.zeros(dim, dtype=np.complex128)
-        x[candidate] = 1.0
-        for _ in range(2):  # re-orthogonalize once for stability
-            x = x - q[:, :col] @ (q[:, :col].conj().T @ x)
-        norm = math.sqrt(float(np.vdot(x, x).real))
-        if norm < threshold:
-            continue
+    candidates = iter(range(dim))
+    for col in range(start, dim):
+        basis = q[:, :col]
+        basis_h = basis.conj().T
+        for candidate in candidates:
+            x = np.zeros(dim, dtype=np.complex128)
+            x[candidate] = 1.0
+            for _ in range(2):  # re-orthogonalize once for stability
+                x = x - basis @ (basis_h @ x)
+            norm = math.sqrt(float(np.vdot(x, x).real))
+            if norm >= threshold:
+                break
+        else:  # unreachable: the pigeonhole bound above guarantees candidates
+            raise ConvergenceError("orthonormal completion ran out of candidates", 0.0)
         x = x / norm
-        q[:, col] = x * np.conj(_phase_of(x))
-        col += 1
-    if col != dim:  # unreachable: the pigeonhole bound above guarantees candidates
-        raise ConvergenceError("orthonormal completion ran out of candidates", 0.0)
+        q[:, col] = x * _phase_of(x).conjugate()
 
 
 def svd(a: Matrix) -> SvdResult:
@@ -341,22 +283,14 @@ def svd(a: Matrix) -> SvdResult:
     # some 1e-154 times smaller than that part
     exp = _exponent(a._a)
     arr = _ldexp(a._a, -exp)
-    if m >= n:
-        w, sigma, v, stats = _one_sided_jacobi(arr)
-        u = np.zeros((m, m), dtype=np.complex128)
-        data_from_w = True
-    else:
-        w, sigma, u, stats = _one_sided_jacobi(arr.conj().T)
-        v = np.zeros((n, n), dtype=np.complex128)
-        data_from_w = False
-
+    wide = m < n
+    w, sigma, right, stats = _one_sided_jacobi(arr.conj().T if wide else arr)
+    left = np.zeros((w.shape[0],) * 2, dtype=np.complex128)
     rank = _rank_of(sigma, m, n)
+    left[:, :rank] = w[:, :rank] / sigma[:rank]
+    u, v = (right, left) if wide else (left, right)
     for k in range(rank):
-        if data_from_w:
-            u[:, k] = w[:, k] / sigma[k]
-        else:
-            v[:, k] = w[:, k] / sigma[k]
-        adjust = np.conj(_phase_of(v[:, k]))
+        adjust = _phase_of(v[:, k]).conjugate()
         v[:, k] *= adjust
         u[:, k] *= adjust
     _gram_schmidt_fill(u, rank)

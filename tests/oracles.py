@@ -2,7 +2,8 @@
 
 Everything here recomputes results by literal index arithmetic or by a
 different algorithm than the library, so agreement is meaningful. The
-tests' entrywise equality metric, ``allclose``, lives here too.
+tests' entrywise equality metric, ``allclose``, and ``graded_matrix``,
+an input with known singular values, live here too.
 """
 
 import dataclasses
@@ -33,6 +34,18 @@ def allclose(a: Matrix, b: Matrix, *, rtol: float = 1e-10, atol: float = 1e-12) 
     if a.shape != b.shape:
         return False
     return bool(np.allclose(a.to_array(), b.to_array(), rtol=rtol, atol=atol))
+
+
+def graded_matrix(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
+    """A random rows x cols matrix with singular values logspace(0, -8, min(rows, cols)).
+
+    At condition number 1e8 a LAPACK start is off by about eps * 1e8, so
+    the Jacobi sweeps that polish it still rotate.
+    """
+    k = min(rows, cols)
+    q1, _ = np.linalg.qr(rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k)))
+    q2, _ = np.linalg.qr(rng.normal(size=(cols, k)) + 1j * rng.normal(size=(cols, k)))
+    return Matrix.from_array(q1 @ np.diag(np.logspace(0, -8, k)) @ q2.conj().T)
 
 
 def reconstruct(result: SvdResult) -> Matrix:

@@ -31,7 +31,13 @@ from kronquot import (
     write_matrix,
 )
 from kronquot.cli import main
-from oracles import family_from_realization, jacobi_eigenvalues, reconstruct, vanloan_factor
+from oracles import (
+    family_from_realization,
+    graded_matrix,
+    jacobi_eigenvalues,
+    reconstruct,
+    vanloan_factor,
+)
 
 
 def report(number, name, worst, bound, extra=""):
@@ -368,10 +374,10 @@ def test_criterion_8_cli_contract(tmp_path, capsys, monkeypatch):
                                         "2,2,2,2", str(paths["Z"]), str(paths["M"])]) == 2))
     capsys.readouterr()
 
-    # numerical failure exits 3 (throttled sweep budget on a dense divisor)
+    # numerical failure exits 3 (one-sweep budget on a graded divisor)
     import kronquot.singular as singular
-    divisor = tmp_path / "dense.mat"
-    write_matrix(divisor, random_matrix(rng, 4, 4))
+    divisor = tmp_path / "graded.mat"
+    write_matrix(divisor, graded_matrix(rng, 4, 4))
     write_matrix(paths["out"], kron(read_matrix(divisor), b))
     monkeypatch.setattr(singular, "_SWEEPS_PER_COLUMN", 0)
     code = main(["quot", "--scheme", "operator", "--shape", "4,4,2,2",

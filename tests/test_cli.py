@@ -21,6 +21,7 @@ from kronquot import (
 )
 from kronquot.cli import main
 from kronquot.quotients import BUILTIN_SCHEMES, resolve_scheme
+from oracles import graded_matrix
 
 
 @pytest.fixture
@@ -274,13 +275,10 @@ class TestErrorExits:
         assert "tr(A)" in err or "trace" in err
 
     def test_numerical_failure_exits_three(self, fixtures, tmp_path, capsys, monkeypatch):
-        # a 2x2 divisor converges in a single sweep no matter what, so choke
-        # the budget on a dense random 4x4 one
+        # choke the budget to one sweep, which a graded divisor spends rotating
         _, paths, mats = fixtures
-        rng = np.random.default_rng(93)
         divisor = tmp_path / "divisor.mat"
-        write_matrix(divisor, Matrix.from_array(rng.uniform(-1, 1, (4, 4))
-                                                + 1j * rng.uniform(-1, 1, (4, 4))))
+        write_matrix(divisor, graded_matrix(np.random.default_rng(93), 4, 4))
         big = tmp_path / "big.mat"
         write_matrix(big, kron(read_matrix(divisor), mats["B"]))
         monkeypatch.setattr(singular, "_SWEEPS_PER_COLUMN", 0)

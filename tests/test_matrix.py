@@ -48,6 +48,7 @@ class TestConstruction:
         (lambda: Matrix(2.5, 1, [1, 2]), ShapeError, "rows must be an integer"),
         (lambda: Matrix.from_rows([]), ShapeError, "at least one row"),
         (lambda: Matrix.from_rows([[1, 2], [3]]), ShapeError, "unequal lengths"),
+        (lambda: Matrix.from_array([[1, 2], [3]]), ShapeError, "rows have unequal lengths"),
         (lambda: Matrix.from_array(np.zeros(3)), ShapeError, "ndim=1"),
         (lambda: Matrix.from_array(np.zeros((0, 2))), ShapeError, "must be positive"),
         (lambda: Matrix.diagonal([]), ShapeError, "at least one value"),
@@ -66,9 +67,14 @@ class TestConstruction:
         # None converts to NaN, but it is no number rather than a non-finite one
         (lambda: Matrix.from_rows([[1, 2], [3, None]]), MatrixFormatError,
          "entry (2,2) is not a number: None"),
-    ], ids=["non-integer", "no-rows", "ragged", "ndim", "empty-dim", "diagonal",
-            "unit-index", "column-index", "unit-float-index", "column-float-index",
-            "string-entries", "array-string-entry", "string-scalar", "none-entry"])
+        # a diagonal value sits at entry (k, k)
+        (lambda: Matrix.diagonal(["x"]), MatrixFormatError, "entry (1,1) is not a number: 'x'"),
+        (lambda: Matrix.diagonal([1, None]), MatrixFormatError,
+         "entry (2,2) is not a number: None"),
+    ], ids=["non-integer", "no-rows", "ragged", "array-ragged", "ndim", "empty-dim",
+            "diagonal", "unit-index", "column-index", "unit-float-index",
+            "column-float-index", "string-entries", "array-string-entry", "string-scalar",
+            "none-entry", "diagonal-string", "diagonal-none"])
     def test_malformed_construction_names_the_fault(self, make, error, text):
         with pytest.raises(error, match=re.escape(text)):
             make()
