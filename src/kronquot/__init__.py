@@ -9,9 +9,9 @@ and general linear rules), right quotients, remainders and divisor
 tests, plus a seeded randomized suite that verifies or refutes the
 candidate algebraic laws per scheme. Every scheme but the general
 linear rules is uniform, A quot M = pfp(Q(A), M). Every scheme evaluates
-through one pipeline, realize the divisor then apply it; a right quotient
-reindexes its dividend by a reshape that swaps the Kronecker factor
-order and then divides on the left.
+through one pipeline, realize the divisor then apply it. A right quotient
+applies it to the entries within each block of the dividend, read in
+place, where a left quotient applies it to the block grid.
 """
 
 from .axioms import (

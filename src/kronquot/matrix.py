@@ -342,6 +342,9 @@ class FactorShape:
     def __iter__(self):
         return iter((self.m, self.n, self.s, self.t))
 
+    def __str__(self):
+        return f"(m={self.m}, n={self.n}, s={self.s}, t={self.t})"
+
     def compatible(self, matrix: Matrix) -> bool:
         return matrix.rows == self.m * self.s and matrix.cols == self.n * self.t
 
@@ -349,8 +352,7 @@ class FactorShape:
         if not self.compatible(matrix):
             raise ShapeError(
                 f"{what} is {matrix.rows}x{matrix.cols}, expected "
-                f"{self.m * self.s}x{self.n * self.t} for factor shape "
-                f"(m={self.m}, n={self.n}, s={self.s}, t={self.t})")
+                f"{self.m * self.s}x{self.n * self.t} for factor shape {self}")
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

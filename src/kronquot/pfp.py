@@ -32,14 +32,18 @@ def _resolve_roles(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
                      f"{b.rows}x{b.cols} matrix: neither shape divides the other")
 
 
+def _pair_blocks(small: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """sum_{j,k} small[j,k] * blocks[j,u,k,v]: the pairing of an m x n array against
+    axes 0 and 2 of a 4-axis view of a dividend, read in place; the result is fresh."""
+    return np.einsum("jk,jukv->uv", small, blocks)
+
+
 def pfp(a: Matrix, m: Matrix) -> Matrix:
     """Partial Frobenius product of two matrices (symmetric in its arguments)."""
     small, big = _resolve_roles(a, m)
     mm, nn = small.rows, small.cols
     s, t = big.rows // mm, big.cols // nn
-    blocks = big._a.reshape(mm, s, nn, t)
-    out = np.einsum("jk,jukv->uv", small._a, blocks)
-    return Matrix._adopt(out)
+    return Matrix._adopt(_pair_blocks(small._a, big._a.reshape(mm, s, nn, t)))
 
 
 def pfp_scalar(a: Matrix, c: Matrix) -> complex:

@@ -33,9 +33,16 @@ number of dividends, ``divisor.quotient(M, shape)``; nothing is cached
 between calls. :func:`left_quotient` checks the shapes, realizes and
 applies once. ``BUILTIN_SCHEMES`` maps each built-in name to its
 :class:`Realization`, the one record that declares ``square_only``,
-``support_sensitive`` and ``weights``. A right quotient reindexes its
-dividend by a reshape that swaps the Kronecker factor order (the
-perfect shuffle) and divides on the left.
+``support_sensitive`` and ``weights``.
+
+Every dividend kernel reads M in place through its block view,
+M[j*s+u, k*t+v] = M4[j, u, k, v] with M4 = M.reshape(m, s, n, t) (the
+rearrangement of Van Loan and Pitsianis). A left divisor pairs against
+the block grid (j, k), a right divisor against the entries within each
+block (u, v): the right quotient is the same pairing over the other two
+axes, and equals the left quotient of the perfect shuffle of M, which
+turns kron(A, B) into kron(B, A), without building that shuffled copy.
+A remainder writes M - kron(A, C) into one fresh buffer of the same view.
 
 There is one scheme type per kind. A uniform scheme is a
 :class:`Realization`: a ``BUILTIN_SCHEMES`` entry, or one made by
@@ -81,8 +88,8 @@ from .errors import (
     UnsupportedInputError,
     ZeroDivisorError,
 )
-from .matrix import FactorShape, Matrix, _ldexp, _scaled_squares, kron
-from .pfp import pfp, pfp_scalar
+from .matrix import FactorShape, Matrix, _ldexp, _scaled_squares
+from .pfp import _pair_blocks, pfp, pfp_scalar
 from .singular import SvdResult, svd
 
 # A's support for the weighted rules: its normal entries, whose reciprocals are finite
@@ -187,14 +194,21 @@ def _check_shapes(divisor: Matrix, rows: int, cols: int, m: Matrix, shape: Facto
     """The divisor is rows x cols and the dividend fits the factor shape."""
     if divisor.shape != (rows, cols):
         raise ShapeError(f"divisor is {divisor.rows}x{divisor.cols}, expected "
-                         f"{rows}x{cols} for factor shape "
-                         f"(m={shape.m}, n={shape.n}, s={shape.s}, t={shape.t})")
+                         f"{rows}x{cols} for factor shape {shape}")
     shape.require(m, "dividend")
 
 
 def _check_nonzero(a: Matrix) -> None:
     if a.is_zero():
         raise ZeroDivisorError("quotient by the zero matrix")
+
+
+def _block_view(m: Matrix, shape: FactorShape, side: str) -> np.ndarray:
+    """M's (m, s, n, t) block view with the axes a divisor on ``side`` pairs against at
+    positions 0 and 2: (j, u, k, v) for a left divisor, (u, j, v, k) for a right one.
+    A view of M's data either way, never a copy."""
+    blocks = m._a.reshape(shape.m, shape.s, shape.n, shape.t)
+    return blocks if side == "left" else blocks.transpose(1, 0, 3, 2)
 
 
 # -- realizations of the built-in uniform schemes ----------------------
@@ -331,6 +345,11 @@ class Divisor:
         _check_shapes(self.a, shape.m, shape.n, m, shape)
         return pfp(self.q, m)
 
+    def _apply(self, blocks: np.ndarray) -> np.ndarray:
+        """Q(A) paired against axes 0 and 2 of a dividend's block view (see
+        :func:`_block_view`); for the left view this is ``quotient``."""
+        return _pair_blocks(self.q._a, blocks)
+
 
 @dataclasses.dataclass(frozen=True)
 class LinearDivisor:
@@ -348,9 +367,17 @@ class LinearDivisor:
 
     def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
         """Entry (u',v') is the sum over u, v of pfp(Q[u,v,u',v'], M)[u,v]."""
+        _check_shapes(self.a, shape.m, shape.n, m, shape)
+        return Matrix._adopt(self._apply(_block_view(m, shape, "left")))
+
+    def _apply(self, blocks: np.ndarray) -> np.ndarray:
+        """The quotient on a dividend's block view (see :func:`_block_view`), whose
+        axes 1 and 3 give the s x t quotient shape. Component (u,v,u',v') adds
+        sum_{j,k} Q[u,v,u',v'][j,k] * blocks[j,u,k,v] to entry (u',v'), read from the
+        pairing of block row u alone: that row sums each entry in the order the full
+        pairing does, and one entry alone would not."""
         a = self.a
-        _check_shapes(a, shape.m, shape.n, m, shape)
-        s, t = shape.s, shape.t
+        _, s, _, t = blocks.shape
         components = dict(self.family(a, s, t))
         for (u, v, u2, v2), comp in components.items():
             if not (1 <= u <= s and 1 <= u2 <= s and 1 <= v <= t and 1 <= v2 <= t):
@@ -371,8 +398,8 @@ class LinearDivisor:
                     f"divisor, expected {expected}")
         out = np.zeros((s, t), dtype=np.complex128)
         for (u, v, u2, v2), comp in components.items():
-            out[u2 - 1, v2 - 1] += pfp(comp, m).entry(u, v)
-        return Matrix._adopt(out)
+            out[u2 - 1, v2 - 1] += _pair_blocks(comp._a, blocks[:, u - 1:u])[0, v - 1]
+        return out
 
 
 def _overflow_error(a: Matrix) -> UnsupportedInputError:
@@ -416,8 +443,23 @@ def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
 
 
 def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
-    """M - kron(A, left_quotient(...)): what the divisor fails to explain."""
-    return m - kron(a, left_quotient(scheme, a, m, shape))
+    """M - kron(A, left_quotient(...)): what the divisor fails to explain.
+
+    Written into one fresh buffer in the block layout, r[j,u,k,v] = M4[j,u,k,v] - A[j,k] C[u,v]
+    with M4 the block view of M and C the left quotient, so no Kronecker product is
+    built on its own. Raises UnsupportedInputError where the remainder overflows binary64.
+    """
+    c = left_quotient(scheme, a, m, shape)._a
+    r = np.empty((shape.m, shape.s, shape.n, shape.t), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.multiply(a._a[:, None, :, None], c[None, :, None, :], out=r)
+        np.subtract(_block_view(m, shape, "left"), r, out=r)
+    try:
+        return Matrix._adopt(r.reshape(m.rows, m.cols))
+    except NonFiniteEntryError:
+        raise UnsupportedInputError(
+            f"remainder of the {m.rows}x{m.cols} dividend by the {a.rows}x{a.cols} divisor "
+            f"overflows binary64 at factor shape {shape}") from None
 
 
 def negligible_remainder(r: Matrix, m: Matrix) -> bool:
@@ -433,11 +475,11 @@ def is_divisor(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> bool:
 def right_quotient(scheme, m: Matrix, b: Matrix, shape: FactorShape) -> Matrix:
     """Right quotient recovering the left factor: (A kron B) rquot B = A.
 
-    The dividend's rows and columns are reindexed so that kron(A, B)
-    becomes kron(B, A) -- the perfect shuffle, applied as a reshape --
-    and the result is divided on the left by B.
+    B is realized as a left divisor is, and its quotient pairs against the
+    entries within each s x t block of M, read in place:
+    (M rquot B)[j, k] = sum_{u,v} Q(B)[u, v] * M[j*s+u, k*t+v] for a uniform
+    scheme. This is the left quotient by B of M's perfect shuffle, which
+    turns kron(A, B) into kron(B, A); the shuffled copy is never made.
     """
     _check_shapes(b, shape.s, shape.t, m, shape)
-    mm, nn, s, t = shape
-    swapped = m._a.reshape(mm, s, nn, t).transpose(1, 0, 3, 2).reshape(s * mm, t * nn)
-    return left_quotient(scheme, b, Matrix._adopt(swapped), FactorShape(s, t, mm, nn))
+    return Matrix._adopt(realize(scheme, b)._apply(_block_view(m, shape, "right")))

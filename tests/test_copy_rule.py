@@ -16,6 +16,7 @@ from kronquot import (
     FactorShape,
     Matrix,
     UnsupportedInputError,
+    is_divisor,
     kron,
     remainder,
     right_quotient,
@@ -51,13 +52,16 @@ SHAPE = FactorShape(K, K, K, K)
 
 @pytest.mark.parametrize("call,bound", [
     (lambda: kron(A, B), 1.5),
-    (lambda: right_quotient("frobenius", M, B, SHAPE), 1.5),
-    # the Kronecker product of the quotient and the difference both live at once
-    (lambda: remainder("frobenius", A, M, SHAPE), 2.5),
+    # the right quotient reads the dividend in place: no dividend-sized temporary
+    (lambda: right_quotient("frobenius", M, B, SHAPE), 0.1),
+    # one result buffer, plus numpy's fixed ufunc buffers for the two broadcast
+    # factors of A kron C (2 x 8192 entries, 256 KiB: a quarter of this buffer)
+    (lambda: remainder("frobenius", A, M, SHAPE), 1.3),
+    (lambda: is_divisor("frobenius", A, M, SHAPE), 1.3),
     (lambda: M.transpose(), 1.5),
     (lambda: M + M, 1.5),
     (lambda: 2 * M, 1.5),
-], ids=["kron", "right_quotient", "remainder", "transpose", "add", "scale"])
+], ids=["kron", "right_quotient", "remainder", "is_divisor", "transpose", "add", "scale"])
 def test_results_are_adopted_not_copied(call, bound):
     assert _peak_in_buffers(call) <= bound
 

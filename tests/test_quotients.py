@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -685,23 +686,59 @@ class TestRemainder:
             assert pfp(a.conjugate(), r).frobenius_norm() <= 1e-10 * max(1.0, m.frobenius_norm())
 
 
+def _dyadic_divisor(rng, name, s, t):
+    """A divisor whose Q(B) has power-of-two entries under scheme ``name``: a trace
+    that is a power of two, or +-1 and +-1j entries on 2^p nonzero positions."""
+    if name == "trace":
+        diag = rng.integers(-3, 4, s)
+        diag[-1] = 2 ** int(rng.integers(0, 3)) - diag[:-1].sum()
+        return Matrix.diagonal(diag)
+    size = s * t
+    nonzero = 2 ** int(rng.integers(0, size.bit_length()))
+    entries = np.zeros(size, dtype=complex)
+    entries[rng.choice(size, nonzero, replace=False)] = rng.choice([1, -1, 1j, -1j], nonzero)
+    return Matrix.from_array(entries.reshape(s, t))
+
+
 class TestRightQuotient:
-    def test_shuffle_matches_index_oracle(self, monkeypatch):
-        # right_quotient hands its reshaped dividend to quotients.left_quotient
-        divided = []
-        monkeypatch.setattr(quotients, "left_quotient",
-                            lambda scheme, b, m, shape: divided.append(m) or m)
+    def test_shuffle_matches_index_oracle(self):
+        # on small-integer dividends and power-of-two Q(B) every product and sum is
+        # exact, so the right quotient equals, bit for bit, the left quotient of the
+        # dividend reindexed by the index oracle (the perfect shuffle)
         rng = np.random.default_rng(73)
-        for _ in range(10):
-            m_dim, n_dim = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            s, t = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-            mat = random_matrix(rng, m_dim * s, n_dim * t)
+        for name in ["leopardi", "frobenius", "trace"] * 20:
+            m_dim, n_dim = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            s = int(rng.integers(1, 5))
+            t = s if name == "trace" else int(rng.integers(1, 5))
+            mat = Matrix.from_array(rng.integers(-9, 10, (m_dim * s, n_dim * t))
+                                    + 1j * rng.integers(-9, 10, (m_dim * s, n_dim * t)))
             want = shuffle_by_index(mat, m_dim, s, n_dim, t)
             left = perfect_shuffle(m_dim, s) @ mat @ perfect_shuffle(n_dim, t).transpose()
             assert left == want
-            right_quotient(SCHEMES["frobenius"], mat, random_nonzero(rng, s, t),
-                           FactorShape(m_dim, n_dim, s, t))
-            assert divided.pop() == want
+            b = _dyadic_divisor(rng, name, s, t)
+            got = right_quotient(name, mat, b, FactorShape(m_dim, n_dim, s, t))
+            assert got == left_quotient(name, b, want, FactorShape(s, t, m_dim, n_dim))
+
+    @pytest.mark.parametrize("name", ["leopardi", "frobenius", "operator", "trace",
+                                      "weighted", "linear"])
+    def test_shuffled_left_quotient_within_ulps(self, name):
+        if name == "weighted":
+            scheme = QuotientScheme.weighted(frobenius_weights)
+        elif name == "linear":
+            scheme = QuotientScheme.linear(family_from_realization(realization_for("leopardi")))
+        else:
+            scheme = SCHEMES[name]
+        rng = np.random.default_rng(86)
+        for _ in range(50):
+            m_dim, n_dim = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            s = int(rng.integers(1, 5))
+            t = s if name == "trace" else int(rng.integers(1, 5))
+            mat = random_matrix(rng, m_dim * s, n_dim * t)
+            b = random_nonzero(rng, s, t, need_trace=(name == "trace"))
+            got = right_quotient(scheme, mat, b, FactorShape(m_dim, n_dim, s, t))
+            want = left_quotient(scheme, b, shuffle_by_index(mat, m_dim, s, n_dim, t),
+                                 FactorShape(s, t, m_dim, n_dim))
+            assert (got - want).frobenius_norm() <= 4 * np.finfo(float).eps * want.frobenius_norm()
 
     def test_shuffle_swaps_kron_factors(self):
         rng = np.random.default_rng(74)
@@ -822,6 +859,22 @@ def test_round_trip_across_divisor_scales(name, side):
         assert relative_residual(got, b) < 1e-9, f"e={e}"
 
 
+@pytest.mark.parametrize("name", ["frobenius", "operator", "trace"])
+def test_remainder_overflow_is_a_typed_error(name):
+    # the quotient of this dividend fits binary64, but M - kron(A, C) does not
+    m = Matrix.from_array(np.full((4, 4), 1.5e308))
+    a = Matrix.from_array(SCALE_DIVISORS[0])
+    shape = FactorShape(2, 2, 2, 2)
+    message = (r"^remainder of the 4x4 dividend by the 2x2 divisor overflows binary64 "
+               r"at factor shape \(m=2, n=2, s=2, t=2\)$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        left_quotient(name, a, m, shape)
+        for op in (remainder, is_divisor):
+            with pytest.raises(UnsupportedInputError, match=message):
+                op(name, a, m, shape)
+
+
 @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
 def test_frobenius_weights_scale_free(e):
     for base in SCALE_DIVISORS:
@@ -850,12 +903,14 @@ class TestScaleAndConcurrency:
 
         def run(_):
             return (left_quotient("leopardi", a, m, shape),
-                    left_quotient("operator", a, m, shape))
+                    left_quotient("operator", a, m, shape),
+                    remainder("frobenius", a, m, shape),
+                    right_quotient("operator", m, a, shape))
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(run, range(32)))
         first = results[0]
-        assert all(r[0] == first[0] and r[1] == first[1] for r in results[1:])
+        assert all(r == first for r in results[1:])
 
 
 class TestFrobeniusOptimality:

@@ -177,7 +177,7 @@ def same_bits(r1, r2):
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
-from kronquot import Matrix, check_axiom, svd
+from kronquot import FactorShape, Matrix, check_axiom, kron, remainder, right_quotient, svd
 digest = hashlib.sha256()
 rng = np.random.default_rng(55)
 for rows, cols in ((2, 2), (4, 3), (3, 4), (4, 4), (8, 8),
@@ -187,6 +187,12 @@ for rows, cols in ((2, 2), (4, 3), (3, 4), (4, 4), (8, 8),
     for part in (result.u.to_array(), np.array(result.sigma), result.v.to_array()):
         digest.update(part.tobytes())
 digest.update(check_axiom("Q3", "operator", trials=20, seed=3).to_json().encode())
+a, b = (Matrix.from_array(rng.uniform(-1, 1, (16, 16)) + 1j * rng.uniform(-1, 1, (16, 16)))
+        for _ in range(2))
+m = kron(a, b) + Matrix.from_array(rng.uniform(-1, 1, (256, 256)))
+shape = FactorShape(16, 16, 16, 16)
+digest.update(remainder("frobenius", a, m, shape).to_array().tobytes())
+digest.update(right_quotient("operator", m, b, shape).to_array().tobytes())
 print(digest.hexdigest())
 """
 
