@@ -14,6 +14,18 @@ the data a matrix holds. Every operation returns a fresh value built by
 ``Matrix._adopt``, which takes an array no one will write again, checks
 that it is C-contiguous complex128 with finite entries, and freezes it
 without a copy; the package reads other matrices' data through ``._a``.
+
+The finite check is one BLAS reduction, the sum of squared magnitudes
+``vdot(a, a)``: a NaN or infinite part makes that sum non-finite, and a
+finite sum proves every entry finite. Only when the sum is not finite,
+which huge finite entries also cause when their squares overflow, does
+an entrywise ``isfinite`` pass decide. The verdict is the entrywise one
+either way.
+
+An operation on finite operands can yield a non-finite entry only by
+overflowing binary64. The operations compute under ``np.errstate`` so
+numpy does not warn, and :func:`_adopt_result` turns such a result into
+UnsupportedInputError naming the operation and its operands' shapes.
 """
 
 from __future__ import annotations
@@ -155,11 +167,14 @@ class Matrix:
 
         No one may write ``a`` afterwards. UnsupportedInputError unless it is
         C-contiguous complex128, NonFiniteEntryError unless its entries are finite.
+        Finiteness is read from the sum of squared magnitudes, one BLAS ``vdot``;
+        only when that sum is not finite, from a non-finite entry or from squares
+        of huge finite ones that overflow, does an entrywise check decide.
         """
         if a.dtype != np.complex128 or not a.flags.c_contiguous:
             raise UnsupportedInputError("a matrix adopts only C-contiguous complex128 data, "
                                         f"got {a.dtype} with strides {a.strides}")
-        if not np.isfinite(a).all():
+        if not math.isfinite(np.vdot(a, a).real) and not np.isfinite(a).all():
             raise NonFiniteEntryError("matrix entries must be finite (no NaN/Inf)")
         a.setflags(write=False)
         m = object.__new__(cls)
@@ -355,13 +370,34 @@ class FactorShape:
                 f"{self.m * self.s}x{self.n * self.t} for factor shape {self}")
 
 
+def _adopt_result(arr: np.ndarray, op: str, x: Matrix, y: Matrix,
+                  shape: FactorShape | None = None) -> Matrix:
+    """``Matrix._adopt(arr)`` for the result of ``op`` on finite operands x and y,
+    computed under ``np.errstate(over="ignore", invalid="ignore")``. A non-finite
+    entry can only come from an overflow, and raises UnsupportedInputError naming
+    the op and the operands: a pair of matrices, or with a factor shape, the
+    dividend x and the divisor y."""
+    try:
+        return Matrix._adopt(arr)
+    except NonFiniteEntryError:
+        if shape is None:
+            operands, where = f"a {x.rows}x{x.cols} and a {y.rows}x{y.cols} matrix", ""
+        else:
+            operands = f"the {x.rows}x{x.cols} dividend by the {y.rows}x{y.cols} divisor"
+            where = f" at factor shape {shape}"
+        raise UnsupportedInputError(f"{op} of {operands} overflows binary64{where}") from None
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product: the block matrix whose (i, j) block is a[i,j] * b."""
+    """Kronecker product: the block matrix whose (i, j) block is a[i,j] * b.
+    UnsupportedInputError where an entry overflows binary64."""
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     if rows > _MAX_INDEX or cols > _MAX_INDEX or rows * cols > _MAX_INDEX:
         raise ShapeError(f"Kronecker product size {rows}x{cols} exceeds the platform index range")
-    return Matrix._adopt(np.kron(a._a, b._a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.kron(a._a, b._a)
+    return _adopt_result(out, "kron", a, b)
 
 
 def block(m: Matrix, shape: FactorShape, i: int, j: int) -> Matrix:

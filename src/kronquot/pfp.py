@@ -8,6 +8,13 @@ s x t matrix of weighted block sums
 The pairing is symmetric in its two arguments, bilinear (no conjugation
 anywhere), and collapses to the plain bilinear Frobenius pairing when
 s = t = 1. It is neither an inner product nor associative.
+
+It is computed on M's (m, s, n, t) block view, read in place: one batched
+BLAS product pairs row j of A with the n x t matrix M4[j, u] for every
+(j, u) at once, and the m partial results are then added over j in one
+fixed order, ((j=0 + j=1) + j=2) + ..., whatever s is. So pairing against
+one block row gives bit for bit the same entries as that row of the full
+pairing. A result that overflows binary64 raises UnsupportedInputError.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .matrix import Matrix
+from .matrix import Matrix, _adopt_result
 
 
 def _resolve_roles(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
@@ -34,8 +41,14 @@ def _resolve_roles(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
 
 def _pair_blocks(small: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """sum_{j,k} small[j,k] * blocks[j,u,k,v]: the pairing of an m x n array against
-    axes 0 and 2 of a 4-axis view of a dividend, read in place; the result is fresh."""
-    return np.einsum("jk,jukv->uv", small, blocks)
+    axes 0 and 2 of a 4-axis view of a dividend, read in place; the result is fresh.
+
+    One batched matmul gives every row-vector x matrix product small[j] @ blocks[j, u],
+    and a running sum adds them over j strictly in order, which a plain sum over
+    axis 0 does not promise: its order may change with the size of the other axes.
+    """
+    partial = np.matmul(small[:, None, None, :], blocks)
+    return np.add.accumulate(partial, axis=0, out=partial)[-1, :, 0].copy()
 
 
 def pfp(a: Matrix, m: Matrix) -> Matrix:
@@ -43,7 +56,9 @@ def pfp(a: Matrix, m: Matrix) -> Matrix:
     small, big = _resolve_roles(a, m)
     mm, nn = small.rows, small.cols
     s, t = big.rows // mm, big.cols // nn
-    return Matrix._adopt(_pair_blocks(small._a, big._a.reshape(mm, s, nn, t)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _pair_blocks(small._a, big._a.reshape(mm, s, nn, t))
+    return _adopt_result(out, "pfp", a, m)
 
 
 def pfp_scalar(a: Matrix, c: Matrix) -> complex:

@@ -42,7 +42,12 @@ the block grid (j, k), a right divisor against the entries within each
 block (u, v): the right quotient is the same pairing over the other two
 axes, and equals the left quotient of the perfect shuffle of M, which
 turns kron(A, B) into kron(B, A), without building that shuffled copy.
-A remainder writes M - kron(A, C) into one fresh buffer of the same view.
+Both pairings are the one kernel of :mod:`kronquot.pfp`, a batched BLAS
+row-vector x matrix product over the view followed by a sum over the
+divisor's rows in one fixed order. A remainder writes M - kron(A, C)
+into one fresh buffer of the same view. Where a quotient or a remainder
+overflows binary64, it raises UnsupportedInputError naming the
+operation, the operands' shapes and the factor shape.
 
 There is one scheme type per kind. A uniform scheme is a
 :class:`Realization`: a ``BUILTIN_SCHEMES`` entry, or one made by
@@ -88,7 +93,7 @@ from .errors import (
     UnsupportedInputError,
     ZeroDivisorError,
 )
-from .matrix import FactorShape, Matrix, _ldexp, _scaled_squares
+from .matrix import FactorShape, Matrix, _adopt_result, _ldexp, _scaled_squares
 from .pfp import _pair_blocks, pfp, pfp_scalar
 from .singular import SvdResult, svd
 
@@ -368,7 +373,7 @@ class LinearDivisor:
     def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
         """Entry (u',v') is the sum over u, v of pfp(Q[u,v,u',v'], M)[u,v]."""
         _check_shapes(self.a, shape.m, shape.n, m, shape)
-        return Matrix._adopt(self._apply(_block_view(m, shape, "left")))
+        return _divide("left_quotient", self, m, shape, "left")
 
     def _apply(self, blocks: np.ndarray) -> np.ndarray:
         """The quotient on a dividend's block view (see :func:`_block_view`), whose
@@ -400,6 +405,15 @@ class LinearDivisor:
         for (u, v, u2, v2), comp in components.items():
             out[u2 - 1, v2 - 1] += _pair_blocks(comp._a, blocks[:, u - 1:u])[0, v - 1]
         return out
+
+
+def _divide(op: str, divisor: Divisor | LinearDivisor, m: Matrix, shape: FactorShape,
+            side: str) -> Matrix:
+    """The divisor on ``side`` applied to M's block view; UnsupportedInputError naming
+    ``op`` where the quotient overflows binary64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = divisor._apply(_block_view(m, shape, side))
+    return _adopt_result(out, op, m, divisor.a, shape)
 
 
 def _overflow_error(a: Matrix) -> UnsupportedInputError:
@@ -437,9 +451,10 @@ def realize(scheme, a: Matrix) -> Divisor | LinearDivisor:
 
 def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     """Left quotient of M by A under a scheme, given by name or as a scheme object:
-    the shapes are checked, A is realized and the divisor applied to M."""
+    the shapes are checked, A is realized and the divisor applied to M's block view.
+    UnsupportedInputError where the quotient overflows binary64."""
     _check_shapes(a, shape.m, shape.n, m, shape)
-    return realize(scheme, a).quotient(m, shape)
+    return _divide("left_quotient", realize(scheme, a), m, shape, "left")
 
 
 def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
@@ -447,19 +462,16 @@ def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
 
     Written into one fresh buffer in the block layout, r[j,u,k,v] = M4[j,u,k,v] - A[j,k] C[u,v]
     with M4 the block view of M and C the left quotient, so no Kronecker product is
-    built on its own. Raises UnsupportedInputError where the remainder overflows binary64.
+    built on its own. Raises UnsupportedInputError, naming ``remainder``, where the
+    quotient or the remainder overflows binary64.
     """
-    c = left_quotient(scheme, a, m, shape)._a
+    _check_shapes(a, shape.m, shape.n, m, shape)
+    c = _divide("remainder", realize(scheme, a), m, shape, "left")._a
     r = np.empty((shape.m, shape.s, shape.n, shape.t), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
         np.multiply(a._a[:, None, :, None], c[None, :, None, :], out=r)
         np.subtract(_block_view(m, shape, "left"), r, out=r)
-    try:
-        return Matrix._adopt(r.reshape(m.rows, m.cols))
-    except NonFiniteEntryError:
-        raise UnsupportedInputError(
-            f"remainder of the {m.rows}x{m.cols} dividend by the {a.rows}x{a.cols} divisor "
-            f"overflows binary64 at factor shape {shape}") from None
+    return _adopt_result(r.reshape(m.rows, m.cols), "remainder", m, a, shape)
 
 
 def negligible_remainder(r: Matrix, m: Matrix) -> bool:
@@ -480,6 +492,7 @@ def right_quotient(scheme, m: Matrix, b: Matrix, shape: FactorShape) -> Matrix:
     (M rquot B)[j, k] = sum_{u,v} Q(B)[u, v] * M[j*s+u, k*t+v] for a uniform
     scheme. This is the left quotient by B of M's perfect shuffle, which
     turns kron(A, B) into kron(B, A); the shuffled copy is never made.
+    UnsupportedInputError where the quotient overflows binary64.
     """
     _check_shapes(b, shape.s, shape.t, m, shape)
-    return Matrix._adopt(realize(scheme, b)._apply(_block_view(m, shape, "right")))
+    return _divide("right_quotient", realize(scheme, b), m, shape, "right")

@@ -308,6 +308,20 @@ def test_module_invocation(fixtures):
     assert proc.stdout == "2 2\n1.5 0\n0 1.5\n"
 
 
+def test_overflowing_kron_prints_one_error_line(tmp_path):
+    import subprocess
+    import sys
+
+    big = tmp_path / "big.mat"
+    write_matrix(big, Matrix.from_array(np.full((2, 2), 1e200)))
+    proc = subprocess.run([sys.executable, "-m", "kronquot", "kron", str(big), str(big)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "kronquot: error: kron of a 2x2 and a 2x2 matrix overflows binary64"]
+
+
 def test_write_then_read_is_bit_exact_for_random_matrices(tmp_path):
     rng = np.random.default_rng(92)
     for idx in range(5):

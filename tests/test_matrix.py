@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from kronquot import (
     MatrixFormatError,
     NonFiniteEntryError,
     ShapeError,
+    UnsupportedInputError,
     block,
     kron,
     relative_residual,
@@ -154,6 +156,15 @@ class TestKron:
             b = random_matrix(rng, 2, 4, integer=True)
             assert kron(a, b) == kron_by_index(a, b)
 
+    def test_overflow_is_a_typed_error_that_names_kron(self):
+        a = Matrix.from_rows([[1, .5], [.25, 2]]) * 1e200
+        b = Matrix.from_rows([[1, 2, 3]]) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedInputError,
+                               match=r"^kron of a 2x2 and a 1x3 matrix overflows binary64$"):
+                kron(a, b)
+
 
 class TestBlock:
     def test_blocks_of_kron_are_scaled_copies(self):
@@ -274,6 +285,38 @@ class TestExtremeScales:
         diff = arr - b.to_array()
         assert relative_residual(a, b) == math.sqrt(float(np.vdot(diff, diff).real)) / max(
             1.0, a.frobenius_norm(), b.frobenius_norm())
+
+
+class TestFiniteCheck:
+    """Matrix._adopt reads finiteness from one sum of squares, vdot(a, a), and checks
+    entry by entry only when that sum is not finite."""
+
+    @pytest.mark.parametrize("size", [4, 1024])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_one_non_finite_part_is_rejected(self, bad, part, where, size):
+        arr = np.ones((size, size), dtype=np.complex128)
+        index = {"first": 0, "middle": size * size // 2, "last": size * size - 1}[where]
+        arr.reshape(-1)[index] = complex(bad, 1.0) if part == "real" else complex(1.0, bad)
+        with pytest.raises(NonFiniteEntryError):
+            Matrix._adopt(arr)
+
+    @pytest.mark.parametrize("size", [4, 1024])
+    @pytest.mark.parametrize("value", [1e200, 1.5e308 + 1e308j, 1.5e308 - 1e308j])
+    def test_huge_finite_entries_adopt_without_a_warning(self, value, size):
+        arr = np.full((size, size), value, dtype=np.complex128)
+        assert not math.isfinite(np.vdot(arr, arr).real)  # so the entrywise check decides
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Matrix._adopt(arr)._a is arr
+            with pytest.raises(NonFiniteEntryError):
+                Matrix._adopt(np.where(np.arange(size) == size - 1, np.nan, arr))
+
+    @pytest.mark.parametrize("size", [4, 1024])
+    def test_subnormal_entries_adopt(self, size):
+        arr = np.full((size, size), 5e-324 - 2.5e-310j)
+        assert Matrix._adopt(arr)._a is arr
 
 
 class TestProductLaws:

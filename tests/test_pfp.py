@@ -1,10 +1,27 @@
 """Partial Frobenius product: worked values, pairing laws, non-associativity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from kronquot import Matrix, ShapeError, kron, pfp, pfp_scalar, relative_residual
-from oracles import allclose, pfp_by_double_sum
+from kronquot import (
+    FactorShape,
+    Matrix,
+    QuotientScheme,
+    ShapeError,
+    UnsupportedInputError,
+    kron,
+    left_quotient,
+    pfp,
+    pfp_scalar,
+    realization_for,
+    relative_residual,
+    right_quotient,
+)
+from kronquot.pfp import _pair_blocks
+from kronquot.quotients import _block_view
+from oracles import allclose, family_from_realization, pair_by_index, pfp_by_double_sum
 
 
 def random_matrix(rng, rows, cols):
@@ -124,6 +141,16 @@ def test_bilinearity():
                     alpha * pfp(a1, m1) + beta * pfp(a1, m2))
 
 
+def test_overflow_is_a_typed_error_that_names_pfp():
+    a = Matrix.from_rows([[1, .5], [.25, 2]])
+    big = Matrix.from_array(np.full((4, 4), 1.5e308))
+    message = r"^pfp of a 2x2 and a 4x4 matrix overflows binary64$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedInputError, match=message):
+            pfp(a, big)
+
+
 def test_non_associativity_witness():
     # one frozen triple where both groupings are defined yet disagree
     a = Matrix.identity(2)
@@ -135,3 +162,85 @@ def test_non_associativity_witness():
     assert grouped_right == Matrix.from_rows([[5, 0], [0, 5]])
     assert grouped_left.shape == grouped_right.shape
     assert not allclose(grouped_left, grouped_right)
+
+
+# (m, n, s, t): each of m, n, s and t at 1, non-square grids and blocks, t = 1 with
+# four or more block rows (where a plain sum over the rows reorders), and factors up to 32
+KERNEL_SHAPES = [(1, 1, 1, 1), (1, 4, 3, 2), (4, 1, 2, 3), (3, 5, 1, 2), (5, 3, 2, 1),
+                 (4, 4, 2, 1), (4, 2, 3, 1), (9, 4, 3, 1), (17, 2, 1, 5), (3, 7, 4, 6),
+                 (8, 8, 8, 8), (32, 8, 8, 32), (2, 32, 32, 2), (32, 32, 32, 32)]
+
+
+def _dyadic(rng, rows, cols):
+    """Entries whose real and imaginary parts are 0 or +-2^e, |e| <= 3."""
+    def part():
+        return (rng.choice([0.0, 1.0, -1.0], (rows, cols))
+                * np.ldexp(1.0, rng.integers(-3, 4, (rows, cols))))
+    return part() + 1j * part()
+
+
+def _small_integers(rng, rows, cols):
+    return (rng.integers(-8, 9, (rows, cols)) + 1j * rng.integers(-8, 9, (rows, cols))) * 1.0
+
+
+def _sides(shape):
+    mm, nn, s, t = shape
+    return (("left", (mm, nn)), ("right", (s, t)))
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_pair_blocks_is_exact_on_dyadic_data(shape):
+    # every product and partial sum is exact, so any summation order gives these bits
+    rng = np.random.default_rng(38)
+    factor = FactorShape(*shape)
+    mm, nn, s, t = shape
+    dividend = Matrix.from_array(_small_integers(rng, mm * s, nn * t))
+    for side, small_shape in _sides(shape):
+        small = _dyadic(rng, *small_shape)
+        got = _pair_blocks(small, _block_view(dividend, factor, side))
+        assert got.tobytes() == pair_by_index(small, dividend._a, factor, side).tobytes()
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_pair_blocks_matches_the_index_oracle(shape):
+    rng = np.random.default_rng(39)
+    factor = FactorShape(*shape)
+    mm, nn, s, t = shape
+    dividend = random_matrix(rng, mm * s, nn * t)
+    for side, small_shape in _sides(shape):
+        small = random_matrix(rng, *small_shape).to_array()
+        got = _pair_blocks(small, _block_view(dividend, factor, side))
+        want = pair_by_index(small, dividend._a, factor, side)
+        eps = np.finfo(np.float64).eps
+        assert np.linalg.norm(got - want) <= 4 * eps * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_one_block_row_pairs_as_that_row_of_the_full_pairing(shape):
+    # a linear divisor reads each block row on its own; it must add over the
+    # divisor's rows in the order the full pairing does, bit for bit
+    rng = np.random.default_rng(40)
+    factor = FactorShape(*shape)
+    mm, nn, s, t = shape
+    dividend = random_matrix(rng, mm * s, nn * t)
+    for side, small_shape in _sides(shape):
+        small = random_matrix(rng, *small_shape).to_array()
+        blocks = _block_view(dividend, factor, side)
+        full = _pair_blocks(small, blocks)
+        for u in range(blocks.shape[1]):
+            assert _pair_blocks(small, blocks[:, u:u + 1])[0].tobytes() == full[u].tobytes()
+
+
+@pytest.mark.parametrize("shape", [shape for shape in KERNEL_SHAPES if max(shape) <= 9])
+def test_linear_copy_of_a_uniform_scheme_gives_its_bits(shape):
+    rng = np.random.default_rng(41)
+    factor = FactorShape(*shape)
+    mm, nn, s, t = shape
+    dividend = random_matrix(rng, mm * s, nn * t)
+    uniform = realization_for("frobenius")
+    linear = QuotientScheme.linear(family_from_realization(uniform))
+    a = random_matrix(rng, mm, nn)
+    b = random_matrix(rng, s, t)
+    assert left_quotient(linear, a, dividend, factor) == left_quotient(uniform, a, dividend, factor)
+    assert right_quotient(linear, dividend, b, factor) \
+        == right_quotient(uniform, dividend, b, factor)

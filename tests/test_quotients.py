@@ -875,6 +875,25 @@ def test_remainder_overflow_is_a_typed_error(name):
                 op(name, a, m, shape)
 
 
+def test_leopardi_overflow_names_each_op():
+    # the blockwise ratios of this dividend average about 2.8e308: the quotient itself
+    # overflows binary64, on either side
+    m = Matrix.from_array(np.full((4, 4), 1.5e308))
+    a = Matrix.from_array(SCALE_DIVISORS[0])
+    shape = FactorShape(2, 2, 2, 2)
+    tail = (r" of the 4x4 dividend by the 2x2 divisor overflows binary64 "
+            r"at factor shape \(m=2, n=2, s=2, t=2\)$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedInputError, match="^left_quotient" + tail):
+            left_quotient("leopardi", a, m, shape)
+        with pytest.raises(UnsupportedInputError, match="^right_quotient" + tail):
+            right_quotient("leopardi", m, a, shape)
+        for op in (remainder, is_divisor):
+            with pytest.raises(UnsupportedInputError, match="^remainder" + tail):
+                op("leopardi", a, m, shape)
+
+
 @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
 def test_frobenius_weights_scale_free(e):
     for base in SCALE_DIVISORS:
@@ -905,7 +924,9 @@ class TestScaleAndConcurrency:
             return (left_quotient("leopardi", a, m, shape),
                     left_quotient("operator", a, m, shape),
                     remainder("frobenius", a, m, shape),
-                    right_quotient("operator", m, a, shape))
+                    right_quotient("operator", m, a, shape),
+                    pfp(a, m),
+                    left_quotient("frobenius", a, m, shape))
 
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(run, range(32)))

@@ -177,7 +177,8 @@ def same_bits(r1, r2):
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
-from kronquot import FactorShape, Matrix, check_axiom, kron, remainder, right_quotient, svd
+from kronquot import (FactorShape, Matrix, check_axiom, kron, left_quotient, pfp, remainder,
+                      right_quotient, svd)
 digest = hashlib.sha256()
 rng = np.random.default_rng(55)
 for rows, cols in ((2, 2), (4, 3), (3, 4), (4, 4), (8, 8),
@@ -193,6 +194,15 @@ m = kron(a, b) + Matrix.from_array(rng.uniform(-1, 1, (256, 256)))
 shape = FactorShape(16, 16, 16, 16)
 digest.update(remainder("frobenius", a, m, shape).to_array().tobytes())
 digest.update(right_quotient("operator", m, b, shape).to_array().tobytes())
+for rows, cols in ((32, 32), (32, 8)):
+    a, b = (Matrix.from_array(rng.uniform(-1, 1, dims) + 1j * rng.uniform(-1, 1, dims))
+            for dims in ((rows, cols), (cols, rows)))
+    product = kron(a, b)
+    m = Matrix.from_array(product.to_array() + rng.uniform(-1, 1, (rows * cols, rows * cols)))
+    digest.update(product.to_array().tobytes())
+    digest.update(pfp(a, m).to_array().tobytes())
+    digest.update(left_quotient("frobenius", a, m, FactorShape(rows, cols, cols, rows))
+                  .to_array().tobytes())
 print(digest.hexdigest())
 """
 
