@@ -44,7 +44,7 @@ class MatrixFormatError(KronError, ValueError):
 
 
 class ZeroDivisorError(KronError, ZeroDivisionError):
-    """Quotient with the zero matrix as divisor."""
+    """Quotient with the zero matrix as divisor, or a matrix divided by the scalar zero."""
 
 
 class SingularRealizationError(KronError):
@@ -72,8 +72,4 @@ class ConfigurationError(KronError):
 
 
 class ConvergenceError(KronError):
-    """Iteration budget exhausted before reaching the target residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    """A numerical routine failed to converge: LAPACK's SVD raised LinAlgError."""

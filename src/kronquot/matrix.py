@@ -23,13 +23,17 @@ an entrywise ``isfinite`` pass decide. The verdict is the entrywise one
 either way.
 
 An operation on finite operands can yield a non-finite entry only by
-overflowing binary64. The operations compute under ``np.errstate`` so
-numpy does not warn, and :func:`_adopt_result` turns such a result into
-UnsupportedInputError naming the operation and its operands' shapes.
+overflowing binary64. The operations, the arithmetic operators among
+them, compute under ``np.errstate`` so numpy does not warn, and
+:func:`_adopt_result` turns such a result into UnsupportedInputError
+naming the operation and its operands' shapes. A non-finite scalar
+operand raises NonFiniteEntryError, and division by the scalar zero
+ZeroDivisorError.
 """
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import operator
@@ -43,6 +47,7 @@ from .errors import (
     NonFiniteEntryError,
     ShapeError,
     UnsupportedInputError,
+    ZeroDivisorError,
 )
 
 _MAX_INDEX = np.iinfo(np.intp).max
@@ -102,9 +107,12 @@ def _reject_non_numeric(values, cols: int = 1) -> None:
 
 def _scalar(k) -> complex:
     try:
-        return complex(k)
+        z = complex(k)
     except (TypeError, ValueError):
         raise MatrixFormatError(f"scalar is not a number: {k!r}") from None
+    if not cmath.isfinite(z):
+        raise NonFiniteEntryError(f"scalar must be finite (no NaN/Inf), got {k!r}")
+    return z
 
 
 class Matrix:
@@ -293,13 +301,17 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other, "add")
-        return Matrix._adopt(self._a + other._a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._a + other._a
+        return _adopt_result(out, "add", self, other)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other, "subtract")
-        return Matrix._adopt(self._a - other._a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._a - other._a
+        return _adopt_result(out, "subtract", self, other)
 
     def __neg__(self):
         return Matrix._adopt(-self._a)
@@ -307,14 +319,22 @@ class Matrix:
     def __mul__(self, k):
         if isinstance(k, Matrix):
             raise TypeError("use A @ B for the matrix product")
-        return Matrix._adopt(self._a * _scalar(k))
+        k = _scalar(k)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._a * k
+        return _adopt_result(out, "multiply", self, k)
 
     __rmul__ = __mul__
 
     def __truediv__(self, k):
         if isinstance(k, Matrix):
             raise TypeError("matrix/matrix division is not defined; see the quotient schemes")
-        return Matrix._adopt(self._a / _scalar(k))
+        k = _scalar(k)
+        if k == 0:
+            raise ZeroDivisorError(f"cannot divide a {self.rows}x{self.cols} matrix by zero")
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._a / k
+        return _adopt_result(out, "divide", self, k)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -322,7 +342,9 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        return Matrix._adopt(self._a @ other._a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = self._a @ other._a
+        return _adopt_result(out, "matmul", self, other)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -370,22 +392,29 @@ class FactorShape:
                 f"{self.m * self.s}x{self.n * self.t} for factor shape {self}")
 
 
-def _adopt_result(arr: np.ndarray, op: str, x: Matrix, y: Matrix,
+def _overflow_message(op: str, x: Matrix, y: Matrix | complex,
+                      shape: FactorShape | None = None) -> str:
+    """Says that ``op`` on x and y overflows binary64, naming the operands: a pair of
+    matrices, a matrix and a scalar y, or with a factor shape, the dividend x and the
+    divisor y."""
+    if shape is not None:
+        return (f"{op} of the {x.rows}x{x.cols} dividend by the {y.rows}x{y.cols} divisor "
+                f"overflows binary64 at factor shape {shape}")
+    if isinstance(y, Matrix):
+        return f"{op} of a {x.rows}x{x.cols} and a {y.rows}x{y.cols} matrix overflows binary64"
+    return f"{op} of a {x.rows}x{x.cols} matrix by {_py(y)!r} overflows binary64"
+
+
+def _adopt_result(arr: np.ndarray, op: str, x: Matrix, y: Matrix | complex,
                   shape: FactorShape | None = None) -> Matrix:
     """``Matrix._adopt(arr)`` for the result of ``op`` on finite operands x and y,
     computed under ``np.errstate(over="ignore", invalid="ignore")``. A non-finite
-    entry can only come from an overflow, and raises UnsupportedInputError naming
-    the op and the operands: a pair of matrices, or with a factor shape, the
-    dividend x and the divisor y."""
+    entry can only come from an overflow, and raises UnsupportedInputError with
+    :func:`_overflow_message`."""
     try:
         return Matrix._adopt(arr)
     except NonFiniteEntryError:
-        if shape is None:
-            operands, where = f"a {x.rows}x{x.cols} and a {y.rows}x{y.cols} matrix", ""
-        else:
-            operands = f"the {x.rows}x{x.cols} dividend by the {y.rows}x{y.cols} divisor"
-            where = f" at factor shape {shape}"
-        raise UnsupportedInputError(f"{op} of {operands} overflows binary64{where}") from None
+        raise UnsupportedInputError(_overflow_message(op, x, y, shape)) from None
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -76,6 +76,7 @@ pure and reentrant to keep that guarantee.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 from itertools import product
 from typing import Callable, Mapping
@@ -93,7 +94,8 @@ from .errors import (
     UnsupportedInputError,
     ZeroDivisorError,
 )
-from .matrix import FactorShape, Matrix, _adopt_result, _ldexp, _scaled_squares
+from .matrix import (FactorShape, Matrix, _adopt_result, _ldexp, _overflow_message,
+                     _scaled_squares)
 from .pfp import _pair_blocks, pfp, pfp_scalar
 from .singular import SvdResult, svd
 
@@ -245,15 +247,24 @@ def _frobenius_q(a: Matrix) -> Matrix:
     return Matrix._adopt(_ldexp(_ldexp(a._a, -exp).conj() / complex(norm2), -exp))
 
 
-def _operator_q_from(decomposition: SvdResult) -> Matrix:
+def _q_over(q: Matrix, k: complex, a: Matrix) -> Matrix:
+    """q / k as the Q(A) of divisor a, UnsupportedInputError from :func:`_overflow_error`
+    where it overflows binary64."""
+    try:
+        return q / k
+    except UnsupportedInputError:
+        raise _overflow_error(a) from None
+
+
+def _operator_q_from(a: Matrix, decomposition: SvdResult) -> Matrix:
     """conj(u1) v1^T / sigma1 from the leading singular pair of a nonzero A."""
     u1, v1 = decomposition.u.column(1), decomposition.v.column(1)
-    return (u1.conjugate() @ v1.transpose()) / decomposition.sigma[0]
+    return _q_over(u1.conjugate() @ v1.transpose(), decomposition.sigma[0], a)
 
 
 def _operator_q(a: Matrix) -> Matrix:
     _check_nonzero(a)
-    return _operator_q_from(svd(a))
+    return _operator_q_from(a, svd(a))
 
 
 def trace_realization(a: Matrix) -> Matrix:
@@ -264,7 +275,9 @@ def trace_realization(a: Matrix) -> Matrix:
     if tr == 0:
         raise SingularRealizationError(
             "trace realization Q(A) = I/tr(A) is undefined: tr(A) = 0")
-    return Matrix.identity(a.rows) / tr
+    if not cmath.isfinite(tr):
+        raise UnsupportedInputError(f"tr(A) of the {a.rows}x{a.cols} divisor overflows binary64")
+    return _q_over(Matrix.identity(a.rows), tr, a)
 
 
 # The one table of built-in schemes: the CLI's --scheme choices, scheme
@@ -346,9 +359,15 @@ class Divisor:
     svd: SvdResult | None = None
 
     def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
-        """A quot M = pfp(Q(A), M), once A and M fit the factor shape."""
+        """A quot M = pfp(Q(A), M), once A and M fit the factor shape.
+        UnsupportedInputError, named as by :func:`left_quotient`, where it
+        overflows binary64."""
         _check_shapes(self.a, shape.m, shape.n, m, shape)
-        return pfp(self.q, m)
+        try:
+            return pfp(self.q, m)
+        except UnsupportedInputError:  # pfp raises it only for an overflow
+            raise UnsupportedInputError(
+                _overflow_message("left_quotient", m, self.a, shape)) from None
 
     def _apply(self, blocks: np.ndarray) -> np.ndarray:
         """Q(A) paired against axes 0 and 2 of a dividend's block view (see
@@ -437,7 +456,7 @@ def realize(scheme, a: Matrix) -> Divisor | LinearDivisor:
     decomposition = svd(a) if realization.q_of is _operator_q else None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            q = realization.q_of(a) if decomposition is None else _operator_q_from(decomposition)
+            q = realization.q_of(a) if decomposition is None else _operator_q_from(a, decomposition)
     except NonFiniteEntryError:
         raise _overflow_error(a) from None
     if not isinstance(q, Matrix) or q.shape != a.shape:

@@ -39,8 +39,8 @@ def allclose(a: Matrix, b: Matrix, *, rtol: float = 1e-10, atol: float = 1e-12) 
 def graded_matrix(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
     """A random rows x cols matrix with singular values logspace(0, -8, min(rows, cols)).
 
-    At condition number 1e8 a LAPACK start is off by about eps * 1e8, so
-    the Jacobi sweeps that polish it still rotate.
+    Condition number 1e8, columns far from orthogonal: the SVD takes it
+    through LAPACK, never through the orthogonal-columns path.
     """
     k = min(rows, cols)
     q1, _ = np.linalg.qr(rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k)))

@@ -374,12 +374,14 @@ def test_criterion_8_cli_contract(tmp_path, capsys, monkeypatch):
                                         "2,2,2,2", str(paths["Z"]), str(paths["M"])]) == 2))
     capsys.readouterr()
 
-    # numerical failure exits 3 (one-sweep budget on a graded divisor)
-    import kronquot.singular as singular
+    # numerical failure exits 3 (LAPACK's SVD of a graded divisor fails)
+    def fail_to_converge(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
     divisor = tmp_path / "graded.mat"
     write_matrix(divisor, graded_matrix(rng, 4, 4))
     write_matrix(paths["out"], kron(read_matrix(divisor), b))
-    monkeypatch.setattr(singular, "_SWEEPS_PER_COLUMN", 0)
+    monkeypatch.setattr(np.linalg, "svd", fail_to_converge)
     code = main(["quot", "--scheme", "operator", "--shape", "4,4,2,2",
                  str(divisor), str(paths["out"])])
     monkeypatch.undo()

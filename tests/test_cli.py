@@ -8,7 +8,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-import kronquot.singular as singular
 from kronquot import cli
 from kronquot import (
     Matrix,
@@ -275,13 +274,16 @@ class TestErrorExits:
         assert "tr(A)" in err or "trace" in err
 
     def test_numerical_failure_exits_three(self, fixtures, tmp_path, capsys, monkeypatch):
-        # choke the budget to one sweep, which a graded divisor spends rotating
+        # LAPACK fails on the operator scheme's SVD of a graded divisor
+        def fail_to_converge(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
         _, paths, mats = fixtures
         divisor = tmp_path / "divisor.mat"
         write_matrix(divisor, graded_matrix(np.random.default_rng(93), 4, 4))
         big = tmp_path / "big.mat"
         write_matrix(big, kron(read_matrix(divisor), mats["B"]))
-        monkeypatch.setattr(singular, "_SWEEPS_PER_COLUMN", 0)
+        monkeypatch.setattr(np.linalg, "svd", fail_to_converge)
         code = main(["quot", "--scheme", "operator", "--shape", "4,4,2,2",
                      str(divisor), str(big)])
         assert code == 3

@@ -16,6 +16,7 @@ from kronquot import (
     NonFiniteEntryError,
     ShapeError,
     UnsupportedInputError,
+    ZeroDivisorError,
     block,
     kron,
     relative_residual,
@@ -223,6 +224,44 @@ class TestEntrywiseOps:
         adjoint = a.conjugate().transpose()
         assert adjoint.conjugate().transpose() == a
         assert adjoint == Matrix.from_array(a.to_array().conj().T)
+
+
+class TestArithmeticOverflow:
+    """An operator whose result overflows binary64 raises UnsupportedInputError naming
+    the operation and the shapes, and numpy does not warn."""
+
+    HUGE = Matrix.from_array(np.full((2, 2), 1.5e308))
+
+    @pytest.mark.parametrize("compute, message", [
+        (lambda m: m + m, "add of a 2x2 and a 2x2 matrix"),
+        (lambda m: m - (-m), "subtract of a 2x2 and a 2x2 matrix"),
+        (lambda m: 10 * m, "multiply of a 2x2 matrix by 10.0"),
+        (lambda m: m * (2 + 1j), "multiply of a 2x2 matrix by (2+1j)"),
+        (lambda m: m / 0.1, "divide of a 2x2 matrix by 0.1"),
+        (lambda m: m @ m, "matmul of a 2x2 and a 2x2 matrix"),
+    ], ids=["add", "subtract", "rmul", "mul-complex", "truediv", "matmul"])
+    def test_overflow_is_a_typed_error_that_names_the_op(self, compute, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedInputError,
+                               match=f"^{re.escape(message)} overflows binary64$"):
+                compute(self.HUGE)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1, math.inf)])
+    def test_non_finite_scalar_is_rejected(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteEntryError, match="^scalar must be finite"):
+                Matrix.identity(2) * bad
+            with pytest.raises(NonFiniteEntryError, match="^scalar must be finite"):
+                Matrix.identity(2) / bad
+
+    def test_division_by_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for zero in (0, 0.0, 0j):
+                with pytest.raises(ZeroDivisorError, match="^cannot divide a 2x3 matrix by zero$"):
+                    Matrix.zero(2, 3) / zero
 
 
 class TestReductions:

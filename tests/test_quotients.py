@@ -894,6 +894,29 @@ def test_leopardi_overflow_names_each_op():
                 op("leopardi", a, m, shape)
 
 
+def test_trace_overflow_is_a_typed_error():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedInputError,
+                           match=r"^tr\(A\) of the 2x2 divisor overflows binary64$"):
+            realize("trace", Matrix.diagonal([1.5e308, 1.5e308]))
+
+
+def test_divisor_quotient_overflow_names_the_quotient():
+    # pfp(Q(A), M) overflows: the realized divisor names the quotient as left_quotient does
+    m = Matrix.from_array(np.full((4, 4), 1.5e308))
+    a = Matrix.from_array(SCALE_DIVISORS[0])
+    shape = FactorShape(2, 2, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedInputError) as via_function:
+            left_quotient("leopardi", a, m, shape)
+        with pytest.raises(UnsupportedInputError) as via_divisor:
+            realize("leopardi", a).quotient(m, shape)
+    assert str(via_divisor.value) == str(via_function.value)
+    assert str(via_divisor.value).startswith("left_quotient of the 4x4 dividend")
+
+
 @pytest.mark.parametrize("e", [-1000, -600, 600, 1000])
 def test_frobenius_weights_scale_free(e):
     for base in SCALE_DIVISORS:

@@ -1,6 +1,5 @@
 """SVD kernel: invariants, the fixed convention, determinism, oracles."""
 
-import itertools
 import math
 import os
 import subprocess
@@ -10,7 +9,6 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-import kronquot.singular as svd_mod
 from kronquot import (
     ConvergenceError,
     Matrix,
@@ -103,7 +101,7 @@ class TestInvariants:
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-8, 1e8, 1e120])
     def test_uniformly_extreme_scales(self, scale):
-        # squared column norms (or their products) must not mute rotations
+        # squared column norms must neither overflow nor underflow
         rng = np.random.default_rng(50)
         for rows, cols in ((6, 4), (40, 24)):
             a = Matrix.from_array(scale * (rng.normal(size=(rows, cols))
@@ -172,8 +170,9 @@ def same_bits(r1, r2):
             and r1.v.entries == r2.v.entries)
 
 
-# SHA-256 of U, sigma and V over small and large shapes, and of one operator
-# law check, for comparing processes that differ only in their environment
+# SHA-256 of U, sigma and V over small and large shapes, a rank-deficient and a
+# graded input, and of one operator law check, for comparing processes that
+# differ only in their environment
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
@@ -181,9 +180,13 @@ from kronquot import (FactorShape, Matrix, check_axiom, kron, left_quotient, pfp
                       right_quotient, svd)
 digest = hashlib.sha256()
 rng = np.random.default_rng(55)
-for rows, cols in ((2, 2), (4, 3), (3, 4), (4, 4), (8, 8),
-                   (9, 9), (16, 16), (32, 32), (32, 12), (12, 32)):
-    a = rng.uniform(-1, 1, (rows, cols)) + 1j * rng.uniform(-1, 1, (rows, cols))
+def complex_uniform(rows, cols):
+    return rng.uniform(-1, 1, (rows, cols)) + 1j * rng.uniform(-1, 1, (rows, cols))
+inputs = [complex_uniform(rows, cols) for rows, cols in (
+    (2, 2), (4, 3), (3, 4), (4, 4), (8, 8), (9, 9), (16, 16), (32, 32), (32, 12), (12, 32))]
+inputs.append(complex_uniform(20, 3) @ complex_uniform(3, 20))  # rank 3
+inputs.append(complex_uniform(16, 16) * np.logspace(0, -8, 16))  # graded columns
+for a in inputs:
     result = svd(Matrix.from_array(a))
     for part in (result.u.to_array(), np.array(result.sigma), result.v.to_array()):
         digest.update(part.tobytes())
@@ -299,54 +302,15 @@ class TestLeadingPair:
             leading_pair(Matrix.zero(2, 2))
 
 
-def test_convergence_error_carries_residual(monkeypatch):
-    # choke the sweep budget to one sweep, which a graded matrix spends rotating
-    monkeypatch.setattr(svd_mod, "_SWEEPS_PER_COLUMN", 0)
-    rng = np.random.default_rng(49)
-    for n in (2, 3, 4):
-        with pytest.raises(ConvergenceError) as info:
-            svd(graded_matrix(rng, n, n))
-        assert info.value.residual > 0.0
-
-
-def test_round_robin_meets_every_pair_once_per_sweep():
-    for n in range(1, 41):
-        moves = svd_mod._round_robin(n)
-        assert len(moves) == n - 1 + n % 2
-        # walk the layouts from step 0's, 0, 1, ..., n-1: each lays its
-        # step's pairs side by side, lower column first
-        layout = np.arange(n)
-        met = []
-        for move in moves:
-            pairs = layout[:n - n % 2].reshape(-1, 2)
-            assert (pairs[:, 0] < pairs[:, 1]).all()
-            met.extend(map(tuple, pairs.tolist()))
-            layout = layout[move]
-        assert sorted(met) == list(itertools.combinations(range(n), 2))
-        assert layout.tolist() == list(range(n))
-
-
-def test_sweep_statistics():
-    rng = np.random.default_rng(54)
-    for rows, cols in ((4, 3), (16, 16)):
-        result = svd(graded_matrix(rng, rows, cols))
-        pairs = cols * (cols - 1) // 2
-        assert result.sweeps >= 2
-        assert 0 < result.rotations <= (result.sweeps - 1) * pairs
-        assert 0.0 <= result.offdiag_ratio <= svd_mod._PAIR_TOL
-    already_orthogonal = svd(Matrix.diagonal([1, 3, 2]))
-    assert (already_orthogonal.sweeps, already_orthogonal.rotations,
-            already_orthogonal.offdiag_ratio) == (1, 0, 0.0)
-
-
 def permutation_matrix(order):
     """The matrix whose column k is the standard basis vector e_order[k]."""
     return Matrix.from_array(np.eye(len(order))[:, order])
 
 
 class TestFromNineColumns:
-    """The LAPACK start: every SVD polishes LAPACK's right singular vectors,
-    unless the columns are already orthogonal or LAPACK fails."""
+    """The LAPACK path: every SVD returns LAPACK's decomposition under the
+    package's convention, unless the working matrix has one column or
+    orthogonal columns."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 8, 9, 16, 32])
     def test_orthogonal_columns_keep_the_identity_start(self, monkeypatch, k):
@@ -400,32 +364,42 @@ class TestFromNineColumns:
         assert scaled.u.entries == base.u.entries
         assert scaled.v.entries == base.v.entries
 
-    def test_lapack_failure_falls_back_to_the_identity_start(self, monkeypatch):
+    def test_one_lapack_call_unless_one_or_orthogonal_columns(self, monkeypatch):
         calls = []
+        lapack = np.linalg.svd
 
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return lapack(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        rng = np.random.default_rng(64)
+        for rows, cols in ((4, 3), (3, 4), (16, 16), (2, 2)):
+            svd(random_matrix(rng, rows, cols))
+        assert calls == [(4, 3), (4, 3), (16, 16), (2, 2)]  # a wide input runs transposed
+        calls.clear()
+        for a in (random_matrix(rng, 5, 1), random_matrix(rng, 1, 5), Matrix.zero(3, 4),
+                  Matrix.diagonal([2, -5, 1j])):
+            svd(a)
+        assert calls == []
+
+    def test_lapack_failure_raises_convergence_error_naming_the_shape(self, monkeypatch):
         def fail(*args, **kwargs):
-            calls.append(1)
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
         rng = np.random.default_rng(61)
-        for rows, cols in ((4, 3), (16, 16), (24, 12), (12, 24)):
-            a = random_matrix(rng, rows, cols)
-            result = svd(a)
-            check_invariants(a, result)
-            check_phase_convention(result)
-        assert len(calls) == 4
+        for rows, cols in ((4, 3), (3, 4), (16, 16)):
+            with pytest.raises(ConvergenceError, match=f"of the {rows}x{cols} input"):
+                svd(graded_matrix(rng, rows, cols))
 
-    def test_convergence_error_from_a_lapack_start(self, monkeypatch):
-        monkeypatch.setattr(svd_mod, "_SWEEPS_PER_COLUMN", 0)
-        with pytest.raises(ConvergenceError) as info:
-            svd(graded_matrix(np.random.default_rng(62), 16, 16))
-        assert info.value.residual > svd_mod._PAIR_TOL
-
-    def test_at_most_two_sweeps(self):
-        rng = np.random.default_rng(63)
-        for _ in range(40):
-            short = int(rng.integers(1, 33))
-            long = int(rng.integers(short, 41))
-            rows, cols = (long, short) if rng.integers(2) else (short, long)
-            assert svd(random_matrix(rng, rows, cols)).sweeps <= 2
+    @pytest.mark.parametrize("n, rank", [(12, 1), (20, 3), (16, 8), (32, 16), (4, 1)])
+    def test_rank_deficient(self, n, rank):
+        rng = np.random.default_rng(65)
+        a = random_matrix(rng, n, rank) @ random_matrix(rng, rank, n)
+        result = svd(a)
+        check_invariants(a, result)
+        check_phase_convention(result)
+        want = np.linalg.svd(a.to_array(), compute_uv=False)
+        assert max(abs(got - x) for got, x in zip(result.sigma, want)) <= 1e-14 * want[0]
+        assert sum(x > 1e-12 * want[0] for x in result.sigma) == rank
