@@ -29,7 +29,7 @@ from .axioms import (
     demo_counterexamples,
     weight_rule_for,
 )
-from .errors import ConvergenceError, KronError
+from .errors import ConvergenceError, KronError, UnsupportedInputError
 from .matrix import FactorShape, Matrix, kron
 from .pfp import pfp
 from .quotients import (
@@ -147,34 +147,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("a", metavar="A.mat")
     p.add_argument("b", metavar="B.mat")
     add_output(p)
-    p.set_defaults(func=_cmd_kron)
+    p.set_defaults(func=_cmd_kron, inputs=("a", "b"))
 
     p = sub.add_parser("quot", help="left quotient: recover B from A and M ~ kron(A, B)")
     add_scheme_shape(p)
     p.add_argument("a", metavar="A.mat", help="left divisor (m x n)")
     p.add_argument("m", metavar="M.mat", help="dividend ((m*s) x (n*t))")
     add_output(p)
-    p.set_defaults(func=_cmd_quot)
+    p.set_defaults(func=_cmd_quot, inputs=("a", "m"))
 
     p = sub.add_parser("rquot", help="right quotient: recover A from M ~ kron(A, B) and B")
     add_scheme_shape(p)
     p.add_argument("m", metavar="M.mat", help="dividend ((m*s) x (n*t))")
     p.add_argument("b", metavar="B.mat", help="right divisor (s x t)")
     add_output(p)
-    p.set_defaults(func=_cmd_rquot)
+    p.set_defaults(func=_cmd_rquot, inputs=("m", "b"))
 
     p = sub.add_parser("rem", help="left remainder M - kron(A, quot); prints divisor=true|false")
     add_scheme_shape(p)
     p.add_argument("a", metavar="A.mat")
     p.add_argument("m", metavar="M.mat")
     add_output(p)
-    p.set_defaults(func=_cmd_rem)
+    p.set_defaults(func=_cmd_rem, inputs=("a", "m"))
 
     p = sub.add_parser("pfp", help="partial Frobenius product of two matrix files")
     p.add_argument("a", metavar="A.mat")
     p.add_argument("m", metavar="M.mat")
     add_output(p)
-    p.set_defaults(func=_cmd_pfp)
+    p.set_defaults(func=_cmd_pfp, inputs=("a", "m"))
 
     p = sub.add_parser("check", help="randomized axiom check; exit 0 holds, 1 fails")
     p.add_argument("--axiom", choices=[*_SCHEME_LAWS, "Wcond", "Proj"], required=True)
@@ -207,6 +207,12 @@ def main(argv: list[str] | None = None) -> int:
     except ConvergenceError as exc:
         print(f"kronquot: numerical failure: {exc}", file=sys.stderr)
         return 3
+    except UnsupportedInputError as exc:
+        # the message names the operation and shapes; the files it read are named here
+        paths = [getattr(args, name) for name in getattr(args, "inputs", ())]
+        where = f" (inputs: {', '.join(paths)})" if paths else ""
+        print(f"kronquot: error: {exc}{where}", file=sys.stderr)
+        return 2
     except (KronError, OSError) as exc:
         print(f"kronquot: error: {exc}", file=sys.stderr)
         return 2

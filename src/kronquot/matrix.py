@@ -283,7 +283,12 @@ class Matrix:
     def trace(self) -> complex:
         if not self.is_square():
             raise ShapeError(f"trace needs a square matrix, got {self.rows}x{self.cols}")
-        return complex(np.trace(self._a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            tr = complex(np.trace(self._a))
+        if not cmath.isfinite(tr):
+            raise UnsupportedInputError(
+                f"trace of a {self.rows}x{self.cols} matrix overflows binary64")
+        return tr
 
     def frobenius_norm(self) -> float:
         """sqrt of the summed squared entry magnitudes, accurate at every scale;

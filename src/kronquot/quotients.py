@@ -76,7 +76,6 @@ pure and reentrant to keep that guarantee.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 from itertools import product
 from typing import Callable, Mapping
@@ -257,8 +256,9 @@ def _q_over(q: Matrix, k: complex, a: Matrix) -> Matrix:
 
 
 def _operator_q_from(a: Matrix, decomposition: SvdResult) -> Matrix:
-    """conj(u1) v1^T / sigma1 from the leading singular pair of a nonzero A."""
-    u1, v1 = decomposition.u.column(1), decomposition.v.column(1)
+    """conj(u1) v1^T / sigma1 from the leading singular pair of a nonzero A; U and V
+    are not completed."""
+    u1, v1 = decomposition._leading_pair()
     return _q_over(u1.conjugate() @ v1.transpose(), decomposition.sigma[0], a)
 
 
@@ -271,12 +271,14 @@ def trace_realization(a: Matrix) -> Matrix:
     """Q(A) = I/tr(A), defined for square matrices with nonzero trace."""
     if not a.is_square():
         raise ShapeError(f"trace realization needs a square matrix, got {a.rows}x{a.cols}")
-    tr = a.trace()
+    try:
+        tr = a.trace()
+    except UnsupportedInputError:
+        raise UnsupportedInputError(
+            f"tr(A) of the {a.rows}x{a.cols} divisor overflows binary64") from None
     if tr == 0:
         raise SingularRealizationError(
             "trace realization Q(A) = I/tr(A) is undefined: tr(A) = 0")
-    if not cmath.isfinite(tr):
-        raise UnsupportedInputError(f"tr(A) of the {a.rows}x{a.cols} divisor overflows binary64")
     return _q_over(Matrix.identity(a.rows), tr, a)
 
 
@@ -350,7 +352,8 @@ class Divisor:
     ``q`` is the checked Q(A) and ``unit`` its pairing pfp_scalar(Q(A), A),
     within REALIZATION_TOLERANCE of 1. ``svd`` is the decomposition of A
     that the operator scheme's Q(A) was built from, and None for every
-    other rule.
+    other rule; Q(A) reads its leading pair, so its full U and V are
+    completed only if read.
     """
 
     a: Matrix

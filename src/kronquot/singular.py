@@ -15,6 +15,12 @@ pair literally, so this module pins every freedom:
   extra columns of the larger unitary factor, are filled by
   Gram-Schmidt over the standard basis under the same phase rule.
 
+``svd`` computes sigma and the phased singular vectors of the rank
+columns, which is all the package reads: the operator quotient takes
+the leading pair, the rank and degeneracy checks take sigma. U and V
+are completed to full unitaries the first time ``SvdResult.u`` or
+``SvdResult.v`` is read, and the completion is kept for later reads.
+
 The decomposition runs on 2^-e * A, where e is the binary exponent of
 the largest real or imaginary part of any entry, and the singular values
 are multiplied back by 2^e. So squared column norms never overflow,
@@ -58,13 +64,51 @@ _EPS = float(np.finfo(np.float64).eps)
 _PAIR_TOL = 1e-14
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class SvdResult:
-    """Decomposition A = u * Sigma * v.conjugate().transpose(), sigma on Sigma's diagonal."""
+    """Decomposition A = u * Sigma * v.conjugate().transpose(), sigma on Sigma's diagonal.
 
-    u: Matrix
+    Made by :func:`svd`, which computes only sigma and the rank columns of U
+    and V. The unitary ``u`` and ``v`` are completed by Gram-Schmidt the first
+    time each is read and kept, so later reads return the same Matrix. A
+    completion is published by one store: threads reading at once get equal
+    bits and never a partly built matrix.
+    """
+
     sigma: tuple[float, ...]
-    v: Matrix
+    _u_rank: np.ndarray = dataclasses.field(repr=False)
+    _v_rank: np.ndarray = dataclasses.field(repr=False)
+    _full: dict[str, Matrix] = dataclasses.field(default_factory=dict, init=False, repr=False)
+
+    @property
+    def u(self) -> Matrix:
+        return self._completed("u", self._u_rank)
+
+    @property
+    def v(self) -> Matrix:
+        return self._completed("v", self._v_rank)
+
+    def _completed(self, name: str, cols: np.ndarray) -> Matrix:
+        full = self._full.get(name)
+        if full is None:
+            q = np.zeros((cols.shape[0],) * 2, dtype=np.complex128)
+            q[:, :cols.shape[1]] = cols
+            _gram_schmidt_fill(q, cols.shape[1])
+            # setdefault is one atomic store: a thread that lost the race returns the winner
+            full = self._full.setdefault(name, Matrix._adopt(q))
+        return full
+
+    def _leading_pair(self) -> tuple[Matrix, Matrix]:
+        """Column 1 of u and of v, read without completing either; A must be nonzero."""
+        u1, v1 = self._u_rank[:, :1].copy(), self._v_rank[:, :1].copy()
+        return Matrix._adopt(u1), Matrix._adopt(v1)
+
+    def __eq__(self, other):
+        if not isinstance(other, SvdResult):
+            return NotImplemented
+        return (self.u, self.sigma, self.v) == (other.u, other.sigma, other.v)
+
+    __hash__ = None
 
 
 def _orthogonal_columns(work: np.ndarray) -> bool:
@@ -111,6 +155,17 @@ def _phase_of(col: np.ndarray) -> complex:
     return pivot / mag
 
 
+def _phases_of(cols: np.ndarray) -> np.ndarray:
+    """:func:`_phase_of` of every column, with its bits: CPython divides a complex
+    by a float as by complex(mag, 0.0), and numpy's complex division would not."""
+    pivots = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    mag = np.hypot(pivots.real, pivots.imag)  # abs(complex) is libm's hypot; np.abs is not
+    out = np.empty(pivots.shape, dtype=np.complex128)
+    out.real = (pivots.real + pivots.imag * 0.0) / mag
+    out.imag = (pivots.imag - pivots.real * 0.0) / mag
+    return out
+
+
 def _gram_schmidt_fill(q: np.ndarray, start: int) -> None:
     """Fill columns [start:] with phase-normalized orthonormal basis completions."""
     dim = q.shape[0]
@@ -153,16 +208,12 @@ def svd(a: Matrix) -> SvdResult:
         vectors, sigma, right = _tall_svd(arr.conj().T if wide else arr)
     except np.linalg.LinAlgError:
         raise ConvergenceError(f"LAPACK's SVD of the {m}x{n} input did not converge") from None
-    left = np.zeros((vectors.shape[0],) * 2, dtype=np.complex128)
     rank = _rank_of(sigma, m, n)
-    left[:, :rank] = vectors[:, :rank]
-    u, v = (right, left) if wide else (left, right)
-    for k in range(rank):
-        adjust = _phase_of(v[:, k]).conjugate()
-        v[:, k] *= adjust
-        u[:, k] *= adjust
-    _gram_schmidt_fill(u, rank)
-    _gram_schmidt_fill(v, rank)
+    u, v = (right[:, :rank], vectors[:, :rank]) if wide else (vectors[:, :rank], right[:, :rank])
+    adjust = _phases_of(v).conj()
+    u, v = u * adjust, v * adjust
+    u.setflags(write=False)
+    v.setflags(write=False)
 
     try:
         scaled_back = tuple(math.ldexp(float(x), exp) for x in sigma)
@@ -170,4 +221,4 @@ def svd(a: Matrix) -> SvdResult:
         raise UnsupportedInputError(
             f"the largest singular value of the {m}x{n} input overflows binary64; "
             "rescale the input") from None
-    return SvdResult(u=Matrix._adopt(u), sigma=scaled_back, v=Matrix._adopt(v))
+    return SvdResult(scaled_back, u, v)

@@ -314,14 +314,31 @@ def test_overflowing_kron_prints_one_error_line(tmp_path):
     import subprocess
     import sys
 
-    big = tmp_path / "big.mat"
+    big, huge = tmp_path / "big.mat", tmp_path / "huge.mat"
     write_matrix(big, Matrix.from_array(np.full((2, 2), 1e200)))
-    proc = subprocess.run([sys.executable, "-m", "kronquot", "kron", str(big), str(big)],
+    write_matrix(huge, Matrix.from_array(np.full((2, 2), 1e300)))
+    proc = subprocess.run([sys.executable, "-m", "kronquot", "kron", str(big), str(huge)],
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
-        "kronquot: error: kron of a 2x2 and a 2x2 matrix overflows binary64"]
+        "kronquot: error: kron of a 2x2 and a 2x2 matrix overflows binary64 "
+        f"(inputs: {big}, {huge})"]
+
+
+@pytest.mark.parametrize("command", ["pfp", "quot", "rquot", "rem"])
+def test_overflow_error_names_the_input_files(tmp_path, capsys, command):
+    a, m = tmp_path / "A.mat", tmp_path / "M.mat"
+    write_matrix(a, Matrix.from_rows([[1, .5], [.25, 2]]))
+    write_matrix(m, Matrix.from_array(np.full((4, 4), 1.5e308)))
+    files = [str(m), str(a)] if command == "rquot" else [str(a), str(m)]
+    options = [] if command == "pfp" else ["--scheme", "leopardi", "--shape", "2,2,2,2"]
+    assert main([command, *options, *files]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert "overflows binary64" in line
+    assert line.endswith(f" (inputs: {files[0]}, {files[1]})")
 
 
 def test_write_then_read_is_bit_exact_for_random_matrices(tmp_path):

@@ -272,6 +272,13 @@ class TestReductions:
         with pytest.raises(ShapeError):
             Matrix.zero(2, 3).trace()
 
+    def test_overflowing_trace_is_a_typed_error_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedInputError,
+                               match="^trace of a 2x2 matrix overflows binary64$"):
+                Matrix.diagonal([1.5e308, 1.5e308]).trace()
+
     def test_frobenius_norm_hand_value(self):
         assert Matrix.from_rows([[3, 4]]).frobenius_norm() == pytest.approx(5.0)
 

@@ -4,18 +4,31 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+import kronquot.singular as singular
 from kronquot import (
     ConvergenceError,
+    FactorShape,
     Matrix,
     UnsupportedInputError,
+    check_axiom,
+    check_projection,
+    check_realization_conditions,
+    demo_counterexamples,
+    kron,
+    left_quotient,
+    realize,
     relative_residual,
+    remainder,
+    right_quotient,
     svd,
 )
+from kronquot.axioms import _SCHEME_LAWS
 from oracles import (
     DegenerateInputError,
     graded_matrix,
@@ -403,3 +416,93 @@ class TestFromNineColumns:
         want = np.linalg.svd(a.to_array(), compute_uv=False)
         assert max(abs(got - x) for got, x in zip(result.sigma, want)) <= 1e-14 * want[0]
         assert sum(x > 1e-12 * want[0] for x in result.sigma) == rank
+
+
+def deferred_inputs():
+    """Tall, wide, square, one-column, one-row, diagonal, permutation and
+    rank-deficient inputs, each also scaled by 2^700 and 2^-700."""
+    rng = np.random.default_rng(66)
+    base = [random_matrix(rng, 7, 3), random_matrix(rng, 3, 7), random_matrix(rng, 5, 5),
+            random_matrix(rng, 6, 1), random_matrix(rng, 1, 6), Matrix.diagonal([1, -3j, 2]),
+            permutation_matrix([2, 0, 3, 1]),
+            random_matrix(rng, 6, 2) @ random_matrix(rng, 2, 5)]
+    return [Matrix.from_array(np.ldexp(a.to_array().view(float), e).view(complex))
+            for a in base for e in (0, 700, -700)]
+
+
+class TestDeferredCompletion:
+    """svd computes sigma and the rank columns; U and V are completed on first read."""
+
+    @pytest.fixture
+    def fills(self, monkeypatch):
+        calls = []
+        original = singular._gram_schmidt_fill
+
+        def counted(q, start):
+            calls.append(q.shape)
+            original(q, start)
+
+        monkeypatch.setattr(singular, "_gram_schmidt_fill", counted)
+        return calls
+
+    def test_operator_paths_run_no_fill(self, fills):
+        rng = np.random.default_rng(67)
+        a, b = random_matrix(rng, 3, 2), random_matrix(rng, 2, 4)
+        m, shape = kron(a, b), FactorShape(3, 2, 2, 4)
+        realize("operator", a)
+        left_quotient("operator", a, m, shape)
+        right_quotient("operator", m, b, shape)
+        remainder("operator", a, m, shape)
+        for axiom in _SCHEME_LAWS:
+            check_axiom(axiom, "operator", 20, 42, 4)
+        check_realization_conditions("operator", 20, 42, 4)
+        check_projection([Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)],
+                         "operator", 20, 42, 4)
+        demo_counterexamples()
+        assert fills == []
+        svd(a).u
+        assert fills == [(3, 3)]
+
+    def test_a_completion_is_read_once_and_kept(self, fills):
+        result = svd(random_matrix(np.random.default_rng(68), 5, 2))
+        assert result.u is result.u
+        assert result.v is result.v
+        assert fills == [(5, 5), (2, 2)]
+
+    def test_threads_reading_one_result_get_the_serial_bits(self):
+        a = random_matrix(np.random.default_rng(69), 12, 5)
+        serial = svd(a)
+        serial_bits = (serial.u.to_array().tobytes(), serial.v.to_array().tobytes())
+        shared = svd(a)
+        start = threading.Barrier(8)
+
+        def read(_):
+            start.wait(timeout=30)
+            return shared.u.to_array().tobytes(), shared.v.to_array().tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(read, k) for k in range(8)]
+                reads = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert reads == [serial_bits] * 8
+
+    def test_operator_q_is_the_completed_leading_pair(self):
+        for a in deferred_inputs():
+            result = svd(a)
+            want = (result.u.column(1).conjugate() @ result.v.column(1).transpose()
+                    / result.sigma[0])
+            assert realize("operator", a).q.to_array().tobytes() == want.to_array().tobytes()
+
+    def test_rank_columns_are_phased_like_the_scalar_rule(self):
+        rng = np.random.default_rng(70)
+        for rows, cols in ((1, 1), (4, 3), (9, 9), (16, 5)):
+            for cols_array in (random_matrix(rng, rows, cols).to_array(),
+                               -random_matrix(rng, rows, cols).to_array().real + 0j,
+                               -1j * random_matrix(rng, rows, cols).to_array().imag):
+                want = [singular._phase_of(cols_array[:, k]) for k in range(cols)]
+                got = singular._phases_of(cols_array)
+                assert got.tobytes() == np.array(want, dtype=np.complex128).tobytes()
