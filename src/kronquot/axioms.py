@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matfile
 from .errors import ConfigurationError, SingularRealizationError, ZeroDivisorError
-from .matrix import FactorShape, Matrix, kron, relative_residual
+from .matrix import FactorShape, Matrix, _exponent, _ldexp, kron, relative_residual
 from .pfp import pfp_scalar
 from .quotients import (
     BUILTIN_SCHEMES,
@@ -612,7 +612,10 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
     if len(basis) != m * n:
         raise ConfigurationError(f"a basis of the {m}x{n} matrices needs {m * n} "
                                  f"elements, got {len(basis)}")
-    stack = Matrix._adopt(np.array([mat._a.ravel() for mat in basis]))
+    # each element scaled by its exact power of two, so no one element's scale
+    # decides the rank
+    stack = Matrix._adopt(np.array([_ldexp(mat._a.ravel(), -_exponent(mat._a))
+                                    for mat in basis]))
     if _numerical_rank(stack) != m * n:
         raise ConfigurationError("basis does not span the matrix space")
 

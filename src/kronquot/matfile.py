@@ -30,6 +30,7 @@ with one ``str.format`` call. Errors name the line at fault and, through
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 import re
@@ -52,10 +53,14 @@ _FORMS = np.array(["{:.17g}{:+.17g}i", "{:.17g}", "{:.17g}i"], dtype=object)
 
 
 def parse_scalar(token: str) -> complex:
-    """Parse one scalar token."""
+    """Parse one scalar token; NonFiniteEntryError, naming it, for a literal such as
+    ``1e400`` that overflows binary64."""
     if not _TOKEN_RE.fullmatch(token):
         raise MatrixFormatError(f"bad scalar token {token!r}")
-    return complex(token.replace("i", "j"))
+    value = complex(token.replace("i", "j"))
+    if not cmath.isfinite(value):
+        raise NonFiniteEntryError(f"scalar token {token!r} overflows binary64")
+    return value
 
 
 def _fmt(x: float) -> str:

@@ -14,15 +14,18 @@ BLAS product pairs row j of A with the n x t matrix M4[j, u] for every
 (j, u) at once, and the m partial results are then added over j in one
 fixed order, ((j=0 + j=1) + j=2) + ..., whatever s is. So pairing against
 one block row gives bit for bit the same entries as that row of the full
-pairing. A result that overflows binary64 raises UnsupportedInputError.
+pairing. A result that overflows binary64 raises UnsupportedInputError, from
+``pfp`` and ``pfp_scalar`` alike.
 """
 
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
 
-from .errors import ShapeError
-from .matrix import Matrix, _adopt_result
+from .errors import ShapeError, UnsupportedInputError
+from .matrix import Matrix, _adopt_result, _overflow_message
 
 
 def _resolve_roles(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
@@ -62,8 +65,12 @@ def pfp(a: Matrix, m: Matrix) -> Matrix:
 
 
 def pfp_scalar(a: Matrix, c: Matrix) -> complex:
-    """Bilinear Frobenius pairing sum_{j,k} a[j,k] * c[j,k] (no conjugation)."""
+    """Bilinear Frobenius pairing sum_{j,k} a[j,k] * c[j,k] (no conjugation).
+    UnsupportedInputError where it overflows binary64."""
     if a.shape != c.shape:
         raise ShapeError(f"scalar pairing needs equal shapes, got "
                          f"{a.rows}x{a.cols} and {c.rows}x{c.cols}")
-    return complex(np.einsum("jk,jk->", a._a, c._a))
+    out = complex(np.einsum("jk,jk->", a._a, c._a))
+    if not cmath.isfinite(out):  # finite operands: only an overflow gets here
+        raise UnsupportedInputError(_overflow_message("pfp_scalar", a, c))
+    return out

@@ -352,14 +352,15 @@ class Divisor:
     ``q`` is the checked Q(A) and ``unit`` its pairing pfp_scalar(Q(A), A),
     within REALIZATION_TOLERANCE of 1. ``svd`` is the decomposition of A
     that the operator scheme's Q(A) was built from, and None for every
-    other rule; Q(A) reads its leading pair, so its full U and V are
-    completed only if read.
+    other rule; Q(A) reads its leading pair, and the full U and V are
+    completed only on a read of ``svd.u`` or ``svd.v``. Divisors compare
+    by (a, q, unit); A fixes the decomposition, so ``svd`` takes no part.
     """
 
     a: Matrix
     q: Matrix
     unit: complex
-    svd: SvdResult | None = None
+    svd: SvdResult | None = dataclasses.field(default=None, compare=False)
 
     def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
         """A quot M = pfp(Q(A), M), once A and M fit the factor shape.
@@ -449,8 +450,8 @@ def realize(scheme, a: Matrix) -> Divisor | LinearDivisor:
 
     Raises ZeroDivisorError for an exactly zero A. Under a uniform scheme it
     also raises what the realization raises, UnsupportedInputError when Q(A)
-    overflows binary64, and InvalidRealizationError when Q(A) lacks A's shape
-    or does not pair to 1 against A.
+    or its pairing against A overflows binary64, and InvalidRealizationError
+    when Q(A) lacks A's shape or does not pair to 1 against A.
     """
     realization = resolve_scheme(scheme)
     _check_nonzero(a)

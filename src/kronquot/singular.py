@@ -17,9 +17,10 @@ pair literally, so this module pins every freedom:
 
 ``svd`` computes sigma and the phased singular vectors of the rank
 columns, which is all the package reads: the operator quotient takes
-the leading pair, the rank and degeneracy checks take sigma. U and V
-are completed to full unitaries the first time ``SvdResult.u`` or
-``SvdResult.v`` is read, and the completion is kept for later reads.
+the leading pair, the rank and degeneracy checks take sigma. The
+result is an immutable value; ``SvdResult.u`` and ``SvdResult.v``
+complete those columns to full unitaries on each read, with the same
+bits every time.
 
 The decomposition runs on 2^-e * A, where e is the binary exponent of
 the largest real or imaginary part of any entry, and the singular values
@@ -69,46 +70,27 @@ class SvdResult:
     """Decomposition A = u * Sigma * v.conjugate().transpose(), sigma on Sigma's diagonal.
 
     Made by :func:`svd`, which computes only sigma and the rank columns of U
-    and V. The unitary ``u`` and ``v`` are completed by Gram-Schmidt the first
-    time each is read and kept, so later reads return the same Matrix. A
-    completion is published by one store: threads reading at once get equal
-    bits and never a partly built matrix.
+    and V. Each read of ``u`` or ``v`` completes the unitary by Gram-Schmidt
+    again, to the same bits; a caller who reads one twice should keep the
+    Matrix. Results compare by identity.
     """
 
     sigma: tuple[float, ...]
     _u_rank: np.ndarray = dataclasses.field(repr=False)
     _v_rank: np.ndarray = dataclasses.field(repr=False)
-    _full: dict[str, Matrix] = dataclasses.field(default_factory=dict, init=False, repr=False)
 
     @property
     def u(self) -> Matrix:
-        return self._completed("u", self._u_rank)
+        return _completed(self._u_rank)
 
     @property
     def v(self) -> Matrix:
-        return self._completed("v", self._v_rank)
-
-    def _completed(self, name: str, cols: np.ndarray) -> Matrix:
-        full = self._full.get(name)
-        if full is None:
-            q = np.zeros((cols.shape[0],) * 2, dtype=np.complex128)
-            q[:, :cols.shape[1]] = cols
-            _gram_schmidt_fill(q, cols.shape[1])
-            # setdefault is one atomic store: a thread that lost the race returns the winner
-            full = self._full.setdefault(name, Matrix._adopt(q))
-        return full
+        return _completed(self._v_rank)
 
     def _leading_pair(self) -> tuple[Matrix, Matrix]:
         """Column 1 of u and of v, read without completing either; A must be nonzero."""
         u1, v1 = self._u_rank[:, :1].copy(), self._v_rank[:, :1].copy()
         return Matrix._adopt(u1), Matrix._adopt(v1)
-
-    def __eq__(self, other):
-        if not isinstance(other, SvdResult):
-            return NotImplemented
-        return (self.u, self.sigma, self.v) == (other.u, other.sigma, other.v)
-
-    __hash__ = None
 
 
 def _orthogonal_columns(work: np.ndarray) -> bool:
@@ -145,25 +127,24 @@ def _rank_of(sigma, rows: int, cols: int) -> int:
     return int(np.count_nonzero(np.asarray(sigma) > cutoff))
 
 
-def _phase_of(col: np.ndarray) -> complex:
-    """Unit phase of the largest-magnitude entry (first on ties)."""
-    idx = int(np.argmax(np.abs(col)))
-    pivot = complex(col[idx])
-    mag = abs(pivot)
-    if mag == 0.0:
-        return 1.0 + 0.0j
-    return pivot / mag
-
-
 def _phases_of(cols: np.ndarray) -> np.ndarray:
-    """:func:`_phase_of` of every column, with its bits: CPython divides a complex
-    by a float as by complex(mag, 0.0), and numpy's complex division would not."""
+    """Unit phase of each nonzero column's largest-magnitude entry (first on ties),
+    with the bits of CPython's pivot / abs(pivot): CPython divides a complex by a
+    float as by complex(mag, 0.0), and numpy's complex division would not."""
     pivots = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
     mag = np.hypot(pivots.real, pivots.imag)  # abs(complex) is libm's hypot; np.abs is not
     out = np.empty(pivots.shape, dtype=np.complex128)
     out.real = (pivots.real + pivots.imag * 0.0) / mag
     out.imag = (pivots.imag - pivots.real * 0.0) / mag
     return out
+
+
+def _completed(cols: np.ndarray) -> Matrix:
+    """The unitary whose leading columns are ``cols``, the rest filled by Gram-Schmidt."""
+    q = np.zeros((cols.shape[0],) * 2, dtype=np.complex128)
+    q[:, :cols.shape[1]] = cols
+    _gram_schmidt_fill(q, cols.shape[1])
+    return Matrix._adopt(q)
 
 
 def _gram_schmidt_fill(q: np.ndarray, start: int) -> None:
@@ -187,7 +168,7 @@ def _gram_schmidt_fill(q: np.ndarray, start: int) -> None:
         else:  # unreachable: the pigeonhole bound above guarantees candidates
             raise ConvergenceError("orthonormal completion ran out of candidates")
         x = x / norm
-        q[:, col] = x * _phase_of(x).conjugate()
+        q[:, col] = x * _phases_of(x[:, None])[0].conjugate()
 
 
 def svd(a: Matrix) -> SvdResult:

@@ -56,6 +56,14 @@ def reconstruct(result: SvdResult) -> Matrix:
     return Matrix.from_array(result.u.to_array() @ sig @ result.v.to_array().conj().T)
 
 
+def phase_of(col: np.ndarray) -> complex:
+    """Unit phase of a column's largest-magnitude entry (first on ties), in CPython
+    scalar arithmetic: pivot / abs(pivot), and 1 for a zero column."""
+    pivot = complex(col[int(np.argmax(np.abs(col)))])
+    mag = abs(pivot)
+    return pivot / mag if mag else 1.0 + 0.0j
+
+
 def kron_by_index(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product from the entrywise index formula."""
     m, n = a.rows, a.cols

@@ -285,6 +285,19 @@ class TestProjection:
         with pytest.raises(ConfigurationError):
             check_projection(degenerate, "frobenius", 10, 42)
 
+    @pytest.mark.parametrize("c", [1e-16, 2.0 ** -60, 1e16])
+    def test_one_element_scale_does_not_decide_the_span(self, c):
+        # the span test cut sigma at 4 eps sigma_1 of the stacked basis, so one
+        # element of scale c rejected this basis as not spanning
+        basis = [c * UNIT_BASIS[0], *UNIT_BASIS[1:]]
+        report = check_projection(basis, "frobenius", 20, 42, 3)
+        assert report.holds
+
+    def test_dependent_rescaled_basis_rejected(self):
+        basis = [1e16 * UNIT_BASIS[0], UNIT_BASIS[1], 1e-16 * UNIT_BASIS[1], UNIT_BASIS[3]]
+        with pytest.raises(ConfigurationError, match="does not span"):
+            check_projection(basis, "frobenius", 10, 42)
+
     def test_wrong_cardinality_rejected(self):
         with pytest.raises(ConfigurationError):
             check_projection(UNIT_BASIS[:3], "frobenius", 10, 42)

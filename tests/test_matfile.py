@@ -1,8 +1,8 @@
 """Matrix text format: token grammar, round trips, failure modes."""
 
-import cmath
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +128,12 @@ def test_parse_matrix_rejects(text):
 def test_overflowing_literal_is_rejected_as_non_finite():
     with pytest.raises(NonFiniteEntryError):
         parse_matrix("1 1\n1e400\n")
+
+
+@pytest.mark.parametrize("token", ["1e400", "-1e400", "1-1e400i", "1e309i"])
+def test_overflowing_scalar_literal_names_the_token(token):
+    with pytest.raises(NonFiniteEntryError, match=f"^scalar token {re.escape(repr(token))} "):
+        parse_scalar(token)
 
 
 def test_single_line_encoding_round_trip():
@@ -314,7 +320,9 @@ def test_complex_accepts_exactly_the_grammar_on_random_tokens():
         except MatrixFormatError as exc:
             assert not ok and exc.line == 2 and repr(token) in exc.reason
         except NonFiniteEntryError:
-            assert ok and not cmath.isfinite(parse_scalar(token))
+            assert ok
+            with pytest.raises(NonFiniteEntryError, match=re.escape(repr(token))):
+                parse_scalar(token)
         else:
             assert ok and repr(got) == repr(parse_scalar(token))
     assert accepted > 1000

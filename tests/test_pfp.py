@@ -9,6 +9,7 @@ from kronquot import (
     FactorShape,
     Matrix,
     QuotientScheme,
+    Realization,
     ShapeError,
     UnsupportedInputError,
     kron,
@@ -16,6 +17,7 @@ from kronquot import (
     pfp,
     pfp_scalar,
     realization_for,
+    realize,
     relative_residual,
     right_quotient,
 )
@@ -149,6 +151,19 @@ def test_overflow_is_a_typed_error_that_names_pfp():
         warnings.simplefilter("error")
         with pytest.raises(UnsupportedInputError, match=message):
             pfp(a, big)
+
+
+def test_scalar_pairing_overflow_is_a_typed_error():
+    # einsum warns of no overflow: the sum came back as (inf+0j), and a realization
+    # pairing to it failed as "pairs to (inf+0j) ... expected 1"
+    big = Matrix.from_array(np.full((2, 2), 1e308))
+    message = r"^pfp_scalar of a 2x2 and a 2x2 matrix overflows binary64$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedInputError, match=message):
+            pfp_scalar(big, big)
+        with pytest.raises(UnsupportedInputError, match=message):
+            realize(Realization(lambda a: a), big)
 
 
 def test_non_associativity_witness():

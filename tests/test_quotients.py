@@ -859,6 +859,48 @@ def test_round_trip_across_divisor_scales(name, side):
         assert relative_residual(got, b) < 1e-9, f"e={e}"
 
 
+# The dividend at 2^e M, e over DIVIDEND_EXPONENTS: every cell returns exactly 2^e
+# times its e = 0 result, or raises UnsupportedInputError naming the op.
+DIVIDEND_EXPONENTS = (-1000, -500, 0, 500, 1000)
+DIVIDEND_SHAPES = (FactorShape(2, 2, 2, 2), FactorShape(2, 2, 3, 3), FactorShape(3, 3, 2, 2))
+
+
+def _exactly_scaled(op, compute, base, e):
+    """compute(e) is 2^e * base bit for bit, or raises UnsupportedInputError naming op."""
+    try:
+        got = compute(e)
+    except UnsupportedInputError as exc:
+        assert str(exc).startswith(f"{op} "), f"{op} at e={e}: {exc}"
+        return
+    assert got.to_array().tobytes() == _scaled(base, e).to_array().tobytes(), f"{op} at e={e}"
+
+
+@pytest.mark.parametrize("shape", DIVIDEND_SHAPES, ids=str)
+def test_scaling_the_dividend_scales_every_result_exactly(shape):
+    rng = np.random.default_rng(87)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for real in (True, False):
+            a = random_nonzero(rng, shape.m, shape.n, need_trace=True)
+            b = random_nonzero(rng, shape.s, shape.t, need_trace=True)
+            m = random_matrix(rng, shape.m * shape.s, shape.n * shape.t, real=real)
+            multiple = kron(a, b)
+            for e in DIVIDEND_EXPONENTS:
+                _exactly_scaled("kron", lambda e: kron(a, _scaled(b, e)), multiple, e)
+                _exactly_scaled("pfp", lambda e: pfp(a, _scaled(m, e)), pfp(a, m), e)
+            for name in SCHEMES:
+                ops = {
+                    "left_quotient": lambda mm: left_quotient(name, a, mm, shape),
+                    "right_quotient": lambda mm: right_quotient(name, mm, b, shape),
+                    "remainder": lambda mm: remainder(name, a, mm, shape),
+                }
+                for (op, run), e in itertools.product(ops.items(), DIVIDEND_EXPONENTS):
+                    _exactly_scaled(op, lambda e: run(_scaled(m, e)), run(m), e)
+                for e in DIVIDEND_EXPONENTS:
+                    assert is_divisor(name, a, _scaled(multiple, e), shape), f"{name} e={e}"
+                    assert not is_divisor(name, a, _scaled(m, e), shape), f"{name} e={e}"
+
+
 @pytest.mark.parametrize("name", ["frobenius", "operator", "trace"])
 def test_remainder_overflow_is_a_typed_error(name):
     # the quotient of this dividend fits binary64, but M - kron(A, C) does not
