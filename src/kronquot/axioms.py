@@ -156,6 +156,11 @@ def _dim(rng: np.random.Generator, max_dim: int) -> int:
     return int(rng.integers(1, max_dim + 1))
 
 
+def _draw_scalar(rng: np.random.Generator) -> complex:
+    """One of ``SCALARS``, uniformly: the draw ``rng.choice(SCALARS)`` makes."""
+    return SCALARS[int(rng.integers(0, len(SCALARS)))]
+
+
 def _random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     """Real, then imaginary parts uniform on [-1, 1)."""
     return rng.uniform(-1.0, 1.0, (rows, cols)) + 1j * rng.uniform(-1.0, 1.0, (rows, cols))
@@ -190,7 +195,7 @@ def _draw_block(rng, trial, square, sparse, max_dim, restricted, *,
     inputs = {"A": a}
     for key in keys:
         if key == "k":
-            inputs[key] = complex(rng.choice(SCALARS))
+            inputs[key] = _draw_scalar(rng)
         elif restricted:
             inputs[key] = kron(a, _random_matrix(rng, s, t))
         else:
@@ -229,7 +234,7 @@ def _draw_realization_pair(rng, trial, square_only, max_dim) -> dict:
     t = s if square_only else _dim(rng, max_dim)
     a = _random_nonzero(rng, m, n, need_trace=square_only)
     b = _random_nonzero(rng, s, t, need_trace=square_only)
-    return {"A": a, "B": b, "k": complex(rng.choice(SCALARS))}
+    return {"A": a, "B": b, "k": _draw_scalar(rng)}
 
 
 def _draw_basis_dividend(rng, trial, m, n, max_dim) -> dict:

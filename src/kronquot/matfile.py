@@ -127,10 +127,13 @@ def parse_matrix(text: str) -> Matrix:
         out[row] = np.fromiter(map(complex, tokens), np.complex128, cols)
     try:
         return Matrix._adopt(out)
-    except NonFiniteEntryError as exc:
-        # an overflowing literal such as 1e400; its row is looked up only on failure
-        row = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
-        raise NonFiniteEntryError(f"line {data[row][0]}: {exc}") from None
+    except NonFiniteEntryError:
+        # the grammar has no nan or inf, so a literal such as 1e400 overflowed;
+        # its line and column are looked up only on failure
+        row, col = (int(k) for k in np.argwhere(~np.isfinite(out))[0])
+        lineno, line = data[row]
+        raise NonFiniteEntryError(f"line {lineno}: entry {col + 1} "
+                                  f"{line.split()[col]!r} overflows binary64") from None
 
 
 def format_matrix(m: Matrix) -> str:

@@ -26,9 +26,13 @@ An operation on finite operands can yield a non-finite entry only by
 overflowing binary64. The operations, the arithmetic operators among
 them, compute under ``np.errstate`` so numpy does not warn, and
 :func:`_adopt_result` turns such a result into UnsupportedInputError
-naming the operation and its operands' shapes. A non-finite scalar
-operand raises NonFiniteEntryError, and division by the scalar zero
-ZeroDivisorError.
+naming the operation and its operands' shapes. A pairing kernel can also
+overflow in an intermediate whose final sum fits; the kernels that can,
+pfp, the quotients and the remainder, adopt their result through
+:func:`_adopt_rescaled`, which retries on operands scaled by an exact
+power of two before it reports an overflow. A
+non-finite scalar operand raises NonFiniteEntryError, and division by the
+scalar zero ZeroDivisorError.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ import cmath
 import dataclasses
 import math
 import operator
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -276,7 +280,7 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return not self._a.any()
+        return not np.count_nonzero(self._a)
 
     # -- scalar reductions -------------------------------------------
 
@@ -284,7 +288,7 @@ class Matrix:
         if not self.is_square():
             raise ShapeError(f"trace needs a square matrix, got {self.rows}x{self.cols}")
         with np.errstate(over="ignore", invalid="ignore"):
-            tr = complex(np.trace(self._a))
+            tr = complex(self._a.trace())
         if not cmath.isfinite(tr):
             raise UnsupportedInputError(
                 f"trace of a {self.rows}x{self.cols} matrix overflows binary64")
@@ -422,6 +426,38 @@ def _adopt_result(arr: np.ndarray, op: str, x: Matrix, y: Matrix | complex,
         raise UnsupportedInputError(_overflow_message(op, x, y, shape)) from None
 
 
+def _adopt_rescaled(kernel: Callable[..., np.ndarray], operands: Sequence[Matrix],
+                    growth: Callable[[], int], op: str, x: Matrix, y: Matrix | complex,
+                    shape: FactorShape | None = None) -> Matrix:
+    """``_adopt_result(kernel(*operands), op, x, y, shape)`` for a kernel linear in its
+    matrix ``operands`` jointly, computed under ``np.errstate`` here.
+
+    Where the result is not finite, an intermediate may have overflowed while the
+    result fits, as when two huge products cancel. Only then is ``growth()`` called:
+    it bounds the kernel, so that where every real and imaginary part of the operands
+    lies below 2^k, every product and partial sum lies below 2^(k + growth). The
+    kernel runs again on 2^-e times each operand, e >= 1 picked so that none of those
+    reaches 2^1022, and its result is scaled back by 2^e, exactly wherever the scaled
+    values are normal. UnsupportedInputError only where that result overflows too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = kernel(*operands)
+        try:
+            return Matrix._adopt(out)
+        except NonFiniteEntryError:
+            e = max(max(_exponent(z._a) for z in operands) + growth() - 1022, 1)
+            out = _ldexp(kernel(*(Matrix._adopt(_ldexp(z._a, -e)) for z in operands)), e)
+    return _adopt_result(out, op, x, y, shape)
+
+
+def _pairing_growth(factor: np.ndarray) -> int:
+    """The growth, as :func:`_adopt_rescaled` takes it, of pairing ``factor`` with an
+    operand: each entry sums factor.size products of complex parts, each part of a
+    product below 2^(e + k + 1) with e = :func:`_exponent` of the factor, plus one bit
+    for rounding."""
+    return _exponent(factor) + 2 + (factor.size - 1).bit_length()
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product: the block matrix whose (i, j) block is a[i,j] * b.
     UnsupportedInputError where an entry overflows binary64."""
@@ -429,9 +465,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     cols = a.cols * b.cols
     if rows > _MAX_INDEX or cols > _MAX_INDEX or rows * cols > _MAX_INDEX:
         raise ShapeError(f"Kronecker product size {rows}x{cols} exceeds the platform index range")
+    # np.kron's own product, (a[j, k] b[u, v]) on the (j, u, k, v) block view
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.kron(a._a, b._a)
-    return _adopt_result(out, "kron", a, b)
+        out = a._a[:, None, :, None] * b._a[None, :, None, :]
+    return _adopt_result(out.reshape(rows, cols), "kron", a, b)
 
 
 def block(m: Matrix, shape: FactorShape, i: int, j: int) -> Matrix:
@@ -451,11 +488,14 @@ def _squares(arr: np.ndarray) -> float:
 def _exponent(arr: np.ndarray) -> int:
     """Binary exponent e of the largest real or imaginary part of a contiguous complex
     array, which 2^-e puts in [0.5, 1); 0 when every part is zero."""
-    return math.frexp(float(np.abs(arr.view(np.float64)).max()))[1]
+    return math.frexp(float(np.maximum.reduce(np.abs(arr.view(np.float64)), axis=None)))[1]
 
 
 def _ldexp(arr: np.ndarray, exp: int) -> np.ndarray:
-    """2^exp * arr for a contiguous complex array, exact wherever the result is normal."""
+    """2^exp * arr for a contiguous complex array, exact wherever the result is normal;
+    ``arr`` itself when exp is 0, so the caller must only read the result."""
+    if exp == 0:
+        return arr
     return np.ldexp(arr.view(np.float64), exp).view(np.complex128)
 
 

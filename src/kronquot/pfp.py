@@ -15,7 +15,10 @@ BLAS product pairs row j of A with the n x t matrix M4[j, u] for every
 fixed order, ((j=0 + j=1) + j=2) + ..., whatever s is. So pairing against
 one block row gives bit for bit the same entries as that row of the full
 pairing. A result that overflows binary64 raises UnsupportedInputError, from
-``pfp`` and ``pfp_scalar`` alike.
+``pfp`` and ``pfp_scalar`` alike. Where only a product or partial sum of
+``pfp`` overflows, as when two huge products cancel, the pairing runs again
+on the larger operand scaled by an exact power of two, and the result is
+scaled back.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import cmath
 import numpy as np
 
 from .errors import ShapeError, UnsupportedInputError
-from .matrix import Matrix, _adopt_result, _overflow_message
+from .matrix import Matrix, _adopt_rescaled, _overflow_message, _pairing_growth
 
 
 def _resolve_roles(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
@@ -57,11 +60,9 @@ def _pair_blocks(small: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 def pfp(a: Matrix, m: Matrix) -> Matrix:
     """Partial Frobenius product of two matrices (symmetric in its arguments)."""
     small, big = _resolve_roles(a, m)
-    mm, nn = small.rows, small.cols
-    s, t = big.rows // mm, big.cols // nn
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _pair_blocks(small._a, big._a.reshape(mm, s, nn, t))
-    return _adopt_result(out, "pfp", a, m)
+    view = (small.rows, big.rows // small.rows, small.cols, big.cols // small.cols)
+    return _adopt_rescaled(lambda x: _pair_blocks(small._a, x._a.reshape(view)), (big,),
+                           lambda: _pairing_growth(small._a), "pfp", a, m)
 
 
 def pfp_scalar(a: Matrix, c: Matrix) -> complex:

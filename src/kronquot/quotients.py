@@ -47,7 +47,9 @@ row-vector x matrix product over the view followed by a sum over the
 divisor's rows in one fixed order. A remainder writes M - kron(A, C)
 into one fresh buffer of the same view. Where a quotient or a remainder
 overflows binary64, it raises UnsupportedInputError naming the
-operation, the operands' shapes and the factor shape.
+operation, the operands' shapes and the factor shape. An intermediate
+overflow whose result fits does not: on that failure path the kernel
+runs again on the dividend scaled by an exact power of two.
 
 There is one scheme type per kind. A uniform scheme is a
 :class:`Realization`: a ``BUILTIN_SCHEMES`` entry, or one made by
@@ -77,6 +79,8 @@ pure and reentrant to keep that guarantee.
 from __future__ import annotations
 
 import dataclasses
+import math
+from functools import partial
 from itertools import product
 from typing import Callable, Mapping
 
@@ -93,8 +97,8 @@ from .errors import (
     UnsupportedInputError,
     ZeroDivisorError,
 )
-from .matrix import (FactorShape, Matrix, _adopt_result, _ldexp, _overflow_message,
-                     _scaled_squares)
+from .matrix import (FactorShape, Matrix, _adopt_rescaled, _exponent, _ldexp, _norm,
+                     _overflow_message, _pairing_growth, _scaled_squares)
 from .pfp import _pair_blocks, pfp, pfp_scalar
 from .singular import SvdResult, svd
 
@@ -162,7 +166,7 @@ class LinearScheme:
 def leopardi_weights(a: Matrix) -> Matrix:
     """Equal weight 1/nnz(A) on every nonzero entry."""
     support = np.abs(a._a) >= ZERO_THRESHOLD
-    count = int(support.sum())
+    count = np.count_nonzero(support)
     if count == 0:
         if a.is_zero():
             raise ZeroDivisorError("cannot weight the zero matrix")
@@ -186,10 +190,11 @@ def _validate_weights(w: Matrix, a: Matrix, support: np.ndarray) -> np.ndarray:
         raise InvalidWeightsError(f"weight rule returned a {w.rows}x{w.cols} matrix "
                                   f"for a {a.rows}x{a.cols} argument")
     warr = w._a
-    total = complex(warr[support].sum())
+    total = complex(np.add.reduce(warr[support]))
     if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
         raise InvalidWeightsError(f"weights over the nonzero entries sum to {total}, expected 1")
-    if float(np.abs(warr[~support]).sum()) > WEIGHT_SUM_TOLERANCE:
+    off = warr[~support]
+    if off.size and np.add.reduce(np.abs(off)) > WEIGHT_SUM_TOLERANCE:
         raise InvalidWeightsError("weight rule puts weight on zero entries of its argument")
     return warr
 
@@ -228,11 +233,12 @@ def weighted_realization(rule: WeightRule, name: str | None = None) -> Realizati
     def q_of(a: Matrix) -> Matrix:
         arr = a._a
         support = np.abs(arr) >= ZERO_THRESHOLD
-        if not support.any():
+        if not np.count_nonzero(support):
             _check_nonzero(a)
             raise _overflow_error(a)
         warr = _validate_weights(rule(a), a, support)
-        return Matrix._adopt(np.divide(warr, arr, out=np.zeros_like(arr), where=support))
+        return Matrix._adopt(np.divide(warr, arr, out=np.zeros(arr.shape, np.complex128),
+                                       where=support))
 
     return Realization(q_of=q_of, label=name or getattr(rule, "__name__", "custom"),
                        support_sensitive=True, weights=rule)
@@ -246,25 +252,29 @@ def _frobenius_q(a: Matrix) -> Matrix:
     return Matrix._adopt(_ldexp(_ldexp(a._a, -exp).conj() / complex(norm2), -exp))
 
 
-def _q_over(q: Matrix, k: complex, a: Matrix) -> Matrix:
-    """q / k as the Q(A) of divisor a, UnsupportedInputError from :func:`_overflow_error`
-    where it overflows binary64."""
+def _adopt_q(q: np.ndarray, a: Matrix) -> Matrix:
+    """Q(A) computed under ``np.errstate``, adopted; :func:`_overflow_error` where it
+    overflows binary64."""
     try:
-        return q / k
-    except UnsupportedInputError:
+        return Matrix._adopt(q)
+    except NonFiniteEntryError:
         raise _overflow_error(a) from None
 
 
 def _operator_q_from(a: Matrix, decomposition: SvdResult) -> Matrix:
-    """conj(u1) v1^T / sigma1 from the leading singular pair of a nonzero A; U and V
-    are not completed."""
-    u1, v1 = decomposition._leading_pair()
-    return _q_over(u1.conjugate() @ v1.transpose(), decomposition.sigma[0], a)
+    """conj(u1) v1^T / sigma1 from the leading singular pair of a nonzero A, computed
+    under ``np.errstate`` by the caller. The pair is read from the rank columns of U
+    and V, which are not completed, as a contiguous conjugated column times a
+    contiguous row: the operands the matrix product of two Matrix values takes."""
+    u1 = decomposition._u_rank[:, :1].conj()
+    v1 = np.ascontiguousarray(decomposition._v_rank[:, :1].T)
+    return _adopt_q((u1 @ v1) / complex(decomposition.sigma[0]), a)
 
 
 def _operator_q(a: Matrix) -> Matrix:
     _check_nonzero(a)
-    return _operator_q_from(a, svd(a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _operator_q_from(a, svd(a))
 
 
 def trace_realization(a: Matrix) -> Matrix:
@@ -279,7 +289,9 @@ def trace_realization(a: Matrix) -> Matrix:
     if tr == 0:
         raise SingularRealizationError(
             "trace realization Q(A) = I/tr(A) is undefined: tr(A) = 0")
-    return _q_over(Matrix.identity(a.rows), tr, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.eye(a.rows, dtype=np.complex128) / tr  # the bits of Matrix.identity(n) / tr
+    return _adopt_q(q, a)
 
 
 # The one table of built-in schemes: the CLI's --scheme choices, scheme
@@ -322,8 +334,10 @@ def resolve_scheme(scheme) -> Realization | LinearScheme:
     if isinstance(scheme, (Realization, LinearScheme)):
         return scheme
     if isinstance(scheme, str):
+        if scheme in BUILTIN_SCHEMES:
+            return BUILTIN_SCHEMES[scheme]
         for name, realization in BUILTIN_SCHEMES.items():
-            if scheme in (name, f"uniform({name})"):
+            if scheme == f"uniform({name})":
                 return realization
             rule = realization.weights
             if rule is not None and scheme == f"weighted({rule.__name__})":
@@ -352,9 +366,10 @@ class Divisor:
     ``q`` is the checked Q(A) and ``unit`` its pairing pfp_scalar(Q(A), A),
     within REALIZATION_TOLERANCE of 1. ``svd`` is the decomposition of A
     that the operator scheme's Q(A) was built from, and None for every
-    other rule; Q(A) reads its leading pair, and the full U and V are
-    completed only on a read of ``svd.u`` or ``svd.v``. Divisors compare
-    by (a, q, unit); A fixes the decomposition, so ``svd`` takes no part.
+    other rule; Q(A) is one outer product of the first rank columns of U
+    and V, and the full U and V are completed only on a read of ``svd.u``
+    or ``svd.v``. Divisors compare by (a, q, unit); A fixes the
+    decomposition, so ``svd`` takes no part.
     """
 
     a: Matrix
@@ -429,14 +444,27 @@ class LinearDivisor:
             out[u2 - 1, v2 - 1] += _pair_blocks(comp._a, blocks[:, u - 1:u])[0, v - 1]
         return out
 
+    def _growth(self, s: int, t: int) -> int:
+        """The growth of ``_apply`` at block size s x t, as :func:`_adopt_rescaled`
+        takes it: an entry adds one pairing per component."""
+        components = [comp._a for comp in self.family(self.a, s, t).values()]
+        return (max(map(_pairing_growth, components))
+                + (len(components) - 1).bit_length())
+
 
 def _divide(op: str, divisor: Divisor | LinearDivisor, m: Matrix, shape: FactorShape,
             side: str) -> Matrix:
     """The divisor on ``side`` applied to M's block view; UnsupportedInputError naming
-    ``op`` where the quotient overflows binary64."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = divisor._apply(_block_view(m, shape, side))
-    return _adopt_result(out, op, m, divisor.a, shape)
+    ``op`` where the quotient overflows binary64, and only there: where an
+    intermediate overflows, the divisor is applied again to 2^-e M (see
+    :func:`_adopt_rescaled`) and the result scaled back."""
+    if isinstance(divisor, LinearDivisor):
+        _, s, _, t = _block_view(m, shape, side).shape
+        growth = partial(divisor._growth, s, t)
+    else:
+        growth = partial(_pairing_growth, divisor.q._a)
+    return _adopt_rescaled(lambda x: divisor._apply(_block_view(x, shape, side)), (m,),
+                           growth, op, m, divisor.a, shape)
 
 
 def _overflow_error(a: Matrix) -> UnsupportedInputError:
@@ -486,20 +514,33 @@ def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     Written into one fresh buffer in the block layout, r[j,u,k,v] = M4[j,u,k,v] - A[j,k] C[u,v]
     with M4 the block view of M and C the left quotient, so no Kronecker product is
     built on its own. Raises UnsupportedInputError, naming ``remainder``, where the
-    quotient or the remainder overflows binary64.
+    quotient or the remainder overflows binary64; A kron C may overflow where the
+    remainder fits, and then it is computed again from 2^-e M and 2^-e C (see
+    :func:`_adopt_rescaled`) and scaled back.
     """
     _check_shapes(a, shape.m, shape.n, m, shape)
-    c = _divide("remainder", realize(scheme, a), m, shape, "left")._a
-    r = np.empty((shape.m, shape.s, shape.n, shape.t), dtype=np.complex128)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(a._a[:, None, :, None], c[None, :, None, :], out=r)
-        np.subtract(_block_view(m, shape, "left"), r, out=r)
-    return _adopt_result(r.reshape(m.rows, m.cols), "remainder", m, a, shape)
+    c = _divide("remainder", realize(scheme, a), m, shape, "left")
+
+    def kernel(dividend: Matrix, quotient: Matrix) -> np.ndarray:
+        r = np.empty((shape.m, shape.s, shape.n, shape.t), dtype=np.complex128)
+        np.multiply(a._a[:, None, :, None], quotient._a[None, :, None, :], out=r)
+        np.subtract(_block_view(dividend, shape, "left"), r, out=r)
+        return r.reshape(m.rows, m.cols)
+
+    # |M - A[j,k] C[u,v]| < 2^(k + max(e_A + 1, 0) + 1), plus a bit for rounding
+    return _adopt_rescaled(kernel, (m, c), lambda: max(_exponent(a._a) + 1, 0) + 2,
+                           "remainder", m, a, shape)
 
 
 def negligible_remainder(r: Matrix, m: Matrix) -> bool:
-    """Whether a remainder r of M vanishes: ||r||_F <= REMAINDER_TOLERANCE * ||M||_F."""
-    return r.frobenius_norm() <= REMAINDER_TOLERANCE * m.frobenius_norm()
+    """Whether a remainder r of M vanishes: ||r||_F <= REMAINDER_TOLERANCE * ||M||_F.
+    Where ||M||_F overflows binary64, both norms are taken on r and M scaled by one
+    exact power of two, so two infinite norms never compare equal."""
+    r_norm, m_norm = r.frobenius_norm(), m.frobenius_norm()
+    if m_norm == math.inf:
+        e = max(_exponent(r._a), _exponent(m._a))
+        r_norm, m_norm = _norm(_ldexp(r._a, -e)), _norm(_ldexp(m._a, -e))
+    return r_norm <= REMAINDER_TOLERANCE * m_norm
 
 
 def is_divisor(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> bool:

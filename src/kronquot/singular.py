@@ -16,11 +16,13 @@ pair literally, so this module pins every freedom:
   Gram-Schmidt over the standard basis under the same phase rule.
 
 ``svd`` computes sigma and the phased singular vectors of the rank
-columns, which is all the package reads: the operator quotient takes
-the leading pair, the rank and degeneracy checks take sigma. The
-result is an immutable value; ``SvdResult.u`` and ``SvdResult.v``
-complete those columns to full unitaries on each read, with the same
-bits every time.
+columns, which is all the package reads: the operator quotient reads
+the leading pair straight from the first rank column of U and of V, the
+rank and degeneracy checks take sigma. The phases of all rank columns
+come from one vectorized pass over their pivots, with the bits of
+CPython's scalar ``pivot / abs(pivot)``. The result is an immutable
+value; ``SvdResult.u`` and ``SvdResult.v`` complete those columns to
+full unitaries on each read, with the same bits every time.
 
 The decomposition runs on 2^-e * A, where e is the binary exponent of
 the largest real or imaginary part of any entry, and the singular values
@@ -52,6 +54,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -63,6 +66,8 @@ _EPS = float(np.finfo(np.float64).eps)
 # Two columns w_x, w_y count as orthogonal when
 # |w_x' w_y| / (||w_x|| * ||w_y||) <= _PAIR_TOL.
 _PAIR_TOL = 1e-14
+
+_CONJ_ONE = complex(1.0, -0.0)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -87,19 +92,18 @@ class SvdResult:
     def v(self) -> Matrix:
         return _completed(self._v_rank)
 
-    def _leading_pair(self) -> tuple[Matrix, Matrix]:
-        """Column 1 of u and of v, read without completing either; A must be nonzero."""
-        u1, v1 = self._u_rank[:, :1].copy(), self._v_rank[:, :1].copy()
-        return Matrix._adopt(u1), Matrix._adopt(v1)
-
 
 def _orthogonal_columns(work: np.ndarray) -> bool:
     """Whether no column pair of ``work`` has a Gram ratio above ``_PAIR_TOL``."""
     gram = work.conj().T @ work
     norms = np.sqrt(gram.diagonal().real)
-    scale = np.outer(norms, norms)
-    ratio = np.divide(np.abs(gram), scale, out=np.zeros(scale.shape), where=scale > 0.0)
-    np.fill_diagonal(ratio, 0.0)
+    scale = norms[:, None] * norms
+    ratio = np.abs(gram)
+    ratio.ravel()[::ratio.shape[0] + 1] = 0.0
+    # where the scale is 0, |gram| stays and the old code read 0: a squared norm or the
+    # product of two norms underflowed there, so by Cauchy-Schwarz |gram| is far below
+    # _PAIR_TOL and the decision is the same
+    np.divide(ratio, scale, out=ratio, where=scale > 0.0)
     return ratio.max() <= _PAIR_TOL
 
 
@@ -112,7 +116,7 @@ def _tall_svd(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if ncols == 1 or _orthogonal_columns(work):
         cols = np.ascontiguousarray(work.T)
         sigma = np.sqrt(np.einsum("ij,ij->i", cols.conj(), cols).real)
-        order = np.argsort(-sigma, kind="stable")
+        order = (-sigma).argsort(kind="stable")
         sigma = sigma[order]
         u = np.divide(cols.T[:, order], sigma, out=np.zeros(work.shape, dtype=np.complex128),
                       where=sigma > 0.0)
@@ -121,22 +125,22 @@ def _tall_svd(work: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, sigma, np.ascontiguousarray(vh.conj().T)
 
 
-def _rank_of(sigma, rows: int, cols: int) -> int:
+def _rank_of(sigma: Sequence[float], rows: int, cols: int) -> int:
     """How many singular values of a rows x cols matrix exceed max(rows, cols) eps sigma_1."""
     cutoff = max(rows, cols) * _EPS * sigma[0]
-    return int(np.count_nonzero(np.asarray(sigma) > cutoff))
+    return sum(x > cutoff for x in sigma)
 
 
 def _phases_of(cols: np.ndarray) -> np.ndarray:
     """Unit phase of each nonzero column's largest-magnitude entry (first on ties),
     with the bits of CPython's pivot / abs(pivot): CPython divides a complex by a
     float as by complex(mag, 0.0), and numpy's complex division would not."""
-    pivots = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    pivots = cols[np.abs(cols).argmax(axis=0), np.arange(cols.shape[1])]
     mag = np.hypot(pivots.real, pivots.imag)  # abs(complex) is libm's hypot; np.abs is not
-    out = np.empty(pivots.shape, dtype=np.complex128)
-    out.real = (pivots.real + pivots.imag * 0.0) / mag
-    out.imag = (pivots.imag - pivots.real * 0.0) / mag
-    return out
+    # pivot * complex(1.0, -0.0) = (re + im 0.0, im - re 0.0) exactly, as every product
+    # is exact: CPython's numerators for complex(mag, 0.0), each part then divided by mag
+    parts = (pivots * _CONJ_ONE).view(np.float64).reshape(-1, 2)
+    return np.divide(parts, mag[:, None], out=parts).view(np.complex128).ravel()
 
 
 def _completed(cols: np.ndarray) -> Matrix:
@@ -189,7 +193,8 @@ def svd(a: Matrix) -> SvdResult:
         vectors, sigma, right = _tall_svd(arr.conj().T if wide else arr)
     except np.linalg.LinAlgError:
         raise ConvergenceError(f"LAPACK's SVD of the {m}x{n} input did not converge") from None
-    rank = _rank_of(sigma, m, n)
+    values = sigma.tolist()
+    rank = _rank_of(values, m, n)
     u, v = (right[:, :rank], vectors[:, :rank]) if wide else (vectors[:, :rank], right[:, :rank])
     adjust = _phases_of(v).conj()
     u, v = u * adjust, v * adjust
@@ -197,7 +202,7 @@ def svd(a: Matrix) -> SvdResult:
     v.setflags(write=False)
 
     try:
-        scaled_back = tuple(math.ldexp(float(x), exp) for x in sigma)
+        scaled_back = tuple(math.ldexp(x, exp) for x in values)
     except OverflowError:
         raise UnsupportedInputError(
             f"the largest singular value of the {m}x{n} input overflows binary64; "

@@ -1,0 +1,65 @@
+"""The layer harness perf/layers.py: the file a short run writes, and --compare."""
+
+import importlib.util
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+HARNESS = Path(__file__).resolve().parent.parent / "perf" / "layers.py"
+LAYERS = {"realize.leopardi", "realize.frobenius", "realize.operator", "realize.trace",
+          "svd", "kron"}
+STATS = {"median_us", "q1_us", "q3_us", "calls_per_batch"}
+
+
+def _run(*args: str) -> str:
+    proc = subprocess.run([sys.executable, str(HARNESS), *args], capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_a_short_run_writes_finite_positive_timings(tmp_path):
+    out = tmp_path / "BENCH_layers.json"
+    _run("--sizes", "1,2", "--repeats", "1", "--out", str(out))
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert set(report) == {"harness", "environment", "sizes", "repeats", "layers"}
+    assert set(report["environment"]) == {"nproc", "cpu", "blas_threads", "python", "numpy",
+                                          "machine", "git_head", "src_dirty"}
+    assert report["environment"]["nproc"] >= 1
+    assert (report["sizes"], report["repeats"]) == ([1, 2], 1)
+    assert set(report["layers"]) == LAYERS
+    for layer, by_case in report["layers"].items():
+        square = {"1x1", "2x2"}
+        assert set(by_case) == (square if layer == "realize.trace" else square | {"1x2", "2x3"})
+        for stats in by_case.values():
+            assert set(stats) == STATS
+            assert all(math.isfinite(x) and x > 0 for x in stats.values()), (layer, stats)
+
+
+def test_compare_times_two_trees_in_lockstep():
+    src = str(HARNESS.parent.parent / "src")
+    lines = _run("--compare", src, src, "--sizes", "1", "--repeats", "2").splitlines()
+    assert lines[0].split() == ["layer", "case", "old", "us", "new", "us", "ratio"]
+    assert sorted(tuple(line.split()[:2]) for line in lines[1:]) == sorted(
+        (layer, case) for layer in LAYERS for case in ("1x1", "1x2")
+        if (layer, case) != ("realize.trace", "1x2"))
+    for line in lines[1:]:
+        fields = line.split()
+        assert all(math.isfinite(float(x)) and float(x) > 0 for x in fields[2:5]), line
+        assert fields[5:] in ([], ["faster"], ["slower"]), line
+
+
+def test_a_move_is_flagged_only_where_the_interquartile_ranges_miss():
+    spec = importlib.util.spec_from_file_location("layers", HARNESS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+
+    def stats(q1, q3):
+        return {"q1_us": q1, "median_us": (q1 + q3) / 2, "q3_us": q3}
+
+    assert layers.move(stats(10, 12), stats(7, 9)) == "faster"
+    assert layers.move(stats(10, 12), stats(13, 14)) == "slower"
+    assert layers.move(stats(10, 12), stats(8, 10)) == ""
+    assert layers.move(stats(10, 12), stats(11.5, 15)) == ""

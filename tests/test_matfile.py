@@ -136,6 +136,18 @@ def test_overflowing_scalar_literal_names_the_token(token):
         parse_scalar(token)
 
 
+@pytest.mark.parametrize("token,column", [("1e400", 2), ("-1e309i", 1), ("1-1e400i", 3)],
+                         ids=["real", "imaginary", "a+bi"])
+def test_overflowing_matrix_literal_names_the_token_and_column(token, column):
+    row = ["1", "2", "3"]
+    row[column - 1] = token
+    text = "2 3\n4 5 6\n" + " ".join(row) + "\n"
+    message = f"line 3: entry {column} {token!r} overflows binary64"
+    with pytest.raises(NonFiniteEntryError) as info:
+        parse_matrix(text)
+    assert str(info.value) == message
+
+
 def test_single_line_encoding_round_trip():
     m = Matrix.from_rows([[1, 2 + 0.5j], [3, -4]])
     line = to_line(m)

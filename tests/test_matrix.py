@@ -1,5 +1,6 @@
 """Matrix core: construction, kron, blocks, reductions, product laws."""
 
+import itertools
 import math
 import re
 import warnings
@@ -156,6 +157,25 @@ class TestKron:
             a = random_matrix(rng, 3, 2, integer=True)
             b = random_matrix(rng, 2, 4, integer=True)
             assert kron(a, b) == kron_by_index(a, b)
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((3, 2), (2, 4)), ((1, 1), (3, 3)), ((4, 4), (1, 1)), ((1, 4), (3, 1)), ((4, 1), (1, 3)),
+        ((1, 1), (1, 1)),
+    ])
+    def test_bytes_are_numpys_kron(self, a_shape, b_shape):
+        # kron multiplies the broadcast block view itself, the one product np.kron forms
+        rng = np.random.default_rng(19)
+        signed_zeros = np.array([0.0, -0.0, 1.5, -2.0])
+        factors = [
+            lambda shape: rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape),
+            lambda shape: rng.uniform(-1, 1, shape) + 0j,
+            # real and imaginary parts drawn from +-0.0 and two nonzero values
+            lambda shape: rng.choice(signed_zeros, (*shape, 2)).view(np.complex128)[..., 0],
+        ]
+        for make_a, make_b in itertools.product(factors, repeat=2):
+            a, b = make_a(a_shape), make_b(b_shape)
+            got = kron(Matrix.from_array(a), Matrix.from_array(b))
+            assert got.to_array().tobytes() == np.kron(a, b).tobytes()
 
     def test_overflow_is_a_typed_error_that_names_kron(self):
         a = Matrix.from_rows([[1, .5], [.25, 2]]) * 1e200

@@ -21,6 +21,7 @@ from kronquot import (
     QuotientScheme,
     Realization,
     ShapeError,
+    TOLERANCE,
     SingularRealizationError,
     UnsupportedInputError,
     ZeroDivisorError,
@@ -903,18 +904,100 @@ def test_scaling_the_dividend_scales_every_result_exactly(shape):
 
 @pytest.mark.parametrize("name", ["frobenius", "operator", "trace"])
 def test_remainder_overflow_is_a_typed_error(name):
-    # the quotient of this dividend fits binary64, but M - kron(A, C) does not
-    m = Matrix.from_array(np.full((4, 4), 1.5e308))
-    a = Matrix.from_array(SCALE_DIVISORS[0])
-    shape = FactorShape(2, 2, 2, 2)
-    message = (r"^remainder of the 4x4 dividend by the 2x2 divisor overflows binary64 "
-               r"at factor shape \(m=2, n=2, s=2, t=2\)$")
+    # the quotient of this dividend fits binary64, but M - kron(A, C) does not: C is
+    # negative, so the (1, 1) entry of the remainder is 1.7e308 + |C| > 2e308
+    m = Matrix.diagonal([1.7e308, 1.7e308])
+    a = Matrix.diagonal([1, -3])
+    shape = FactorShape(2, 2, 1, 1)
+    message = (r"^remainder of the 2x2 dividend by the 2x2 divisor overflows binary64 "
+               r"at factor shape \(m=2, n=2, s=1, t=1\)$")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         left_quotient(name, a, m, shape)
         for op in (remainder, is_divisor):
             with pytest.raises(UnsupportedInputError, match=message):
                 op(name, a, m, shape)
+
+
+@pytest.mark.parametrize("name", ["frobenius", "operator", "trace"])
+def test_remainder_fits_where_kron_of_the_quotient_overflows(name):
+    # A kron C reaches about 2.1e308 here, but M - A kron C stays under 1.3e308:
+    # the remainder is 4 times that of M/4, bit for bit, and M is no multiple of A
+    m = Matrix.from_array(np.full((4, 4), 1.5e308))
+    a = Matrix.from_array(SCALE_DIVISORS[0])
+    shape = FactorShape(2, 2, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = remainder(name, a, m, shape)
+        want = 4 * remainder(name, a, m * 0.25, shape)
+        assert got.to_array().tobytes() == want.to_array().tobytes()
+        assert not is_divisor(name, a, m, shape)
+
+
+CANCELLING_DIVISOR = Matrix.from_rows([[0.25, 0.25]])
+CANCELLING_DIVIDEND = Matrix.from_rows([[1.5e308, -1.5e308]])
+
+
+@pytest.mark.parametrize("name", [
+    "leopardi", "frobenius", "operator",
+    pytest.param(QuotientScheme.linear(family_from_realization(realization_for("frobenius"))),
+                 id="linear"),
+])
+def test_cancelling_products_do_not_fail_a_quotient_that_fits(name):
+    # Q(A) is about [[2, 2]], so each product Q_jk M_jk overflows while their sum,
+    # the quotient, is 0 up to rounding: every op returns 4 times its value on M/4
+    a, m = CANCELLING_DIVISOR, CANCELLING_DIVIDEND
+    left, right = FactorShape(1, 2, 1, 1), FactorShape(1, 1, 1, 2)
+    quarter = m * 0.25
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = left_quotient(name, a, m, left)
+        want = 4 * left_quotient(name, a, quarter, left)
+        assert got.to_array().tobytes() == want.to_array().tobytes()
+        assert right_quotient(name, m, a, right) == 4 * right_quotient(name, quarter, a, right)
+        assert abs(got.entry(1, 1)) <= 1e-15 * 1.5e308
+        if name != "operator":  # the operator's Q(A) is 2 - 4e-16, and BLAS may fuse
+            assert got == Matrix.from_rows([[0.0]])
+        assert remainder(name, a, m, left) == m
+        assert not is_divisor(name, a, m, left)
+        assert pfp(Matrix.from_rows([[2, 2]]), m) == Matrix.from_rows([[0.0]])
+
+
+def test_trace_quotient_of_an_exact_product_near_the_top_of_the_range():
+    # Q(A) = 2^30 I: each product 2^30 B_uv overflows, and the two cancel to B
+    a = Matrix.diagonal([1, -1 + 2**-30])
+    shape = FactorShape(2, 2, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = Matrix.from_rows([[1e300, 2e300], [3e300, -1e300]])
+        got = left_quotient("trace", a, kron(a, b), shape)
+        small = left_quotient("trace", a, kron(a, b * 2.0**-20), shape)
+        assert got == small * 2.0**20
+        # kron(A, B) rounds (-1 + 2^-30) B_uv, and 1/tr(A) = 2^30 amplifies that rounding
+        assert relative_residual(got, b) <= 2**30 * np.finfo(np.float64).eps
+        # with (-1 + 2^-30) B exact, the quotient is B
+        b = Matrix.from_rows([[1, 2], [3, -1]]) * 2.0**996
+        assert relative_residual(left_quotient("trace", a, kron(a, b), shape), b) <= TOLERANCE
+
+
+def test_a_product_that_overflows_still_raises():
+    big = Matrix.from_rows([[1e200]])
+    with pytest.raises(UnsupportedInputError, match="^kron of a 1x1 and a 1x1 matrix overflows"):
+        kron(big, big)
+
+
+@pytest.mark.parametrize("name", ["frobenius", "operator"])
+def test_is_divisor_with_an_infinite_dividend_norm(name):
+    # ||M||_F and ||R||_F both exceed the largest float; inf <= 1e-10 * inf must not
+    # make M a multiple of A
+    rng = np.random.default_rng(1)
+    m = Matrix.from_array(rng.uniform(-1, 1, (4, 4)) * 1.5e308)
+    a = Matrix.from_array(rng.uniform(-1, 1, (2, 2)))
+    shape = FactorShape(2, 2, 2, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_divisor(name, a, m, shape)
+        assert is_divisor(name, a, kron(a, Matrix.from_array(np.full((2, 2), 1e308))), shape)
 
 
 def test_leopardi_overflow_names_each_op():
@@ -943,6 +1026,17 @@ def test_trace_overflow_is_a_typed_error():
             with pytest.raises(UnsupportedInputError,
                                match=r"^tr\(A\) of the 2x2 divisor overflows binary64$"):
                 q_of(Matrix.diagonal([1.5e308, 1.5e308]))
+
+
+def test_trace_q_has_the_bits_of_identity_over_trace():
+    rng = np.random.default_rng(71)
+    inputs = [Matrix.from_array(rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n)))
+              for n in (1, 2, 3, 4, 7) for _ in range(4)]
+    inputs += [Matrix.diagonal([1, -1 + 2**-30]), Matrix.diagonal([1e-300, 0]),
+               Matrix.from_rows([[-0.0, 1], [1, 3j]]), Matrix.from_rows([[2.0**-1000]])]
+    for a in inputs:
+        want = Matrix.identity(a.rows) / a.trace()
+        assert realize("trace", a).q.to_array().tobytes() == want.to_array().tobytes()
 
 
 def test_divisor_quotient_overflow_names_the_quotient():

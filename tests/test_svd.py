@@ -516,3 +516,11 @@ class TestDeferredCompletion:
                 want = [phase_of(cols_array[:, k]) for k in range(cols)]
                 got = singular._phases_of(cols_array)
                 assert got.tobytes() == np.array(want, dtype=np.complex128).tobytes()
+        # pivots with a signed-zero part: the phase keeps CPython's sign of each zero
+        parts = [0.0, -0.0, 3.0, -3.0, 2.0**-1074, -(2.0**-1074)]
+        pivots = [complex(re, im) for re in parts for im in parts if re or im]
+        pivots += [complex(-0.0, -2.0), complex(3.0, -0.0)]
+        cols_array = np.array([pivots, [0.5 * z for z in pivots]])
+        want = [phase_of(cols_array[:, k]) for k in range(len(pivots))]
+        got = singular._phases_of(cols_array)
+        assert got.tobytes() == np.array(want, dtype=np.complex128).tobytes()
