@@ -46,7 +46,7 @@ def _shape_arg(text: str) -> FactorShape:
     if len(parts) != 4:
         raise argparse.ArgumentTypeError(f"--shape needs m,n,s,t, got {text!r}")
     try:
-        values = [int(p) for p in parts]
+        values = [matfile._ascii_int(p) for p in parts]
     except ValueError:
         raise argparse.ArgumentTypeError(f"--shape needs four integers, got {text!r}") from None
     if any(v < 1 for v in values):

@@ -3,7 +3,7 @@
 Layout::
 
     # optional comment lines anywhere
-    rows cols
+    rows cols                      (two runs of ASCII digits)
     a11 a12 ... a1n
     ...
     am1 am2 ... amn
@@ -63,6 +63,14 @@ def parse_scalar(token: str) -> complex:
     return value
 
 
+def _ascii_int(text: str) -> int:
+    """int(text) for a run of ASCII digits only; ValueError for the signs, underscores,
+    surrounding blanks and non-ASCII digits that int() would also take."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a run of ASCII digits: {text!r}")
+    return int(text)
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -98,7 +106,7 @@ def parse_matrix(text: str) -> Matrix:
         raise MatrixFormatError(f"header must be 'rows cols', got {header_text!r}",
                                 line=header_line)
     try:
-        rows, cols = int(header[0]), int(header[1])
+        rows, cols = _ascii_int(header[0]), _ascii_int(header[1])
     except ValueError:
         raise MatrixFormatError(f"header must hold two integers, got {header_text!r}",
                                 line=header_line) from None

@@ -263,9 +263,9 @@ def _adopt_q(q: np.ndarray, a: Matrix) -> Matrix:
 
 def _operator_q_from(a: Matrix, decomposition: SvdResult) -> Matrix:
     """conj(u1) v1^T / sigma1 from the leading singular pair of a nonzero A, computed
-    under ``np.errstate`` by the caller. The pair is read from the rank columns of U
-    and V, which are not completed, as a contiguous conjugated column times a
-    contiguous row: the operands the matrix product of two Matrix values takes."""
+    under ``np.errstate`` by the caller. The pair is read from the first columns of
+    the compact U and V as a contiguous conjugated column times a contiguous row:
+    the operands the matrix product of two Matrix values takes."""
     u1 = decomposition._u_rank[:, :1].conj()
     v1 = np.ascontiguousarray(decomposition._v_rank[:, :1].T)
     return _adopt_q((u1 @ v1) / complex(decomposition.sigma[0]), a)
@@ -366,9 +366,8 @@ class Divisor:
     ``q`` is the checked Q(A) and ``unit`` its pairing pfp_scalar(Q(A), A),
     within REALIZATION_TOLERANCE of 1. ``svd`` is the decomposition of A
     that the operator scheme's Q(A) was built from, and None for every
-    other rule; Q(A) is one outer product of the first rank columns of U
-    and V, and the full U and V are completed only on a read of ``svd.u``
-    or ``svd.v``. Divisors compare by (a, q, unit); A fixes the
+    other rule; Q(A) is one outer product of the first columns of its
+    compact U and V. Divisors compare by (a, q, unit); A fixes the
     decomposition, so ``svd`` takes no part.
     """
 

@@ -11,18 +11,17 @@ pair literally, so this module pins every freedom:
   entry (lowest index on magnitude ties) is real and positive;
 * the matching left singular vector carries the compensating phase, so
   u_k' A v_k = sigma_k >= 0;
-* columns belonging to (numerically) zero singular values, and the
-  extra columns of the larger unitary factor, are filled by
-  Gram-Schmidt over the standard basis under the same phase rule.
+* the decomposition is compact: U is m x r and V is n x r for
+  r = max(rank, 1), the rank counting the singular values above
+  max(m, n) * eps * sigma_1, and the zero matrix gives U = e1, V = e1.
 
-``svd`` computes sigma and the phased singular vectors of the rank
-columns, which is all the package reads: the operator quotient reads
-the leading pair straight from the first rank column of U and of V, the
-rank and degeneracy checks take sigma. The phases of all rank columns
+So A = U_r Sigma_r V_r' (the thin SVD of Golub and Van Loan, Matrix
+Computations, 4th ed., section 2.4), which is all the package reads: the
+operator quotient reads the leading pair straight from the first column
+of U and of V, the rank and degeneracy checks take sigma. ``sigma``
+still holds all min(m, n) singular values. The phases of all columns
 come from one vectorized pass over their pivots, with the bits of
-CPython's scalar ``pivot / abs(pivot)``. The result is an immutable
-value; ``SvdResult.u`` and ``SvdResult.v`` complete those columns to
-full unitaries on each read, with the same bits every time.
+CPython's scalar ``pivot / abs(pivot)``. The result is an immutable value.
 
 The decomposition runs on 2^-e * A, where e is the binary exponent of
 the largest real or imaginary part of any entry, and the singular values
@@ -72,12 +71,11 @@ _CONJ_ONE = complex(1.0, -0.0)
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SvdResult:
-    """Decomposition A = u * Sigma * v.conjugate().transpose(), sigma on Sigma's diagonal.
+    """Compact decomposition A = u * Sigma_r * v.conjugate().transpose(), made by :func:`svd`.
 
-    Made by :func:`svd`, which computes only sigma and the rank columns of U
-    and V. Each read of ``u`` or ``v`` completes the unitary by Gram-Schmidt
-    again, to the same bits; a caller who reads one twice should keep the
-    Matrix. Results compare by identity.
+    ``u`` is m x r and ``v`` n x r, with orthonormal columns, for r = max(rank, 1);
+    Sigma_r is the diagonal of the first r values of ``sigma``, which holds all
+    min(m, n). Results compare by identity.
     """
 
     sigma: tuple[float, ...]
@@ -86,11 +84,11 @@ class SvdResult:
 
     @property
     def u(self) -> Matrix:
-        return _completed(self._u_rank)
+        return Matrix._adopt(self._u_rank)
 
     @property
     def v(self) -> Matrix:
-        return _completed(self._v_rank)
+        return Matrix._adopt(self._v_rank)
 
 
 def _orthogonal_columns(work: np.ndarray) -> bool:
@@ -143,42 +141,10 @@ def _phases_of(cols: np.ndarray) -> np.ndarray:
     return np.divide(parts, mag[:, None], out=parts).view(np.complex128).ravel()
 
 
-def _completed(cols: np.ndarray) -> Matrix:
-    """The unitary whose leading columns are ``cols``, the rest filled by Gram-Schmidt."""
-    q = np.zeros((cols.shape[0],) * 2, dtype=np.complex128)
-    q[:, :cols.shape[1]] = cols
-    _gram_schmidt_fill(q, cols.shape[1])
-    return Matrix._adopt(q)
-
-
-def _gram_schmidt_fill(q: np.ndarray, start: int) -> None:
-    """Fill columns [start:] with phase-normalized orthonormal basis completions."""
-    dim = q.shape[0]
-    # Any k orthonormal columns leave some standard basis vector with
-    # residual norm >= 1/sqrt(dim), so first-fit with this threshold succeeds.
-    threshold = 0.5 / math.sqrt(dim)
-    candidates = iter(range(dim))
-    for col in range(start, dim):
-        basis = q[:, :col]
-        basis_h = basis.conj().T
-        for candidate in candidates:
-            x = np.zeros(dim, dtype=np.complex128)
-            x[candidate] = 1.0
-            for _ in range(2):  # re-orthogonalize once for stability
-                x = x - basis @ (basis_h @ x)
-            norm = math.sqrt(float(np.vdot(x, x).real))
-            if norm >= threshold:
-                break
-        else:  # unreachable: the pigeonhole bound above guarantees candidates
-            raise ConvergenceError("orthonormal completion ran out of candidates")
-        x = x / norm
-        q[:, col] = x * _phases_of(x[:, None])[0].conjugate()
-
-
 def svd(a: Matrix) -> SvdResult:
     """Singular value decomposition under the module's fixed convention.
 
-    The zero matrix decomposes as U = I, V = I, sigma all zero.
+    The zero matrix decomposes as U = e1, V = e1, sigma all zero.
     Raises ConvergenceError if LAPACK's SVD does not converge, and
     UnsupportedInputError if the largest singular value overflows binary64.
     """
@@ -195,9 +161,12 @@ def svd(a: Matrix) -> SvdResult:
         raise ConvergenceError(f"LAPACK's SVD of the {m}x{n} input did not converge") from None
     values = sigma.tolist()
     rank = _rank_of(values, m, n)
-    u, v = (right[:, :rank], vectors[:, :rank]) if wide else (vectors[:, :rank], right[:, :rank])
-    adjust = _phases_of(v).conj()
-    u, v = u * adjust, v * adjust
+    u, v = (right, vectors) if wide else (vectors, right)
+    if rank == 0:  # the zero matrix: U = e1, V = e1
+        u, v = np.eye(m, 1, dtype=np.complex128), np.eye(n, 1, dtype=np.complex128)
+    else:
+        adjust = _phases_of(v[:, :rank]).conj()
+        u, v = u[:, :rank] * adjust, v[:, :rank] * adjust
     u.setflags(write=False)
     v.setflags(write=False)
 

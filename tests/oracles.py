@@ -49,10 +49,8 @@ def graded_matrix(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
 
 
 def reconstruct(result: SvdResult) -> Matrix:
-    """u * Sigma * v' from a decomposition's three factors."""
-    sig = np.zeros((result.u.rows, result.v.rows), dtype=np.complex128)
-    for k, value in enumerate(result.sigma):
-        sig[k, k] = value
+    """u * Sigma_r * v' from a compact decomposition: Sigma_r is r x r, r = u.cols."""
+    sig = np.diag(np.array(result.sigma[:result.u.cols], dtype=np.complex128))
     return Matrix.from_array(result.u.to_array() @ sig @ result.v.to_array().conj().T)
 
 

@@ -270,10 +270,13 @@ def test_criterion_7_svd_kernel():
         worst_recon = max(worst_recon,
                           (reconstruct(result) - a).frobenius_norm()
                           / max(1.0, a.frobenius_norm()))
+        # compact form: m x r and n x r with orthonormal columns, r = min(m, n) here
+        r = min(m, n)
+        assert result.u.shape == (m, r) and result.v.shape == (n, r)
         worst_unitary = max(
             worst_unitary,
-            (result.u.conjugate().transpose() @ result.u - Matrix.identity(m)).frobenius_norm(),
-            (result.v.conjugate().transpose() @ result.v - Matrix.identity(n)).frobenius_norm())
+            (result.u.conjugate().transpose() @ result.u - Matrix.identity(r)).frobenius_norm(),
+            (result.v.conjugate().transpose() @ result.v - Matrix.identity(r)).frobenius_norm())
         if m <= 8 and n <= 8:
             oracle_runs += 1
             eigs = jacobi_eigenvalues(a.conjugate().transpose() @ a)

@@ -256,6 +256,12 @@ class TestErrorExits:
         assert main(["quot", "--scheme", "leopardi", "--shape", "2,2,2,x",
                      str(paths["A"]), str(paths["M"])]) == 2
         capsys.readouterr()
+        # ASCII digit runs only: none of int()'s underscores, signs, blanks or other
+        # scripts' digits
+        for text in ("1_0,2,2,2", "2,٢,2,2", "2,2,２,2", "+2,2,2,2", "2,2, 2,2"):
+            assert main(["quot", "--scheme", "leopardi", "--shape", text,
+                         str(paths["A"]), str(paths["M"])]) == 2
+            assert f"--shape needs four integers, got {text!r}" in capsys.readouterr().err
         assert main(["quot", "--scheme", "leopardi", "--shape", "2,2,0,2",
                      str(paths["A"]), str(paths["M"])]) == 2
         assert "--shape components must be positive, got '2,2,0,2'" in capsys.readouterr().err

@@ -211,6 +211,13 @@ _REJECTS = [
     ("# only a comment\n", None, "no content"),
     ("2\n1 2\n", 1, "header must be 'rows cols'"),
     ("a b\n1 2\n", 1, "two integers"),
+    # the header takes ASCII digit runs only, like the entries: none of int()'s
+    # underscores, signs or other scripts' digits
+    ("1_0 1\n" + "1\n" * 10, 1, "two integers"),
+    ("٣ 1\n1\n1\n1\n", 1, "two integers"),
+    ("1 ３\n1 2 3\n", 1, "two integers"),
+    ("+2 1\n1\n1\n", 1, "two integers"),
+    ("-1 2\n", 1, "two integers"),
     ("0 2\n", 1, "dimensions must be positive"),
     ("2 2\n1 2\n3\n", 3, "row 2 has 1 token(s), expected 2"),
     ("2 2\n1 2\n", None, "expected 2 data line(s), found 1"),

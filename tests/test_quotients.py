@@ -526,6 +526,9 @@ class TestRealize:
         for scheme in ("operator", QuotientScheme.operator(),
                        BUILTIN_SCHEMES["operator"]):
             assert realize(scheme, a).svd.sigma == svd(a).sigma
+        # divisors compare by (a, q, unit); their SvdResults, compared by identity, take no part
+        assert realize("operator", a) == realize("operator", a)
+        assert realize("operator", a) != realize("operator", 2 * a)
 
     def test_linear_scheme_realizes_a_linear_divisor(self):
         scheme = QuotientScheme.linear(family_from_realization(realization_for("operator")))

@@ -13,22 +13,12 @@ import pytest
 import kronquot.singular as singular
 from kronquot import (
     ConvergenceError,
-    FactorShape,
     Matrix,
     UnsupportedInputError,
-    check_axiom,
-    check_projection,
-    check_realization_conditions,
-    demo_counterexamples,
-    kron,
-    left_quotient,
     realize,
     relative_residual,
-    remainder,
-    right_quotient,
     svd,
 )
-from kronquot.axioms import _SCHEME_LAWS
 from oracles import (
     DegenerateInputError,
     graded_matrix,
@@ -46,17 +36,19 @@ def random_matrix(rng, rows, cols):
 
 
 def check_invariants(a, result):
+    """The compact form: m x r and n x r factors with orthonormal columns, r = max(rank, 1)."""
     m, n = a.rows, a.cols
-    assert result.u.shape == (m, m)
-    assert result.v.shape == (n, n)
+    r = max(1, sum(x > max(m, n) * np.finfo(float).eps * result.sigma[0] for x in result.sigma))
+    assert result.u.shape == (m, r)
+    assert result.v.shape == (n, r)
     assert len(result.sigma) == min(m, n)
     assert all(x >= 0.0 for x in result.sigma)
     assert all(result.sigma[k] >= result.sigma[k + 1] for k in range(len(result.sigma) - 1))
     norm = max(1.0, a.frobenius_norm())
     assert (reconstruct(result) - a).frobenius_norm() <= 1e-9 * norm
-    eye_m, eye_n = Matrix.identity(m), Matrix.identity(n)
-    assert (result.u.conjugate().transpose() @ result.u - eye_m).frobenius_norm() <= 1e-10
-    assert (result.v.conjugate().transpose() @ result.v - eye_n).frobenius_norm() <= 1e-10
+    eye_r = Matrix.identity(r)
+    assert (result.u.conjugate().transpose() @ result.u - eye_r).frobenius_norm() <= 1e-10
+    assert (result.v.conjugate().transpose() @ result.v - eye_r).frobenius_norm() <= 1e-10
 
 
 def check_phase_convention(result):
@@ -84,8 +76,8 @@ class TestWorkedCases:
     def test_zero_matrix_convention(self):
         result = svd(Matrix.zero(2, 3))
         assert result.sigma == (0.0, 0.0)
-        assert result.u == Matrix.identity(2)
-        assert result.v == Matrix.identity(3)
+        assert result.u == Matrix.unit(2, 1, 1, 1)
+        assert result.v == Matrix.unit(3, 1, 1, 1)
 
     def test_diagonal_needing_reorder(self):
         result = svd(Matrix.diagonal([1, 3]))
@@ -121,6 +113,31 @@ class TestInvariants:
             a = Matrix.from_array(scale * (rng.normal(size=(rows, cols))
                                            + 1j * rng.normal(size=(rows, cols))))
             check_invariants(a, svd(a))
+
+    def test_compact_convention_on_every_small_shape(self):
+        # random, rank-1, rank-2 and zero inputs, each also scaled by 2^700 and 2^-700
+        rng = np.random.default_rng(71)
+        for m in range(1, 7):
+            for n in range(1, 7):
+                cases = [(random_matrix(rng, m, n), min(m, n)),
+                         (random_matrix(rng, m, 1) @ random_matrix(rng, 1, n), 1),
+                         (random_matrix(rng, m, 2) @ random_matrix(rng, 2, n), min(m, n, 2)),
+                         (Matrix.zero(m, n), 1)]
+                for a, r in cases:
+                    base = svd(a)
+                    for e in (0, 700, -700):
+                        scaled = Matrix.from_array(np.ldexp(a.to_array().view(float), e)
+                                                   .view(complex))
+                        result = svd(scaled)
+                        assert result.u.shape == (m, r) and result.v.shape == (n, r)
+                        check_invariants(scaled, result)
+                        check_phase_convention(result)
+                        assert result.u.entries == base.u.entries
+                        assert result.v.entries == base.v.entries
+                        if a.is_zero():  # exactly e1 and e1
+                            for got, rows in ((result.u, m), (result.v, n)):
+                                want = np.eye(rows, 1, dtype=complex)
+                                assert got.to_array().tobytes() == want.tobytes()
 
     def test_fully_degenerate_spectrum(self):
         # unitary input: every singular value equals 1
@@ -432,52 +449,7 @@ def deferred_inputs():
 
 
 class TestDeferredCompletion:
-    """svd computes sigma and the rank columns; U and V are completed on each read."""
-
-    @pytest.fixture
-    def fills(self, monkeypatch):
-        calls = []
-        original = singular._gram_schmidt_fill
-
-        def counted(q, start):
-            calls.append(q.shape)
-            original(q, start)
-
-        monkeypatch.setattr(singular, "_gram_schmidt_fill", counted)
-        return calls
-
-    def test_operator_paths_run_no_fill(self, fills):
-        rng = np.random.default_rng(67)
-        a, b = random_matrix(rng, 3, 2), random_matrix(rng, 2, 4)
-        m, shape = kron(a, b), FactorShape(3, 2, 2, 4)
-        realize("operator", a)
-        left_quotient("operator", a, m, shape)
-        right_quotient("operator", m, b, shape)
-        remainder("operator", a, m, shape)
-        for axiom in _SCHEME_LAWS:
-            check_axiom(axiom, "operator", 20, 42, 4)
-        check_realization_conditions("operator", 20, 42, 4)
-        check_projection([Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)],
-                         "operator", 20, 42, 4)
-        demo_counterexamples()
-        assert fills == []
-        svd(a).u
-        assert fills == [(3, 3)]
-
-    def test_each_read_completes_again_to_the_same_bits(self, fills):
-        result = svd(random_matrix(np.random.default_rng(68), 5, 2))
-        first_u = result.u
-        assert result.u.to_array().tobytes() == first_u.to_array().tobytes()
-        assert fills == [(5, 5), (5, 5)]
-        first_v = result.v
-        assert result.v.to_array().tobytes() == first_v.to_array().tobytes()
-        assert fills == [(5, 5)] * 2 + [(2, 2)] * 2
-
-    def test_operator_divisors_compare_without_a_fill(self, fills):
-        a = random_matrix(np.random.default_rng(68), 3, 2)
-        assert realize("operator", a) == realize("operator", a)
-        assert realize("operator", a) != realize("operator", 2 * a)
-        assert fills == []
+    """svd computes sigma and the rank columns; reads of u and v return those columns."""
 
     def test_threads_reading_one_result_get_the_serial_bits(self):
         a = random_matrix(np.random.default_rng(69), 12, 5)
