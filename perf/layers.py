@@ -7,8 +7,11 @@
 Times ``realize`` under each built-in scheme, ``svd`` and ``kron`` on seeded
 random complex factors: k x k and k x (k+1) for k <= 4 (the trace scheme
 takes square ones only), k x k above that; ``kron`` multiplies a factor by
-its transpose. A timed batch is enough calls to dwarf the clock's
-resolution; each repeat times every (layer, case) once, in one fixed order.
+its transpose. The ``check`` layer, whatever the sizes, times one call of each
+public law check under frobenius (``CHECK_TRIALS`` trials at seed 42,
+``max_dim`` 3): Q1, Wcond, Rcond and PROJ on the unit basis. A timed batch
+is enough calls to dwarf the clock's resolution; each repeat times every
+(layer, case) once, in one fixed order.
 The file records each case's median and quartiles of the per-call time
 over the repeats, in microseconds, with the machine and the build it ran
 on: the commit of ``--src`` and whether that directory differs from it.
@@ -42,6 +45,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMES = ("leopardi", "frobenius", "operator", "trace")
 SMALL = 4             # sizes up to this one also run a k x (k+1) case
 MIN_BATCH_S = 0.002   # each timed batch lasts at least this long
+CHECK_TRIALS = 8      # trials per check in the check layer
 
 
 # -- worker: one tree, one batch at a time --------------------------------
@@ -78,7 +82,15 @@ def cases(kq, np, sizes: list[int]) -> list[tuple[str, str, object]]:
     out += [("svd", case, lambda a=a: kq.svd(a)) for case, a in factors.items()]
     out += [("kron", case, lambda a=a: kq.kron(a, a.transpose()))
             for case, a in factors.items()]
-    return out
+    unit_basis = [kq.Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)]
+    checks = {"Q1": lambda: kq.check_axiom("Q1", "frobenius", CHECK_TRIALS, 42, 3),
+              "Wcond": lambda: kq.check_weight_conditions(kq.frobenius_weights,
+                                                          CHECK_TRIALS, 42, 3),
+              "Rcond": lambda: kq.check_realization_conditions("frobenius", CHECK_TRIALS,
+                                                               42, 3),
+              "PROJ": lambda: kq.check_projection(unit_basis, "frobenius", CHECK_TRIALS,
+                                                  42, 3)}
+    return out + [("check", case, call) for case, call in checks.items()]
 
 
 def timed(call, number: int) -> float:

@@ -1,12 +1,12 @@
 """Seeded randomized checks of the quotient algebra, with replayable reports.
 
-Each law is one entry of the table ``_LAWS``: a ``draw`` of a trial's inputs
-and an ``evaluate`` of their residuals. Every check runs the one trial loop,
-which draws trial t from a generator keyed by (seed, t) and keeps the worst
-residual, the first trial on ties. A failing report carries that trial's
-inputs; :func:`replay_counterexample` feeds them to the same ``evaluate``.
-Identical arguments produce bit-identical reports, and trials never share
-generator state, so they could run in any order.
+Each law is one entry of the table ``_LAWS``: a ``draw`` of a trial's inputs,
+an ``evaluate`` of their residuals, and what its report says about them. One
+runner builds every check's report from its entry. It draws trial t from a
+generator keyed by (seed, t) and keeps the worst residual, the first trial on
+ties. A failing report carries that trial's inputs; :func:`replay_counterexample`
+feeds them to the same ``evaluate``. Identical arguments produce bit-identical
+reports, and trials never share generator state, so they could run in any order.
 """
 
 from __future__ import annotations
@@ -183,8 +183,8 @@ def _random_nonzero(rng: np.random.Generator, rows: int, cols: int, *,
         return Matrix._adopt(arr)
 
 
-def _draw_block(rng, trial, square, sparse, max_dim, restricted, *,
-                keys: tuple[str, ...], trace_rule: bool = False) -> dict:
+def _draw_block(rng, trial, *, square, sparse, max_dim, restricted,
+                keys: tuple[str, ...], trace_rule: bool = False, **_) -> dict:
     """The one-divisor draws: A (m x n), then in the order of ``keys`` a scalar for
     "k" and a dividend (ms x nt) for each other key; the trace rule needs m = n, s = t."""
     m = _dim(rng, max_dim)
@@ -203,7 +203,7 @@ def _draw_block(rng, trial, square, sparse, max_dim, restricted, *,
     return inputs
 
 
-def _draw_q3(rng, trial, square, sparse, max_dim, restricted) -> dict:
+def _draw_q3(rng, trial, *, square, sparse, max_dim, restricted, **_) -> dict:
     m = _dim(rng, max_dim)
     n = m if square else _dim(rng, max_dim)
     s2 = _dim(rng, max_dim)
@@ -220,24 +220,27 @@ def _draw_q3(rng, trial, square, sparse, max_dim, restricted) -> dict:
     return {"A": a, "B": b, "M": mprime}
 
 
-def _draw_weight_pair(rng, trial, max_dim) -> dict:
-    sparsify = trial % 3 == 0
+def _draw_weight_pair(rng, trial, *, sparse, max_dim, **_) -> dict:
+    sparsify = sparse and trial % 3 == 0
     a = _random_nonzero(rng, _dim(rng, max_dim), _dim(rng, max_dim), sparsify=sparsify)
     b = _random_nonzero(rng, _dim(rng, max_dim), _dim(rng, max_dim), sparsify=sparsify)
     return {"A": a, "B": b}
 
 
-def _draw_realization_pair(rng, trial, square_only, max_dim) -> dict:
+def _draw_realization_pair(rng, trial, *, square, sparse, max_dim, **_) -> dict:
     m = _dim(rng, max_dim)
-    n = m if square_only else _dim(rng, max_dim)
+    n = m if square else _dim(rng, max_dim)
     s = _dim(rng, max_dim)
-    t = s if square_only else _dim(rng, max_dim)
-    a = _random_nonzero(rng, m, n, need_trace=square_only)
-    b = _random_nonzero(rng, s, t, need_trace=square_only)
+    t = s if square else _dim(rng, max_dim)
+    sparsify = sparse and trial % 3 == 0
+    a = _random_nonzero(rng, m, n, sparsify=sparsify, need_trace=square)
+    b = _random_nonzero(rng, s, t, sparsify=sparsify, need_trace=square)
     return {"A": a, "B": b, "k": _draw_scalar(rng)}
 
 
-def _draw_basis_dividend(rng, trial, m, n, max_dim) -> dict:
+def _draw_basis_dividend(rng, trial, *, shared, max_dim, **_) -> dict:
+    """A dividend for the basis in ``shared``: (m s) x (n t) for m x n basis matrices."""
+    m, n = shared["basis.1"].shape
     s = _dim(rng, max_dim)
     t = _dim(rng, max_dim)
     return {"M": _random_matrix(rng, m * s, n * t)}
@@ -306,15 +309,15 @@ def _eval_q5r(scheme, inputs: dict, divisors: dict) -> tuple[float]:
     return (abs(x - y) / max(1.0, abs(x), abs(y)),)
 
 
-def _weight_condition_residuals(rule, inputs: dict) -> tuple[float, float]:
+def _weight_condition_residuals(rule, inputs: dict, divisors: dict) -> tuple[float, float]:
     a, b = inputs["A"], inputs["B"]
     transpose_res = relative_residual(rule(a.transpose()), rule(a).transpose())
     kron_res = relative_residual(rule(kron(a, b)), kron(rule(a), rule(b)))
     return transpose_res, kron_res
 
 
-def _realization_condition_residuals(realization: Realization,
-                                     inputs: dict) -> tuple[float, float, float]:
+def _realization_condition_residuals(realization: Realization, inputs: dict,
+                                     divisors: dict) -> tuple[float, float, float]:
     a, b, k = inputs["A"], inputs["B"], inputs["k"]
     q = realization.q_of
     transpose_res = relative_residual(q(a.transpose()), q(a).transpose())
@@ -328,7 +331,79 @@ def _near_degenerate_leading(sigma: tuple[float, ...]) -> bool:
     return len(sigma) >= 2 and sigma[0] > 0.0 and (sigma[0] - sigma[1]) <= 1e-8 * sigma[0]
 
 
-# -- the trial loop -------------------------------------------------------
+# -- projection / basis expansion ----------------------------------------
+
+def _numerical_rank(mat: Matrix) -> int:
+    return _rank_of(svd(mat).sigma, mat.rows, mat.cols)
+
+
+def _basis_inputs(basis: Sequence[Matrix]) -> dict[str, Matrix]:
+    """A basis of the m x n matrices as the inputs basis.1, basis.2, ...;
+    ConfigurationError for anything else."""
+    if not basis:
+        raise ConfigurationError("empty basis")
+    for position, mat in enumerate(basis, 1):
+        if not isinstance(mat, Matrix):
+            raise ConfigurationError(f"basis element {position} is not a Matrix: {mat!r}")
+    m, n = basis[0].rows, basis[0].cols
+    if any(mat.shape != (m, n) for mat in basis):
+        raise ConfigurationError("basis matrices must share one shape")
+    if len(basis) != m * n:
+        raise ConfigurationError(f"a basis of the {m}x{n} matrices needs {m * n} "
+                                 f"elements, got {len(basis)}")
+    # each element scaled by its exact power of two, so no one element's scale
+    # decides the rank
+    stack = Matrix._adopt(np.array([_ldexp(mat._a.ravel(), -_exponent(mat._a))
+                                    for mat in basis]))
+    if _numerical_rank(stack) != m * n:
+        raise ConfigurationError("basis does not span the matrix space")
+    return {f"basis.{position}": mat for position, mat in enumerate(basis, 1)}
+
+
+def _default_basis(scheme) -> list[Matrix]:
+    """The CLI's basis of the 2 x 2 matrices: the unit basis, except under a
+    ``square_only`` scheme, where E12 and E21 (trace 0) give way to E11 + E12
+    and E11 + E21."""
+    if realization_for(scheme).square_only:
+        return [Matrix.unit(2, 2, 1, 1), Matrix.unit(2, 2, 2, 2),
+                Matrix.from_rows([[1, 1], [0, 0]]), Matrix.from_rows([[1, 0], [1, 0]])]
+    return [Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)]
+
+
+def _realized_basis(scheme, shared: dict) -> list[Divisor]:
+    """The inputs basis.1, basis.2, ... realized once each under a uniform scheme."""
+    realization = realization_for(scheme)
+    return [realize(realization, value) for key, value in shared.items()
+            if key.startswith("basis.")]
+
+
+def _biorthonormality(basis: Sequence[Divisor]):
+    """The worst |pfp_scalar(Q(A_j), A_k) - delta_jk| over the realized basis, and
+    its details with the 1-based (j, k) where it occurs."""
+    worst = -1.0
+    worst_pair = (1, 1)
+    for j, k in product(range(len(basis)), repeat=2):
+        expected = 1.0 if j == k else 0.0
+        residual = abs(pfp_scalar(basis[j].q, basis[k].a) - expected)
+        if residual > worst:
+            worst, worst_pair = residual, (j + 1, k + 1)
+    return (worst,), (("biorthonormal_residual", worst),
+                      ("biorthonormal_verdict", _verdict(worst)),
+                      ("worst_pair_j", worst_pair[0]), ("worst_pair_k", worst_pair[1]))
+
+
+def _reconstruction(basis: Sequence[Divisor], inputs: dict, divisors: dict) -> tuple[float]:
+    """Relative distance between M and sum_j kron(A_j, A_j quot M) over the realized basis."""
+    mat = inputs["M"]
+    m, n = basis[0].a.rows, basis[0].a.cols
+    shape = FactorShape(m, n, mat.rows // m, mat.cols // n)
+    total = Matrix.zero(mat.rows, mat.cols)
+    for elem in basis:
+        total = total + kron(elem.a, elem.quotient(mat, shape))
+    return ((mat - total).frobenius_norm() / max(mat.frobenius_norm(), 1e-300),)
+
+
+# -- the trial loop and the runner ---------------------------------------
 
 def _fold_max(maxima: tuple[float, ...] | None, components: tuple[float, ...]):
     return components if maxima is None else tuple(map(max, maxima, components))
@@ -392,6 +467,10 @@ def _checked_descriptor(evaluator) -> str:
     return descriptor
 
 
+def _verdict(residual: float) -> str:
+    return "holds" if residual <= TOLERANCE else "fails"
+
+
 def _report(axiom: str, scheme: str, trials: int, seed: int, worst: float,
             worst_trial: int, worst_inputs: dict, details, verdict: str | None = None
             ) -> AxiomReport:
@@ -401,7 +480,7 @@ def _report(axiom: str, scheme: str, trials: int, seed: int, worst: float,
     a failing report carries the serialized worst inputs.
     """
     if verdict is None:
-        verdict = "holds" if worst <= TOLERANCE else "fails"
+        verdict = _verdict(worst)
     counterexample = None
     if verdict == "fails":
         counterexample = Counterexample(trial=worst_trial, residual=worst,
@@ -410,6 +489,63 @@ def _report(axiom: str, scheme: str, trials: int, seed: int, worst: float,
                        max_residual=worst, verdict=verdict,
                        counterexample=counterexample, details=tuple(details))
 
+
+def _run(axiom: str, scheme, trials, seed, max_dim, *, restricted: bool = False,
+         basis: Sequence[Matrix] | None = None) -> AxiomReport:
+    """The report of law ``axiom`` on ``scheme``, built as its ``_LAWS`` entry
+    declares; every check is a call of this. ``basis`` is the projection law's
+    shared input, and ``restricted`` draws Kronecker-product dividends."""
+    law = _LAWS[axiom]
+    trials, seed, max_dim = _validate_common(trials, seed, max_dim)
+    shared = {} if basis is None else _basis_inputs(basis)
+    evaluator = resolve_scheme(scheme)
+    descriptor = _checked_descriptor(evaluator)
+    subject = law.subject(evaluator, shared)
+    sparse = getattr(evaluator, "support_sensitive", False) and not law.dense
+    draw = partial(law.draw, square=getattr(evaluator, "square_only", False), sparse=sparse,
+                   max_dim=max_dim, restricted=restricted, shared=shared)
+    # one flag per divisor that carries the SVD its Q was built from
+    degenerate: list[bool] = []
+
+    def evaluate(inputs):
+        divisors = law.divisors(subject, inputs)
+        components = law.evaluate(subject, inputs, divisors)
+        degenerate.extend(_near_degenerate_leading(divisor.svd.sigma)
+                          for divisor in divisors.values() if divisor.svd is not None)
+        return components
+
+    worst, worst_trial, worst_inputs, maxima, real_k, complex_k = _run_trials(
+        draw, evaluate, trials, seed)
+    fixed, fixed_details = law.fixed(subject)
+    named = list(zip(law.components, maxima))
+    details: list[tuple[str, object]] = [("restricted", True)] if restricted else []
+    details += fixed_details
+    details += [(f"{name}_residual", value) for name, value in named]
+    if law.by_k is not None:
+        index, key = law.by_k
+        details += [(f"{key}_{kind}_k", by_k[index])
+                    for kind, by_k in (("real", real_k), ("complex", complex_k))
+                    if by_k is not None]
+    if law.verdicts:
+        details += [(f"{name}_verdict", _verdict(value)) for name, value in named]
+    # the cross-runs draw divisors as this law's trials do
+    crosses = [_run(cross, dataclasses.replace(evaluator, support_sensitive=sparse), trials,
+                    seed, min(max_dim, _LAWS[cross].cross_max_dim)) for cross in law.cross]
+    details += [(f"{cross.lower()}_verdict", report.verdict)
+                for cross, report in zip(law.cross, crosses)]
+    details += [(f"{name.partition('_')[2]}_iff_{cross.lower()}",
+                 (value <= TOLERANCE) == report.holds)
+                for (name, value), cross, report in zip(named, law.cross, crosses)]
+    if fixed:
+        details.append(("iff_consistent",
+                        (max(fixed) <= TOLERANCE) == (max(maxima) <= TOLERANCE)))
+    if degenerate:
+        details.append(("degenerate_leading_pairs", sum(degenerate)))
+    return _report(axiom, descriptor, trials, seed, max((*fixed, worst)), worst_trial,
+                   {**shared, **worst_inputs}, details)
+
+
+# -- the public checks ----------------------------------------------------
 
 def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
                 restricted: bool = False) -> AxiomReport:
@@ -429,39 +565,8 @@ def check_axiom(axiom: str, scheme, trials: int, seed: int, max_dim: int = 4, *,
     """
     if axiom not in _SCHEME_LAWS:
         raise ConfigurationError(f"unknown axiom {axiom!r}; expected one of {_SCHEME_LAWS}")
-    law = _LAWS[axiom]
-    trials, seed, max_dim = _validate_common(trials, seed, max_dim)
-    evaluator = resolve_scheme(scheme)
-    descriptor = _checked_descriptor(evaluator)
-    draw = partial(law.draw, square=getattr(evaluator, "square_only", False),
-                   sparse=getattr(evaluator, "support_sensitive", False), max_dim=max_dim,
-                   restricted=restricted)
-    # one flag per divisor that carries the SVD its Q was built from
-    degenerate: list[bool] = []
+    return _run(axiom, scheme, trials, seed, max_dim, restricted=restricted)
 
-    def evaluate(inputs):
-        divisors = _divisors(evaluator, inputs)
-        components = law.evaluate(evaluator, inputs, divisors)
-        degenerate.extend(_near_degenerate_leading(divisor.svd.sigma)
-                          for divisor in divisors.values() if divisor.svd is not None)
-        return components
-
-    worst, worst_trial, worst_inputs, _, real_k, complex_k = _run_trials(
-        draw, evaluate, trials, seed)
-    details: list[tuple[str, object]] = []
-    if restricted:
-        details.append(("restricted", True))
-    if axiom == "Q2b":
-        if real_k is not None:
-            details.append(("max_residual_real_k", real_k[0]))
-        if complex_k is not None:
-            details.append(("max_residual_complex_k", complex_k[0]))
-    if degenerate:
-        details.append(("degenerate_leading_pairs", sum(degenerate)))
-    return _report(axiom, descriptor, trials, seed, worst, worst_trial, worst_inputs, details)
-
-
-# -- weight and realization condition checks ----------------------------
 
 def weight_rule_for(scheme) -> WeightRule:
     """The weight rule W of a weighted scheme, given in any form
@@ -481,32 +586,11 @@ def check_weight_conditions(weight_rule, trials: int, seed: int,
     A weighted quotient transposes compatibly iff W(A^T) = W(A)^T, and
     composes over Kronecker products iff W(A kron B) = W(A) kron W(B).
     The report cross-runs check_axiom(Q1/Q3) on the induced weighted
-    scheme, ``weighted_realization(weight_rule)``, with the same seed and
-    records whether the verdicts agree; its descriptor is the report's scheme.
+    scheme, ``weighted_realization(weight_rule)``, with the same seed
+    (Q3 at ``min(max_dim, 3)``) and records whether the verdicts agree;
+    its descriptor is the report's scheme.
     """
-    trials, seed, max_dim = _validate_common(trials, seed, max_dim)
-    scheme = weighted_realization(weight_rule)
-    descriptor = _checked_descriptor(scheme)
-    law = _LAWS["Wcond"]
-    worst, worst_trial, worst_inputs, (worst_t, worst_k), _, _ = _run_trials(
-        partial(law.draw, max_dim=max_dim), partial(law.evaluate, weight_rule), trials, seed)
-
-    q1 = check_axiom("Q1", scheme, trials, seed, max_dim)
-    q3 = check_axiom("Q3", scheme, trials, seed, max_dim)
-    transpose_holds = worst_t <= TOLERANCE
-    kron_holds = worst_k <= TOLERANCE
-    details = (
-        ("w_transpose_residual", worst_t),
-        ("w_kron_residual", worst_k),
-        ("w_transpose_verdict", "holds" if transpose_holds else "fails"),
-        ("w_kron_verdict", "holds" if kron_holds else "fails"),
-        ("q1_verdict", q1.verdict),
-        ("q3_verdict", q3.verdict),
-        ("transpose_iff_q1", transpose_holds == q1.holds),
-        ("kron_iff_q3", kron_holds == q3.holds),
-    )
-    return _report("Wcond", descriptor, trials, seed, worst,
-                   worst_trial, worst_inputs, details)
+    return _run("Wcond", weighted_realization(weight_rule), trials, seed, max_dim)
 
 
 def check_realization_conditions(realization, trials: int, seed: int,
@@ -516,84 +600,15 @@ def check_realization_conditions(realization, trials: int, seed: int,
 
     Each identity is evaluated directly on random draws, then cross-run
     through check_axiom on the induced uniform quotient with the same
-    seed; a one-sided disagreement would flag a bug in the suite itself
-    and is recorded under the ``*_iff_*`` detail keys. Divisors are
+    seed (Q3 at ``min(max_dim, 3)``); a one-sided disagreement would flag
+    a bug in the suite itself and is recorded under the ``*_iff_*`` detail
+    keys. Divisors are dense in the draws and the cross-runs alike, and
     square with nonzero trace when the realization is ``square_only``.
     The scale identity draws k from ``SCALARS`` and also records its maxima
     over real and over complex k, ``q_scale_residual_real_k`` and
     ``q_scale_residual_complex_k``.
     """
-    trials, seed, max_dim = _validate_common(trials, seed, max_dim)
-    law = _LAWS["Rcond"]
-    realization = law.subject(realization)
-    descriptor = _checked_descriptor(realization)
-    run = _run_trials(partial(law.draw, square_only=realization.square_only, max_dim=max_dim),
-                      partial(law.evaluate, realization), trials, seed)
-    worst, worst_trial, worst_inputs, (worst_t, worst_s, worst_k), real_k, complex_k = run
-
-    # the cross-runs draw dense divisors, like the identity checks above
-    dense = dataclasses.replace(realization, support_sensitive=False)
-    q1 = check_axiom("Q1", dense, trials, seed, max_dim)
-    q2b = check_axiom("Q2b", dense, trials, seed, max_dim)
-    q3 = check_axiom("Q3", dense, trials, seed, min(max_dim, 3))
-    t_holds = worst_t <= TOLERANCE
-    s_holds = worst_s <= TOLERANCE
-    k_holds = worst_k <= TOLERANCE
-    details: list[tuple[str, object]] = [
-        ("q_transpose_residual", worst_t),
-        ("q_scale_residual", worst_s),
-        ("q_kron_residual", worst_k),
-    ]
-    if real_k is not None:
-        details.append(("q_scale_residual_real_k", real_k[1]))
-    if complex_k is not None:
-        details.append(("q_scale_residual_complex_k", complex_k[1]))
-    details.extend([
-        ("q1_verdict", q1.verdict),
-        ("q2b_verdict", q2b.verdict),
-        ("q3_verdict", q3.verdict),
-        ("transpose_iff_q1", t_holds == q1.holds),
-        ("scale_iff_q2b", s_holds == q2b.holds),
-        ("kron_iff_q3", k_holds == q3.holds),
-    ])
-    return _report("Rcond", descriptor, trials, seed, worst,
-                   worst_trial, worst_inputs, details)
-
-
-# -- projection / basis expansion check ----------------------------------
-
-def _numerical_rank(mat: Matrix) -> int:
-    return _rank_of(svd(mat).sigma, mat.rows, mat.cols)
-
-
-def _biorthonormal_residual(basis: Sequence[Divisor]) -> tuple[float, tuple[int, int]]:
-    """Worst |pfp_scalar(Q(A_j), A_k) - delta_jk| over the realized basis, and its
-    1-based (j, k)."""
-    worst = -1.0
-    worst_pair = (1, 1)
-    for j, k in product(range(len(basis)), repeat=2):
-        expected = 1.0 if j == k else 0.0
-        residual = abs(pfp_scalar(basis[j].q, basis[k].a) - expected)
-        if residual > worst:
-            worst, worst_pair = residual, (j + 1, k + 1)
-    return worst, worst_pair
-
-
-def _reconstruction_residual(basis: Sequence[Divisor], mat: Matrix) -> float:
-    """Relative distance between M and sum_j kron(A_j, A_j quot M) over the realized basis."""
-    m, n = basis[0].a.rows, basis[0].a.cols
-    shape = FactorShape(m, n, mat.rows // m, mat.cols // n)
-    total = Matrix.zero(mat.rows, mat.cols)
-    for elem in basis:
-        total = total + kron(elem.a, elem.quotient(mat, shape))
-    return (mat - total).frobenius_norm() / max(mat.frobenius_norm(), 1e-300)
-
-
-def _projection_residuals(realization: Realization, inputs: dict) -> tuple[float, float]:
-    """Biorthonormality of the inputs' basis.1, basis.2, ..., and reconstruction of M."""
-    basis = [realize(realization, value) for key, value in inputs.items()
-             if key.startswith("basis.")]
-    return _biorthonormal_residual(basis)[0], _reconstruction_residual(basis, inputs["M"])
+    return _run("Rcond", realization, trials, seed, max_dim)
 
 
 def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
@@ -603,55 +618,10 @@ def check_projection(basis: Sequence[Matrix], scheme, trials: int, seed: int,
     For a uniform scheme realized by Q and a basis A_1..A_mn of the
     m x n matrices, M = sum_j kron(A_j, A_j quot M) holds for every M
     exactly when pfp_scalar(Q(A_j), A_k) = delta_jk. Both sides are
-    measured; their verdicts are expected to agree.
+    measured; their verdicts are expected to agree. The basis is realized
+    once, and biorthonormality, which depends on no draw, is scored once.
     """
-    trials, seed, max_dim = _validate_common(trials, seed, max_dim)
-    if not basis:
-        raise ConfigurationError("empty basis")
-    for position, mat in enumerate(basis, 1):
-        if not isinstance(mat, Matrix):
-            raise ConfigurationError(f"basis element {position} is not a Matrix: {mat!r}")
-    m, n = basis[0].rows, basis[0].cols
-    if any(mat.shape != (m, n) for mat in basis):
-        raise ConfigurationError("basis matrices must share one shape")
-    if len(basis) != m * n:
-        raise ConfigurationError(f"a basis of the {m}x{n} matrices needs {m * n} "
-                                 f"elements, got {len(basis)}")
-    # each element scaled by its exact power of two, so no one element's scale
-    # decides the rank
-    stack = Matrix._adopt(np.array([_ldexp(mat._a.ravel(), -_exponent(mat._a))
-                                    for mat in basis]))
-    if _numerical_rank(stack) != m * n:
-        raise ConfigurationError("basis does not span the matrix space")
-
-    law = _LAWS["PROJ"]
-    realization = law.subject(scheme)
-    descriptor = _checked_descriptor(realization)
-    # the basis is realized once; biorthonormality depends on no draw, so the
-    # trials evaluate reconstruction only
-    divisors = [realize(realization, mat) for mat in basis]
-    biorth_worst, worst_pair = _biorthonormal_residual(divisors)
-    recon_worst, worst_trial, worst_inputs, _, _, _ = _run_trials(
-        partial(law.draw, m=m, n=n, max_dim=max_dim),
-        lambda inputs: (_reconstruction_residual(divisors, inputs["M"]),),
-        trials, seed)
-
-    biorth_holds = biorth_worst <= TOLERANCE
-    recon_holds = recon_worst <= TOLERANCE
-    details = (
-        ("biorthonormal_residual", biorth_worst),
-        ("biorthonormal_verdict", "holds" if biorth_holds else "fails"),
-        ("worst_pair_j", worst_pair[0]),
-        ("worst_pair_k", worst_pair[1]),
-        ("reconstruction_residual", recon_worst),
-        ("reconstruction_verdict", "holds" if recon_holds else "fails"),
-        ("iff_consistent", biorth_holds == recon_holds),
-    )
-    inputs = {f"basis.{idx + 1}": mat for idx, mat in enumerate(basis)}
-    inputs["M"] = worst_inputs["M"]
-    return _report("PROJ", descriptor, trials, seed,
-                   max(biorth_worst, recon_worst), worst_trial, inputs, details,
-                   verdict="holds" if biorth_holds and recon_holds else "fails")
+    return _run("PROJ", scheme, trials, seed, max_dim, basis=basis)
 
 
 # -- the structural impossibility demonstrations -------------------------
@@ -768,33 +738,75 @@ def demo_counterexamples() -> list[AxiomReport]:
 # -- the law table and counterexample replay ------------------------------
 
 class _Law(NamedTuple):
-    """``evaluate(subject, inputs)`` gives a law's residual components, and
-    ``draw(rng, trial, **params)`` one trial's inputs; ``subject(scheme)`` is
-    what the law is stated on. The demo laws have fixed witnesses and schemes, and
-    check_axiom runs exactly the laws whose subject is ``resolve_scheme``; their
-    ``evaluate`` also takes the trial's ``_divisors``."""
+    """One law, as :func:`_run` checks it and :func:`replay_counterexample` replays it.
+
+    ``subject(scheme, shared)`` is what the law is stated on, from a scheme in any
+    form :func:`resolve_scheme` accepts and the inputs all trials share. ``draw(rng,
+    trial, **params)`` gives one trial's inputs (None for the demos, whose witnesses
+    are fixed), and ``evaluate(subject, inputs, divisors)`` their residual components,
+    where ``divisors(subject, inputs)`` realizes the inputs it divides by.
+    ``fixed(subject)`` scores what depends on no draw, once, with its details; the
+    report then says whether its verdict and the draws' agree (``iff_consistent``).
+
+    The report's details follow from the rest. Each of ``components`` is reported as
+    ``<name>_residual``, and with ``verdicts`` as ``<name>_verdict``. ``cross`` names,
+    per component, the scheme law it characterizes: that law is cross-run with the
+    same seed, at most at its ``cross_max_dim``, as ``<axiom>_verdict``, and the
+    agreement as ``<tail>_iff_<axiom>``, tail being the name after its first ``_``.
+    ``by_k`` = (index, key) reports that component again over the trials with a real
+    and a complex k, as ``<key>_real_k`` and ``<key>_complex_k``. With ``dense``, the
+    draws and the cross-runs ignore ``support_sensitive``. ``cli(name)`` gives the
+    runner's ``scheme`` and keywords for the CLI's ``--scheme name``.
+    """
 
     evaluate: Callable[..., tuple[float, ...]]
     draw: Callable[..., dict] | None = None
-    subject: Callable | None = None
+    subject: Callable = lambda scheme, shared: None
+    divisors: Callable[..., dict] = lambda subject, inputs: {}
+    fixed: Callable = lambda subject: ((), ())
+    components: tuple[str, ...] = ()
+    verdicts: bool = False
+    cross: tuple[str, ...] = ()
+    by_k: tuple[int, str] | None = None
+    dense: bool = False
+    cross_max_dim: int = 6
+    cli: Callable[[str], dict] = lambda name: {"scheme": name}
+
+
+def _the_scheme(scheme, shared):
+    return resolve_scheme(scheme)
 
 
 _LAWS: dict[str, _Law] = {
-    "Q1": _Law(_eval_q1, partial(_draw_block, keys=("M",)), resolve_scheme),
-    "Q2a": _Law(_eval_q2a, partial(_draw_block, keys=("M1", "M2", "k")), resolve_scheme),
-    "Q2b": _Law(_eval_q2b, partial(_draw_block, keys=("M", "k")), resolve_scheme),
-    "Q3": _Law(_eval_q3, _draw_q3, resolve_scheme),
-    "Q5R": _Law(_eval_q5r, partial(_draw_block, keys=("M",), trace_rule=True), resolve_scheme),
-    "Wcond": _Law(_weight_condition_residuals, _draw_weight_pair, weight_rule_for),
-    "Rcond": _Law(_realization_condition_residuals, _draw_realization_pair, realization_for),
-    "PROJ": _Law(_projection_residuals, _draw_basis_dividend, realization_for),
-    "Q4": _Law(lambda _, values: tuple(_q4_residuals(values).values())),
-    "Q5": _Law(lambda _, values: tuple(_q5_residuals(values).values())),
-    "Q3xTR": _Law(lambda _, values: (relative_residual(*_rank_gap_sides(values)),)),
+    "Q1": _Law(_eval_q1, partial(_draw_block, keys=("M",)), _the_scheme, _divisors),
+    "Q2a": _Law(_eval_q2a, partial(_draw_block, keys=("M1", "M2", "k")), _the_scheme,
+                _divisors),
+    "Q2b": _Law(_eval_q2b, partial(_draw_block, keys=("M", "k")), _the_scheme, _divisors,
+                by_k=(0, "max_residual")),
+    # its dividend has three factors, so a cross-run keeps it at 3 x 3 divisors
+    "Q3": _Law(_eval_q3, _draw_q3, _the_scheme, _divisors, cross_max_dim=3),
+    "Q5R": _Law(_eval_q5r, partial(_draw_block, keys=("M",), trace_rule=True), _the_scheme,
+                _divisors),
+    "Wcond": _Law(_weight_condition_residuals, _draw_weight_pair,
+                  lambda scheme, shared: weight_rule_for(scheme),
+                  components=("w_transpose", "w_kron"), verdicts=True, cross=("Q1", "Q3"),
+                  cli=lambda name: {"scheme": weighted_realization(weight_rule_for(name))}),
+    "Rcond": _Law(_realization_condition_residuals, _draw_realization_pair,
+                  lambda scheme, shared: realization_for(scheme),
+                  components=("q_transpose", "q_scale", "q_kron"),
+                  cross=("Q1", "Q2b", "Q3"), by_k=(1, "q_scale_residual"), dense=True),
+    "PROJ": _Law(_reconstruction, _draw_basis_dividend, _realized_basis,
+                 fixed=_biorthonormality, components=("reconstruction",), verdicts=True,
+                 cli=lambda name: {"scheme": name, "basis": _default_basis(name)}),
+    "Q4": _Law(lambda _, values, __: tuple(_q4_residuals(values).values())),
+    "Q5": _Law(lambda _, values, __: tuple(_q5_residuals(values).values())),
+    "Q3xTR": _Law(lambda _, values, __: (relative_residual(*_rank_gap_sides(values)),)),
 }
 
 # the laws check_axiom runs, in table order: those stated on a scheme
-_SCHEME_LAWS = tuple(name for name, law in _LAWS.items() if law.subject is resolve_scheme)
+_SCHEME_LAWS = tuple(name for name, law in _LAWS.items() if law.subject is _the_scheme)
+# the laws the CLI's check runs, in table order: every law that draws its trials
+_CHECKED_LAWS = tuple(name for name, law in _LAWS.items() if law.draw is not None)
 
 
 def replay_counterexample(report: AxiomReport, scheme=None) -> float:
@@ -810,9 +822,6 @@ def replay_counterexample(report: AxiomReport, scheme=None) -> float:
     law = _LAWS.get(report.axiom)
     if law is None:
         raise ConfigurationError(f"cannot replay axiom {report.axiom!r}")
-    if law.subject is None:
-        return max(law.evaluate(None, values))
-    subject = law.subject(scheme if scheme is not None else report.scheme)
-    if law.subject is resolve_scheme:
-        return max(law.evaluate(subject, values, _divisors(subject, values)))
-    return max(law.evaluate(subject, values))
+    subject = law.subject(scheme if scheme is not None else report.scheme, values)
+    fixed, _ = law.fixed(subject)
+    return max((*fixed, *law.evaluate(subject, values, law.divisors(subject, values))))

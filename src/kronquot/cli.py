@@ -7,7 +7,7 @@ Subcommands::
     rquot --scheme S --shape m,n,s,t M.mat B.mat [-o A.mat]
     rem   --scheme S --shape m,n,s,t A.mat M.mat [-o R.mat]
     pfp   A.mat M.mat [-o C.mat]
-    check --axiom {Q1,Q2a,Q2b,Q3,Q5R,Wcond,Proj} --scheme S
+    check --axiom {Q1,Q2a,Q2b,Q3,Q5R,Wcond,Rcond,PROJ} --scheme S
           [--trials N] [--seed S] [--dims D] [--json]
     demo  [--json]
 
@@ -21,14 +21,7 @@ import argparse
 import sys
 
 from . import matfile
-from .axioms import (
-    _SCHEME_LAWS,
-    check_axiom,
-    check_projection,
-    check_weight_conditions,
-    demo_counterexamples,
-    weight_rule_for,
-)
+from .axioms import _CHECKED_LAWS, _LAWS, _run, demo_counterexamples
 from .errors import ConvergenceError, KronError, UnsupportedInputError
 from .matrix import FactorShape, Matrix, kron
 from .pfp import pfp
@@ -52,6 +45,13 @@ def _shape_arg(text: str) -> FactorShape:
     if any(v < 1 for v in values):
         raise argparse.ArgumentTypeError(f"--shape components must be positive, got {text!r}")
     return FactorShape(*values)
+
+
+def _digits_arg(text: str) -> int:
+    try:
+        return matfile._ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"needs a run of ASCII digits, got {text!r}") from None
 
 
 def _emit(matrix: Matrix, output: str | None, trailer: str | None = None) -> None:
@@ -102,19 +102,8 @@ def _cmd_pfp(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    if args.axiom == "Wcond":
-        report = check_weight_conditions(weight_rule_for(args.scheme), args.trials, args.seed,
-                                         args.dims)
-    elif args.axiom == "Proj":
-        if BUILTIN_SCHEMES[args.scheme].square_only:
-            # E12 and E21 have trace 0; E11, E22, E11+E12, E11+E21 span with trace 1
-            basis = [Matrix.unit(2, 2, 1, 1), Matrix.unit(2, 2, 2, 2),
-                     Matrix.from_rows([[1, 1], [0, 0]]), Matrix.from_rows([[1, 0], [1, 0]])]
-        else:
-            basis = [Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)]
-        report = check_projection(basis, args.scheme, args.trials, args.seed, args.dims)
-    else:
-        report = check_axiom(args.axiom, args.scheme, args.trials, args.seed, args.dims)
+    report = _run(args.axiom, trials=args.trials, seed=args.seed, max_dim=args.dims,
+                  **_LAWS[args.axiom].cli(args.scheme))
     sys.stdout.write(report.to_json() + "\n" if args.json else report.to_text())
     return 0 if report.holds else 1
 
@@ -177,11 +166,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_pfp, inputs=("a", "m"))
 
     p = sub.add_parser("check", help="randomized axiom check; exit 0 holds, 1 fails")
-    p.add_argument("--axiom", choices=[*_SCHEME_LAWS, "Wcond", "Proj"], required=True)
+    p.add_argument("--axiom", choices=_CHECKED_LAWS, required=True)
     p.add_argument("--scheme", choices=sorted(BUILTIN_SCHEMES), required=True)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--dims", type=int, default=4, metavar="D",
+    p.add_argument("--trials", type=_digits_arg, default=200)
+    p.add_argument("--seed", type=_digits_arg, default=42)
+    p.add_argument("--dims", type=_digits_arg, default=4, metavar="D",
                    help="upper bound on every matrix dimension (default 4, max 6)")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(func=_cmd_check)

@@ -197,6 +197,53 @@ class TestSerialization:
             assert decoded.rows >= 1
 
 
+    # every report kind's detail keys, in order; the bits of the values depend on the
+    # BLAS build, the keys do not
+    DETAIL_KEYS = [
+        pytest.param(lambda: check_axiom("Q1", "frobenius", 20, 42, 3), [], id="plain"),
+        pytest.param(lambda: check_axiom("Q1", "frobenius", 20, 42, 3, restricted=True),
+                     ["restricted"], id="restricted"),
+        pytest.param(lambda: check_axiom("Q2b", "frobenius", 20, 42, 3),
+                     ["max_residual_real_k", "max_residual_complex_k"], id="Q2b"),
+        pytest.param(lambda: check_axiom("Q1", "operator", 20, 42, 3),
+                     ["degenerate_leading_pairs"], id="operator"),
+        pytest.param(lambda: check_axiom("Q2b", "operator", 20, 42, 3, restricted=True),
+                     ["restricted", "max_residual_real_k", "max_residual_complex_k",
+                      "degenerate_leading_pairs"], id="Q2b-operator-restricted"),
+        pytest.param(lambda: check_weight_conditions(skew_weights, 20, 42, 3),
+                     ["w_transpose_residual", "w_kron_residual", "w_transpose_verdict",
+                      "w_kron_verdict", "q1_verdict", "q3_verdict", "transpose_iff_q1",
+                      "kron_iff_q3"], id="Wcond"),
+        pytest.param(lambda: check_realization_conditions("frobenius", 20, 42, 3),
+                     ["q_transpose_residual", "q_scale_residual", "q_kron_residual",
+                      "q_scale_residual_real_k", "q_scale_residual_complex_k", "q1_verdict",
+                      "q2b_verdict", "q3_verdict", "transpose_iff_q1", "scale_iff_q2b",
+                      "kron_iff_q3"], id="Rcond"),
+        pytest.param(lambda: check_projection(LOPSIDED_BASIS, "frobenius", 20, 42, 3),
+                     ["biorthonormal_residual", "biorthonormal_verdict", "worst_pair_j",
+                      "worst_pair_k", "reconstruction_residual", "reconstruction_verdict",
+                      "iff_consistent"], id="PROJ"),
+        pytest.param(lambda: demo_counterexamples()[0],
+                     ["product_of_divisors_is_zero", "leopardi_residual", "frobenius_residual",
+                      "operator_residual", "trace_residual", "right_hand_side"], id="Q4"),
+        pytest.param(lambda: demo_counterexamples()[1],
+                     ["trace_of_divisor", "trace_of_dividend", "leopardi_residual",
+                      "frobenius_residual", "operator_residual", "trace_scheme",
+                      "leading_pair_degenerate"], id="Q5"),
+        pytest.param(lambda: demo_counterexamples()[2],
+                     ["rank_under_trace_rule", "rank_of_tensor_factorized_value",
+                      "vector_realization"], id="Q3xTR"),
+    ]
+
+    @pytest.mark.parametrize("make,keys", DETAIL_KEYS)
+    def test_detail_keys_of_every_report_kind(self, make, keys):
+        report = make()
+        assert [key for key, _ in report.details] == keys
+        assert list(json.loads(report.to_json())["details"]) == keys
+        assert [line.split("=", 1)[0] for line in report.to_text().splitlines()
+                if line.startswith("detail.")] == [f"detail.{key}" for key in keys]
+
+
 class TestWeightConditions:
     def test_uniform_weights_pass_both_conditions(self):
         report = check_weight_conditions(leopardi_weights, 40, 42)

@@ -11,6 +11,9 @@ import pytest
 from kronquot import cli
 from kronquot import (
     Matrix,
+    check_axiom,
+    check_projection,
+    check_realization_conditions,
     check_weight_conditions,
     kron,
     pfp,
@@ -184,7 +187,7 @@ class TestCheckCommand:
         assert resolve_scheme(descriptor).weights is rule
 
     def test_projection_check(self, capsys):
-        code = main(["check", "--axiom", "Proj", "--scheme", "frobenius",
+        code = main(["check", "--axiom", "PROJ", "--scheme", "frobenius",
                      "--trials", "20", "--seed", "42"])
         assert code == 0
         assert "axiom=PROJ" in capsys.readouterr().out
@@ -192,7 +195,7 @@ class TestCheckCommand:
     def test_projection_check_on_square_only_scheme(self, capsys):
         # the unit basis holds E12, whose trace is 0; the trace rule gets a
         # spanning basis it is defined on, and is not biorthonormal on it
-        code = main(["check", "--axiom", "Proj", "--scheme", "trace",
+        code = main(["check", "--axiom", "PROJ", "--scheme", "trace",
                      "--trials", "20", "--seed", "42", "--json"])
         assert code == 1
         obj = json.loads(capsys.readouterr().out)
@@ -203,6 +206,44 @@ class TestCheckCommand:
     def test_q5r_trace_holds(self):
         assert main(["check", "--axiom", "Q5R", "--scheme", "trace",
                      "--trials", "25", "--seed", "42"]) == 0
+
+    # every law the table draws trials for, in table order
+    CHOICES = ["Q1", "Q2a", "Q2b", "Q3", "Q5R", "Wcond", "Rcond", "PROJ"]
+
+    def test_axiom_choices_are_the_checked_laws(self):
+        from kronquot.axioms import _CHECKED_LAWS
+
+        check = next(action for action in cli._PARSER._actions
+                     if action.dest == "command").choices["check"]
+        [axiom] = [action for action in check._actions if action.dest == "axiom"]
+        assert list(axiom.choices) == list(_CHECKED_LAWS) == self.CHOICES
+
+    @pytest.mark.parametrize("scheme", sorted(BUILTIN_SCHEMES))
+    @pytest.mark.parametrize("axiom", CHOICES)
+    def test_every_choice_prints_the_library_report(self, axiom, scheme, capsys):
+        if axiom == "Wcond" and BUILTIN_SCHEMES[scheme].weights is None:
+            code = main(["check", "--axiom", axiom, "--scheme", scheme, "--trials", "12"])
+            assert code == 2
+            assert "weighted scheme" in capsys.readouterr().err
+            return
+        if axiom == "Wcond":
+            report = check_weight_conditions(BUILTIN_SCHEMES[scheme].weights, 12, 42, 3)
+        elif axiom == "Rcond":
+            report = check_realization_conditions(scheme, 12, 42, 3)
+        elif axiom == "PROJ":
+            # the CLI's basis: the unit basis, but E11, E22, E11+E12, E11+E21 for a
+            # rule defined at nonzero trace only
+            basis = ([Matrix.unit(2, 2, 1, 1), Matrix.unit(2, 2, 2, 2),
+                      Matrix.from_rows([[1, 1], [0, 0]]), Matrix.from_rows([[1, 0], [1, 0]])]
+                     if BUILTIN_SCHEMES[scheme].square_only
+                     else [Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)])
+            report = check_projection(basis, scheme, 12, 42, 3)
+        else:
+            report = check_axiom(axiom, scheme, 12, 42, 3)
+        code = main(["check", "--axiom", axiom, "--scheme", scheme, "--trials", "12",
+                     "--dims", "3", "--json"])
+        assert capsys.readouterr().out == report.to_json() + "\n"
+        assert code == (0 if report.holds else 1)
 
     def test_bad_dims_is_usage_error(self, capsys):
         code = main(["check", "--axiom", "Q1", "--scheme", "leopardi",
@@ -265,6 +306,15 @@ class TestErrorExits:
         assert main(["quot", "--scheme", "leopardi", "--shape", "2,2,0,2",
                      str(paths["A"]), str(paths["M"])]) == 2
         assert "--shape components must be positive, got '2,2,0,2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--trials", "--seed", "--dims"])
+    def test_check_integer_flags_take_ascii_digit_runs(self, flag, capsys):
+        # int() also takes other scripts' digits, underscores, signs and blanks
+        for text in ("\u0663", "1_0", "+3", "\uff12", " 3", "-1", "3.0", ""):
+            assert main(["check", "--axiom", "Q1", "--scheme", "frobenius",
+                         flag, text]) == 2
+            assert (f"argument {flag}: needs a run of ASCII digits, got {text!r}"
+                    in capsys.readouterr().err)
 
     def test_unknown_scheme_is_usage_error(self, fixtures):
         _, paths, _ = fixtures

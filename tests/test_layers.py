@@ -9,7 +9,8 @@ from pathlib import Path
 
 HARNESS = Path(__file__).resolve().parent.parent / "perf" / "layers.py"
 LAYERS = {"realize.leopardi", "realize.frobenius", "realize.operator", "realize.trace",
-          "svd", "kron"}
+          "svd", "kron", "check"}
+CHECKS = {"Q1", "Wcond", "Rcond", "PROJ"}  # the check layer's cases, whatever the sizes
 STATS = {"median_us", "q1_us", "q3_us", "calls_per_batch"}
 
 
@@ -32,7 +33,8 @@ def test_a_short_run_writes_finite_positive_timings(tmp_path):
     assert set(report["layers"]) == LAYERS
     for layer, by_case in report["layers"].items():
         square = {"1x1", "2x2"}
-        assert set(by_case) == (square if layer == "realize.trace" else square | {"1x2", "2x3"})
+        expected = {"realize.trace": square, "check": CHECKS}.get(layer, square | {"1x2", "2x3"})
+        assert set(by_case) == expected
         for stats in by_case.values():
             assert set(stats) == STATS
             assert all(math.isfinite(x) and x > 0 for x in stats.values()), (layer, stats)
@@ -43,8 +45,8 @@ def test_compare_times_two_trees_in_lockstep():
     lines = _run("--compare", src, src, "--sizes", "1", "--repeats", "2").splitlines()
     assert lines[0].split() == ["layer", "case", "old", "us", "new", "us", "ratio"]
     assert sorted(tuple(line.split()[:2]) for line in lines[1:]) == sorted(
-        (layer, case) for layer in LAYERS for case in ("1x1", "1x2")
-        if (layer, case) != ("realize.trace", "1x2"))
+        [(layer, case) for layer in LAYERS - {"check"} for case in ("1x1", "1x2")
+         if (layer, case) != ("realize.trace", "1x2")] + [("check", case) for case in CHECKS])
     for line in lines[1:]:
         fields = line.split()
         assert all(math.isfinite(float(x)) and float(x) > 0 for x in fields[2:5]), line
