@@ -9,9 +9,11 @@ random complex factors: k x k and k x (k+1) for k <= 4 (the trace scheme
 takes square ones only), k x k above that; ``kron`` multiplies a factor by
 its transpose. The ``check`` layer, whatever the sizes, times one call of each
 public law check under frobenius (``CHECK_TRIALS`` trials at seed 42,
-``max_dim`` 3): Q1, Wcond, Rcond and PROJ on the unit basis. A timed batch
-is enough calls to dwarf the clock's resolution; each repeat times every
-(layer, case) once, in one fixed order.
+``max_dim`` 3): Q1, Wcond, Rcond and PROJ on the unit basis; and Q1 under
+operator at the scale of the benchmark's law checks, 100 trials at seed 42
+and ``max_dim`` 4, where a cost paid once per check weighs as it does there.
+A timed batch is enough calls to dwarf the clock's resolution; each repeat
+times every (layer, case) once, in one fixed order.
 The file records each case's median and quartiles of the per-call time
 over the repeats, in microseconds, with the machine and the build it ran
 on: the commit of ``--src`` and whether that directory differs from it.
@@ -89,7 +91,8 @@ def cases(kq, np, sizes: list[int]) -> list[tuple[str, str, object]]:
               "Rcond": lambda: kq.check_realization_conditions("frobenius", CHECK_TRIALS,
                                                                42, 3),
               "PROJ": lambda: kq.check_projection(unit_basis, "frobenius", CHECK_TRIALS,
-                                                  42, 3)}
+                                                  42, 3),
+              "Q1-operator-100": lambda: kq.check_axiom("Q1", "operator", 100, 42, 4)}
     return out + [("check", case, call) for case, call in checks.items()]
 
 

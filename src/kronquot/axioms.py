@@ -2,11 +2,14 @@
 
 Each law is one entry of the table ``_LAWS``: a ``draw`` of a trial's inputs,
 an ``evaluate`` of their residuals, and what its report says about them. One
-runner builds every check's report from its entry. It draws trial t from a
-generator keyed by (seed, t) and keeps the worst residual, the first trial on
-ties. A failing report carries that trial's inputs; :func:`replay_counterexample`
-feeds them to the same ``evaluate``. Identical arguments produce bit-identical
-reports, and trials never share generator state, so they could run in any order.
+runner builds every check's report from its entry. It draws trial t from the
+stream of ``default_rng(SeedSequence(entropy=(seed, t)))`` and keeps the worst
+residual, the first trial on ties. A failing report carries that trial's inputs;
+:func:`replay_counterexample` feeds them to the same ``evaluate``. Identical
+arguments produce bit-identical reports, and trials never share generator state,
+so they could run in any order. The runner computes the trials' PCG64 seed words
+a block at a time, numpy's SeedSequence hash run on arrays, and builds each
+trial's Generator from its own words.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import dataclasses
 import json
 import math
 import operator
-from functools import partial
+from functools import cache, partial
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
@@ -148,8 +151,119 @@ def _serialize_inputs(inputs: dict) -> tuple[tuple[str, str], ...]:
 
 # -- random draws -------------------------------------------------------
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
+# Trial t draws from default_rng(SeedSequence(entropy=(seed, t))). numpy's SeedSequence
+# (mix_entropy and generate_state in numpy/random/bit_generator.pyx) hashes the entropy's
+# uint32 words into a pool of four words, and the pool into PCG64's seed words;
+# _seed_words runs those steps on a block of trials at once, in uint32 array arithmetic,
+# which wraps mod 2**32 as numpy's C does.
+_POOL_SIZE = 4
+_MIX_L = np.uint32(0xCA01F9DD)
+_MIX_R = np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+# the pool word each of the eight uint32 seed words is hashed from
+_CYCLE = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+# for each pool word, the other three, which it is mixed into
+_OTHERS = [np.array([i for i in range(_POOL_SIZE) if i != src]) for src in range(_POOL_SIZE)]
+# trials seeded per pass: a power of two, so no block straddles 2**32 and all its
+# trials have as many 32-bit words
+_SEED_BLOCK = 1024
+# the row of _hash_constants where the constants of the mixing into the pool begin,
+# after the nine that hash the pool into the seed words
+_MIXING = 2 * _POOL_SIZE + 1
+
+
+@cache
+def _hash_constants(words: int) -> np.ndarray:
+    """The column of hash constants that seeding from ``words`` entropy words reads.
+    Each of SeedSequence's two hash constants starts at a fixed value and is multiplied
+    by a fixed one mod 2**32 at every hash; hash i of a chain reads values i and i + 1."""
+    column = []
+    for value, mult, hashes in ((0x8B51F9DD, 0x58F38DED, 2 * _POOL_SIZE),
+                                (0x43B0D7E5, 0x931E8875, _POOL_SIZE * max(words, _POOL_SIZE))):
+        column.append(value)
+        for _ in range(hashes):
+            value = value * mult & 0xFFFFFFFF
+            column.append(value)
+    column = np.array(column, dtype=np.uint32)[:, None]
+    column.setflags(write=False)  # every caller shares it
+    return column
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray, first: int, count: int) -> np.ndarray:
+    """SeedSequence's hashmix, ``count`` rows: row i hashes row i of ``values`` (or its
+    one row) with hash ``first + i`` of the chain in ``consts``."""
+    out = values ^ consts[first:first + count]
+    out *= consts[first + 1:first + count + 1]
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _mix(x: np.ndarray, hashed: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of each x with its hashed word; ``hashed`` is overwritten."""
+    out = x * _MIX_L
+    hashed *= _MIX_R
+    out -= hashed
+    out ^= out >> _XSHIFT
+    return out
+
+
+def _uint32_words(value: int) -> list[int]:
+    """The little-endian 32-bit words SeedSequence takes from ``value``; [0] for 0."""
+    words = [value & 0xFFFFFFFF]
+    while value := value >> 32:
+        words.append(value & 0xFFFFFFFF)
+    return words
+
+
+def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """Row t - start is SeedSequence(entropy=(seed, t)).generate_state(4, np.uint64), for
+    start <= t < stop within one block of ``_SEED_BLOCK`` trials."""
+    seed_words = _uint32_words(seed)
+    entropy = seed_words + _uint32_words(start)
+    count = stop - start
+    # one column per trial, so that every step is elementwise: the trials share every
+    # entropy word but the low word of t
+    consts = np.repeat(_hash_constants(len(entropy)), count, axis=1)
+    words = np.repeat(np.array(entropy + [0] * (_POOL_SIZE - len(entropy)),
+                               dtype=np.uint32)[:, None], count, axis=1)
+    low = start & 0xFFFFFFFF
+    words[len(seed_words)] = np.arange(low, low + count, dtype=np.uint32)
+    pool = _hashmix(words[:_POOL_SIZE], consts, _MIXING, _POOL_SIZE)
+    call = _MIXING + _POOL_SIZE
+    for src, dst in enumerate(_OTHERS):  # every pool word into every other one
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, call, _POOL_SIZE - 1))
+        call += _POOL_SIZE - 1
+    for word in words[_POOL_SIZE:]:  # then each further entropy word into every one
+        pool = _mix(pool, _hashmix(word, consts, call, _POOL_SIZE))
+        call += _POOL_SIZE
+    state = _hashmix(pool[_CYCLE], consts, 0, 2 * _POOL_SIZE)
+    # uint32 words 2 i and 2 i + 1 make uint64 word i, little-endian
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@cache
+def _preset_seed() -> type:
+    """A seed sequence that gives PCG64 the seed words it was made with. Defined on
+    first use, so that importing the package does not import numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words  # PCG64 asks once, for its four uint64 words
+
+    return PresetSeed
+
+
+def _trial_rngs(seed: int, trials: int):
+    """The generator of each trial t < ``trials`` in turn:
+    default_rng(SeedSequence(entropy=(seed, t))), seeded a block at a time."""
+    preset, generator, pcg64 = _preset_seed(), np.random.Generator, np.random.PCG64
+    for start in range(0, trials, _SEED_BLOCK):
+        for words in _seed_words(seed, start, min(start + _SEED_BLOCK, trials)):
+            yield generator(pcg64(preset(words)))
 
 
 def _dim(rng: np.random.Generator, max_dim: int) -> int:
@@ -162,8 +276,11 @@ def _draw_scalar(rng: np.random.Generator) -> complex:
 
 
 def _random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Real, then imaginary parts uniform on [-1, 1)."""
-    return rng.uniform(-1.0, 1.0, (rows, cols)) + 1j * rng.uniform(-1.0, 1.0, (rows, cols))
+    """Real, then imaginary parts uniform on [-1, 1), drawn in one call: the bits of
+    ``x + 1j * y`` for x and y drawn in turn. 1j * y is (+-0.0, y), and adding it
+    changes no bit of x, as uniform(-1, 1) never draws -0.0."""
+    parts = rng.uniform(-1.0, 1.0, (2, rows, cols))
+    return parts.transpose(1, 2, 0).copy().view(np.complex128).reshape(rows, cols)
 
 
 def _random_matrix(rng: np.random.Generator, rows: int, cols: int) -> Matrix:
@@ -418,8 +535,8 @@ def _run_trials(draw, evaluate, trials: int, seed: int):
     worst_inputs: dict = {}
     maxima = None
     by_real_k: dict[bool, tuple[float, ...]] = {}
-    for trial in range(trials):
-        inputs = draw(_trial_rng(seed, trial), trial)
+    for trial, rng in enumerate(_trial_rngs(seed, trials)):
+        inputs = draw(rng, trial)
         components = evaluate(inputs)
         maxima = _fold_max(maxima, components)
         if "k" in inputs:

@@ -37,7 +37,9 @@ orthogonal (no pair ratio |w_x' w_y| / (||w_x|| ||w_y||) of its Gram
 matrix above ``_PAIR_TOL``), sigma is the column norms, V the permutation
 that sorts them and U the sorted columns over sigma; no LAPACK call is
 made, so identity, diagonal, permutation and unitary inputs keep exact
-bits. Every other input takes U, sigma and V from LAPACK
+bits. The test rejects on the first column pair alone, before it builds
+the Gram matrix, where that pair is far from orthogonal; its decision is
+the Gram test's. Every other input takes U, sigma and V from LAPACK
 (``np.linalg.svd``), which gives normwise accuracy, errors of order
 eps * sigma_1, and no relative accuracy for tiny sigma of graded
 inputs. Every consumer in the package reads sigma normwise (the rank
@@ -65,6 +67,10 @@ _EPS = float(np.finfo(np.float64).eps)
 # Two columns w_x, w_y count as orthogonal when
 # |w_x' w_y| / (||w_x|| * ||w_y||) <= _PAIR_TOL.
 _PAIR_TOL = 1e-14
+# The first pair alone rejects above this ratio, where both squared norms reach
+# _FIRST_PAIR_MIN (see _orthogonal_columns).
+_FIRST_PAIR_TOL = 1e-10
+_FIRST_PAIR_MIN = 2.0 ** -600
 
 _CONJ_ONE = complex(1.0, -0.0)
 
@@ -92,7 +98,20 @@ class SvdResult:
 
 
 def _orthogonal_columns(work: np.ndarray) -> bool:
-    """Whether no column pair of ``work`` has a Gram ratio above ``_PAIR_TOL``."""
+    """Whether no column pair of ``work`` has a Gram ratio above ``_PAIR_TOL``.
+
+    The first pair is tested on its own before the Gram matrix is built: False where
+    |w_0' w_1| > ``_FIRST_PAIR_TOL`` ||w_0|| ||w_1||, four orders of magnitude above
+    ``_PAIR_TOL``, so the rounding of these sums against the Gram matrix's cannot
+    turn an orthogonal verdict into this one. It decides only where both squared
+    norms reach ``_FIRST_PAIR_MIN``, far above underflow: a squared norm that has
+    underflowed makes the Gram test read the pair as orthogonal.
+    """
+    first, second = work[:, 0], work[:, 1]
+    norm2_first, norm2_second = np.vdot(first, first).real, np.vdot(second, second).real
+    if (min(norm2_first, norm2_second) >= _FIRST_PAIR_MIN and abs(np.vdot(first, second))
+            > _FIRST_PAIR_TOL * math.sqrt(norm2_first) * math.sqrt(norm2_second)):
+        return False
     gram = work.conj().T @ work
     norms = np.sqrt(gram.diagonal().real)
     scale = norms[:, None] * norms

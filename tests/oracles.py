@@ -3,7 +3,10 @@
 Everything here recomputes results by literal index arithmetic or by a
 different algorithm than the library, so agreement is meaningful. The
 tests' entrywise equality metric, ``allclose``, and ``graded_matrix``,
-an input with known singular values, live here too.
+an input with known singular values, live here too, as do the plain forms
+of three library shortcuts: numpy's own seeding of a law-check trial, its
+draw of a complex matrix in two calls, and the orthogonal-columns test on
+the whole Gram matrix.
 """
 
 import dataclasses
@@ -23,6 +26,7 @@ from kronquot import (
     svd,
 )
 from kronquot.quotients import ZERO_THRESHOLD
+from kronquot.singular import _PAIR_TOL
 
 
 class DegenerateInputError(KronError):
@@ -266,3 +270,27 @@ def leading_pair(a: Matrix) -> tuple[Matrix, float, Matrix]:
         raise DegenerateInputError("the zero matrix has no leading singular pair")
     result = svd(a)
     return result.u.column(1), result.sigma[0], result.v.column(1)
+
+
+def trial_rng(seed: int, trial: int) -> np.random.Generator:
+    """The generator a law check's trial draws from, seeded by numpy itself."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial)))
+
+
+def random_complex_in_two_draws(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """A law check's random complex draw as two calls: the real parts, then the
+    imaginary parts, uniform on [-1, 1)."""
+    return rng.uniform(-1.0, 1.0, (rows, cols)) + 1j * rng.uniform(-1.0, 1.0, (rows, cols))
+
+
+def orthogonal_columns_by_gram(work: np.ndarray) -> bool:
+    """Whether no column pair of ``work`` has a Gram ratio above the SVD's pair
+    tolerance, from the whole Gram matrix: a ratio whose scale underflows to 0 is
+    read as the bare inner product."""
+    gram = work.conj().T @ work
+    norms = np.sqrt(gram.diagonal().real)
+    scale = norms[:, None] * norms
+    ratio = np.abs(gram)
+    ratio.ravel()[::ratio.shape[0] + 1] = 0.0
+    np.divide(ratio, scale, out=ratio, where=scale > 0.0)
+    return ratio.max() <= _PAIR_TOL

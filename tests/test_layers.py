@@ -10,7 +10,8 @@ from pathlib import Path
 HARNESS = Path(__file__).resolve().parent.parent / "perf" / "layers.py"
 LAYERS = {"realize.leopardi", "realize.frobenius", "realize.operator", "realize.trace",
           "svd", "kron", "check"}
-CHECKS = {"Q1", "Wcond", "Rcond", "PROJ"}  # the check layer's cases, whatever the sizes
+# the check layer's cases, whatever the sizes
+CHECKS = {"Q1", "Wcond", "Rcond", "PROJ", "Q1-operator-100"}
 STATS = {"median_us", "q1_us", "q3_us", "calls_per_batch"}
 
 

@@ -1,5 +1,6 @@
 """SVD kernel: invariants, the fixed convention, determinism, oracles."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -25,6 +26,7 @@ from oracles import (
     jacobi_eigenvalues,
     leading_pair,
     operator_norm,
+    orthogonal_columns_by_gram,
     phase_of,
     reconstruct,
 )
@@ -434,6 +436,70 @@ class TestFromNineColumns:
         want = np.linalg.svd(a.to_array(), compute_uv=False)
         assert max(abs(got - x) for got, x in zip(result.sigma, want)) <= 1e-14 * want[0]
         assert sum(x > 1e-12 * want[0] for x in result.sigma) == rank
+
+
+def first_pair_inputs():
+    """Every shape 1x1 to 8x8, random complex, random real, rank-1, permutation and
+    identity (both m x n, ones on a diagonal), each also scaled by 2^900 and 2^-900;
+    exactly orthogonal columns; and columns whose squared norms are subnormal or
+    underflow to 0 beside columns near 1, where the Gram test reads some pairs as
+    orthogonal."""
+    rng = np.random.default_rng(67)
+    base = []
+    for rows, cols in itertools.product(range(1, 9), repeat=2):
+        eye = np.eye(rows, cols, dtype=complex)
+        base += [random_matrix(rng, rows, cols).to_array(),
+                 rng.uniform(-1, 1, (rows, cols)) + 0j,
+                 random_matrix(rng, rows, 1).to_array() @ random_matrix(rng, 1, cols).to_array(),
+                 eye[:, rng.permutation(cols)], eye]
+    ones = np.ones((2, 1), dtype=complex)
+    base += [np.array([[1, 1], [1, -1]], dtype=complex), np.array([[1, 1j], [1j, 1]]),
+             np.array([[3, 0, 4j], [0, 5, 0], [4, 0, -3j]], dtype=complex)]
+    for tiny in (1e-155, 1e-162, 2.0 ** -540, 1e-170, 0.0):
+        for rows in (2, 8, 16):
+            near_one = random_matrix(rng, rows, 2).to_array()
+            base += [np.column_stack([np.full(rows, tiny, dtype=complex), near_one]),
+                     np.column_stack([near_one[:, 0], np.full(rows, tiny, dtype=complex),
+                                      near_one[:, 1]]),
+                     np.column_stack([np.full(rows, tiny, dtype=complex), np.ones(rows)]).T]
+        base.append(np.hstack([tiny * ones, np.array([[1], [-1]], dtype=complex)]))
+    return [Matrix.from_array(np.ldexp(np.ascontiguousarray(a).view(float), e).view(complex))
+            for a in base for e in (0, 900, -900)]
+
+
+class TestFirstPairReject:
+    """``_orthogonal_columns`` rejects on the first column pair before it builds the
+    Gram matrix; that changes none of its decisions, so no SVD's bits either."""
+
+    def test_decisions_are_the_gram_tests(self):
+        rejected = 0
+        for a in first_pair_inputs():
+            arr = a.to_array()
+            work = singular._ldexp(arr, -singular._exponent(arr))
+            work = work.conj().T if a.rows < a.cols else work
+            if work.shape[1] < 2:
+                continue
+            decision = singular._orthogonal_columns(work)
+            assert decision == orthogonal_columns_by_gram(work), arr
+            rejected += not decision
+        assert rejected > 300  # most random inputs, where the first pair decides
+
+    def test_svd_bits_are_the_gram_tests(self, monkeypatch):
+        inputs = first_pair_inputs()
+        results = [(svd(a), realize("operator", a).q) for a in inputs]
+        monkeypatch.setattr(singular, "_orthogonal_columns", orthogonal_columns_by_gram)
+        for a, (result, q) in zip(inputs, results):
+            assert same_bits(result, svd(a)), a
+            assert q.to_array().tobytes() == realize("operator", a).q.to_array().tobytes(), a
+
+    def test_underflowed_norms_are_left_to_the_gram_test(self):
+        # column 0's squares underflow to 0, yet its inner product with column 1 squares
+        # to a positive subnormal: the Gram test reads the pair as orthogonal
+        work = np.column_stack([np.full(8, 5e-163, dtype=complex), np.full(8, 0.5 + 0j)])
+        assert np.vdot(work[:, 0], work[:, 0]).real == 0.0
+        assert abs(np.vdot(work[:, 0], work[:, 1])) ** 2 > 0.0
+        assert orthogonal_columns_by_gram(work)
+        assert singular._orthogonal_columns(work)
 
 
 def deferred_inputs():
