@@ -7,11 +7,14 @@
 Times ``realize`` under each built-in scheme, ``svd`` and ``kron`` on seeded
 random complex factors: k x k and k x (k+1) for k <= 4 (the trace scheme
 takes square ones only), k x k above that; ``kron`` multiplies a factor by
-its transpose. The ``check`` layer, whatever the sizes, times one call of each
-public law check under frobenius (``CHECK_TRIALS`` trials at seed 42,
-``max_dim`` 3): Q1, Wcond, Rcond and PROJ on the unit basis; and Q1 under
-operator at the scale of the benchmark's law checks, 100 trials at seed 42
-and ``max_dim`` 4, where a cost paid once per check weighs as it does there.
+its transpose. Two layers run whatever the sizes. ``remainder`` times
+``remainder("frobenius", A, M, (k, k, k, k))`` for each k in
+``REMAINDER_SIZES``, with A a k x k factor and M a k^2 x k^2 random dividend.
+``check`` times one call of each public law check under frobenius
+(``CHECK_TRIALS`` trials at seed 42, ``max_dim`` 3): Q1, Wcond, Rcond and PROJ
+on the unit basis; and Q1 under operator at the scale of the benchmark's law
+checks, 100 trials at seed 42 and ``max_dim`` 4, where a cost paid once per
+check weighs as it does there.
 A timed batch is enough calls to dwarf the clock's resolution; each repeat
 times every (layer, case) once, in one fixed order.
 The file records each case's median and quartiles of the per-call time
@@ -48,6 +51,7 @@ SCHEMES = ("leopardi", "frobenius", "operator", "trace")
 SMALL = 4             # sizes up to this one also run a k x (k+1) case
 MIN_BATCH_S = 0.002   # each timed batch lasts at least this long
 CHECK_TRIALS = 8      # trials per check in the check layer
+REMAINDER_SIZES = (4, 16, 32)  # factor sizes k of the remainder layer
 
 
 # -- worker: one tree, one batch at a time --------------------------------
@@ -84,6 +88,10 @@ def cases(kq, np, sizes: list[int]) -> list[tuple[str, str, object]]:
     out += [("svd", case, lambda a=a: kq.svd(a)) for case, a in factors.items()]
     out += [("kron", case, lambda a=a: kq.kron(a, a.transpose()))
             for case, a in factors.items()]
+    for k in REMAINDER_SIZES:
+        a, m, shape = factor(k, k), factor(k * k, k * k), kq.FactorShape(k, k, k, k)
+        out.append(("remainder", f"{k}x{k}",
+                    lambda a=a, m=m, shape=shape: kq.remainder("frobenius", a, m, shape)))
     unit_basis = [kq.Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)]
     checks = {"Q1": lambda: kq.check_axiom("Q1", "frobenius", CHECK_TRIALS, 42, 3),
               "Wcond": lambda: kq.check_weight_conditions(kq.frobenius_weights,

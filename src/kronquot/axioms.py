@@ -293,11 +293,12 @@ def _random_nonzero(rng: np.random.Generator, rows: int, cols: int, *,
         arr = _random_complex(rng, rows, cols)
         if sparsify:
             arr = arr * (rng.random((rows, cols)) < 0.5)
-        if math.sqrt(float(np.vdot(arr, arr).real)) < 1e-6:
+        draw = Matrix._adopt(arr)
+        if math.sqrt(draw._sum_squares()) < 1e-6:
             continue
         if need_trace and abs(complex(np.trace(arr))) < 1e-6:
             continue
-        return Matrix._adopt(arr)
+        return draw
 
 
 def _draw_block(rng, trial, *, square, sparse, max_dim, restricted,

@@ -27,8 +27,8 @@ from .matrix import FactorShape, Matrix, kron
 from .pfp import pfp
 from .quotients import (
     BUILTIN_SCHEMES,
+    _remainder_verdict,
     left_quotient,
-    negligible_remainder,
     remainder,
     right_quotient,
 )
@@ -89,8 +89,8 @@ def _cmd_rquot(args) -> int:
 def _cmd_rem(args) -> int:
     m = matfile.read_matrix(args.m)
     rem = remainder(args.scheme, matfile.read_matrix(args.a), m, args.shape)
-    divides = negligible_remainder(rem, m)
-    trailer = f"divisor={'true' if divides else 'false'} residual={rem.frobenius_norm():.17g}"
+    divides, residual = _remainder_verdict(rem, m)
+    trailer = f"divisor={'true' if divides else 'false'} residual={residual:.17g}"
     _emit(rem, args.output, trailer=trailer)
     return 0
 

@@ -15,12 +15,21 @@ the data a matrix holds. Every operation returns a fresh value built by
 that it is C-contiguous complex128 with finite entries, and freezes it
 without a copy; the package reads other matrices' data through ``._a``.
 
-The finite check is one BLAS reduction, the sum of squared magnitudes
-``vdot(a, a)``: a NaN or infinite part makes that sum non-finite, and a
-finite sum proves every entry finite. Only when the sum is not finite,
-which huge finite entries also cause when their squares overflow, does
-an entrywise ``isfinite`` pass decide. The verdict is the entrywise one
-either way.
+A result is known to be finite in one of two ways. Usually adoption
+reads it from the sum of squared magnitudes, :func:`_squares`: a NaN or
+infinite part makes that sum non-finite, and a finite sum proves every
+entry finite. Only when the sum is not finite, which huge finite entries
+also cause when their squares overflow, does an entrywise ``isfinite``
+pass decide; the verdict is the entrywise one either way. The matrix
+keeps that sum, so its norm, and any bound built from it, costs no
+second pass. Or the operation proves it: ``kron`` and the remainder bound
+every real and imaginary part of their result by their operands' norms
+(:func:`_norm_bound`), and where that bound is at most ``_PROOF_MAX``
+the result is adopted without reading it; its sum of squares is then
+taken on first use. A sum of squares is BLAS ``vdot`` over consecutive
+blocks of at most 8,192 entries, added in order: OpenBLAS splits a dot
+product of more than 10,000 entries over its thread pool, whose partial
+sums, and so whose bits, depend on the thread count.
 
 An operation on finite operands can yield a non-finite entry only by
 overflowing binary64. The operations, the arithmetic operators among
@@ -62,6 +71,13 @@ _MAX_INDEX = np.iinfo(np.intp).max
 # for fewer than 2^52 entries.
 _SAFE_SQUARES_MIN = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 _MAX_FLOAT = float(np.finfo(np.float64).max)
+# The largest bound that proves a result finite. A bound from norms computed by
+# _norm_bound is off by the relative error of a sum of n squares, under n u for
+# n < 2^51 entries (Higham, Accuracy and Stability of Numerical Algorithms, 2.2),
+# and by a few more roundings of u = 2^-53 each: the factor of two covers them all.
+_PROOF_MAX = _MAX_FLOAT / 2
+# Entries per vdot call in _squares: below OpenBLAS's 10,000-entry threading cut
+_SQUARES_BLOCK = 8192
 
 ScalarLike = complex | float | int
 
@@ -128,7 +144,7 @@ class Matrix:
     True
     """
 
-    __slots__ = ("_a",)
+    __slots__ = ("_a", "_sq")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[ScalarLike]):
         rows = _as_positive_int(rows, "rows")
@@ -139,7 +155,8 @@ class Matrix:
             if a.ndim != 1 or a.size != rows * cols:
                 raise ShapeError(f"expected {rows * cols} entries for a "
                                  f"{rows}x{cols} matrix, got {a.size}")
-            self._a = Matrix._adopt(a.reshape(rows, cols))._a
+            adopted = Matrix._adopt(a.reshape(rows, cols))
+            self._a, self._sq = adopted._a, adopted._sq
         except (TypeError, ValueError):
             _reject_non_numeric(values, cols)
             raise
@@ -174,24 +191,37 @@ class Matrix:
             raise
 
     @classmethod
-    def _adopt(cls, a: np.ndarray) -> Matrix:
+    def _adopt(cls, a: np.ndarray, bound: float = math.inf) -> Matrix:
         """The matrix holding a non-empty 2-D array, frozen in place without a copy.
 
         No one may write ``a`` afterwards. UnsupportedInputError unless it is
         C-contiguous complex128, NonFiniteEntryError unless its entries are finite.
-        Finiteness is read from the sum of squared magnitudes, one BLAS ``vdot``;
-        only when that sum is not finite, from a non-finite entry or from squares
-        of huge finite ones that overflow, does an entrywise check decide.
+        ``bound``, where the caller has one, bounds every real and imaginary part of
+        ``a``; where it is at most ``_PROOF_MAX`` the entries are finite and ``a`` is
+        not read. Otherwise finiteness is read from the sum of squared magnitudes,
+        :func:`_squares`, which the matrix keeps; only when that sum is not finite,
+        from a non-finite entry or from squares of huge finite ones that overflow,
+        does an entrywise check decide.
         """
         if a.dtype != np.complex128 or not a.flags.c_contiguous:
             raise UnsupportedInputError("a matrix adopts only C-contiguous complex128 data, "
                                         f"got {a.dtype} with strides {a.strides}")
-        if not math.isfinite(np.vdot(a, a).real) and not np.isfinite(a).all():
-            raise NonFiniteEntryError("matrix entries must be finite (no NaN/Inf)")
+        squares = None
+        if not bound <= _PROOF_MAX:
+            squares = _squares(a)
+            if not math.isfinite(squares) and not np.isfinite(a).all():
+                raise NonFiniteEntryError("matrix entries must be finite (no NaN/Inf)")
         a.setflags(write=False)
         m = object.__new__(cls)
         m._a = a
+        m._sq = squares
         return m
+
+    def _sum_squares(self) -> float:
+        """:func:`_squares` of the data: the sum adoption took, or taken now and kept."""
+        if self._sq is None:
+            self._sq = _squares(self._a)
+        return self._sq
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> Matrix:
@@ -297,7 +327,7 @@ class Matrix:
     def frobenius_norm(self) -> float:
         """sqrt of the summed squared entry magnitudes, accurate at every scale;
         ``inf`` only when the norm itself exceeds the largest float."""
-        return _norm(self._a)
+        return _norm(self._a, self._sum_squares())
 
     # -- arithmetic ----------------------------------------------------
 
@@ -415,22 +445,22 @@ def _overflow_message(op: str, x: Matrix, y: Matrix | complex,
 
 
 def _adopt_result(arr: np.ndarray, op: str, x: Matrix, y: Matrix | complex,
-                  shape: FactorShape | None = None) -> Matrix:
-    """``Matrix._adopt(arr)`` for the result of ``op`` on finite operands x and y,
-    computed under ``np.errstate(over="ignore", invalid="ignore")``. A non-finite
+                  shape: FactorShape | None = None, bound: float = math.inf) -> Matrix:
+    """``Matrix._adopt(arr, bound)`` for the result of ``op`` on finite operands x and
+    y, computed under ``np.errstate(over="ignore", invalid="ignore")``. A non-finite
     entry can only come from an overflow, and raises UnsupportedInputError with
     :func:`_overflow_message`."""
     try:
-        return Matrix._adopt(arr)
+        return Matrix._adopt(arr, bound)
     except NonFiniteEntryError:
         raise UnsupportedInputError(_overflow_message(op, x, y, shape)) from None
 
 
 def _adopt_rescaled(kernel: Callable[..., np.ndarray], operands: Sequence[Matrix],
                     growth: Callable[[], int], op: str, x: Matrix, y: Matrix | complex,
-                    shape: FactorShape | None = None) -> Matrix:
-    """``_adopt_result(kernel(*operands), op, x, y, shape)`` for a kernel linear in its
-    matrix ``operands`` jointly, computed under ``np.errstate`` here.
+                    shape: FactorShape | None = None, bound: float = math.inf) -> Matrix:
+    """``_adopt_result(kernel(*operands), op, x, y, shape, bound)`` for a kernel linear
+    in its matrix ``operands`` jointly, computed under ``np.errstate`` here.
 
     Where the result is not finite, an intermediate may have overflowed while the
     result fits, as when two huge products cancel. Only then is ``growth()`` called:
@@ -443,7 +473,7 @@ def _adopt_rescaled(kernel: Callable[..., np.ndarray], operands: Sequence[Matrix
     with np.errstate(over="ignore", invalid="ignore"):
         out = kernel(*operands)
         try:
-            return Matrix._adopt(out)
+            return Matrix._adopt(out, bound)
         except NonFiniteEntryError:
             e = max(max(_exponent(z._a) for z in operands) + growth() - 1022, 1)
             out = _ldexp(kernel(*(Matrix._adopt(_ldexp(z._a, -e)) for z in operands)), e)
@@ -468,7 +498,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     # np.kron's own product, (a[j, k] b[u, v]) on the (j, u, k, v) block view
     with np.errstate(over="ignore", invalid="ignore"):
         out = a._a[:, None, :, None] * b._a[None, :, None, :]
-    return _adopt_result(out.reshape(rows, cols), "kron", a, b)
+    # every part of a[j, k] b[u, v] is at most |a[j, k]| |b[u, v]| <= ||A||_F ||B||_F
+    return _adopt_result(out.reshape(rows, cols), "kron", a, b,
+                         bound=_norm_bound(a) * _norm_bound(b))
 
 
 def block(m: Matrix, shape: FactorShape, i: int, j: int) -> Matrix:
@@ -482,7 +514,25 @@ def block(m: Matrix, shape: FactorShape, i: int, j: int) -> Matrix:
 
 
 def _squares(arr: np.ndarray) -> float:
-    return float(np.vdot(arr, arr).real)
+    """Sum of squared magnitudes of a complex array: ``vdot`` over consecutive blocks
+    of at most ``_SQUARES_BLOCK`` entries, added in order, so that no call reaches
+    OpenBLAS's thread pool and the bits do not depend on its thread count. Up to one
+    block it is a single ``vdot(arr, arr)``."""
+    flat = arr.reshape(-1)
+    if flat.size <= _SQUARES_BLOCK:
+        return float(np.vdot(flat, flat).real)
+    total = 0.0  # a Python float: a sum that overflows is inf, without a warning
+    for start in range(0, flat.size, _SQUARES_BLOCK):
+        part = flat[start:start + _SQUARES_BLOCK]
+        total += float(np.vdot(part, part).real)
+    return total
+
+
+def _norm_bound(x: Matrix) -> float:
+    """An upper bound on ||x||_F, within the rounding ``_PROOF_MAX`` allows for: the
+    square root of x's sum of squares floored at ``_SAFE_SQUARES_MIN``, which covers
+    squares lost to underflow; ``inf`` where that sum overflows."""
+    return math.sqrt(max(x._sum_squares(), _SAFE_SQUARES_MIN))
 
 
 def _exponent(arr: np.ndarray) -> int:
@@ -499,21 +549,24 @@ def _ldexp(arr: np.ndarray, exp: int) -> np.ndarray:
     return np.ldexp(arr.view(np.float64), exp).view(np.complex128)
 
 
-def _scaled_squares(arr: np.ndarray) -> tuple[float, int]:
+def _scaled_squares(arr: np.ndarray, total: float | None = None) -> tuple[float, int]:
     """Sum of squared magnitudes of 2^-e * arr for a contiguous complex array, and e:
     e = 0 where no square of arr can have overflowed or lost digits to underflow,
-    else the exponent that puts arr's largest real or imaginary part in [0.5, 1)."""
-    total = _squares(arr)
+    else the exponent that puts arr's largest real or imaginary part in [0.5, 1).
+    ``total`` is :func:`_squares` of arr where the caller has it."""
+    if total is None:
+        total = _squares(arr)
     if _SAFE_SQUARES_MIN <= total <= _MAX_FLOAT:
         return total, 0
     exp = _exponent(arr)
     return _squares(_ldexp(arr, -exp)), exp
 
 
-def _norm(arr: np.ndarray) -> float:
+def _norm(arr: np.ndarray, total: float | None = None) -> float:
     """Frobenius norm of a contiguous complex array, 2^e * ||2^-e arr|| with e from
-    :func:`_scaled_squares`; ``inf`` only when the norm exceeds the largest float."""
-    total, exp = _scaled_squares(arr)
+    :func:`_scaled_squares`, given ``total`` as it is; ``inf`` only when the norm
+    exceeds the largest float."""
+    total, exp = _scaled_squares(arr, total)
     try:
         return math.ldexp(math.sqrt(total), exp)
     except OverflowError:
@@ -528,7 +581,7 @@ def relative_residual(a: Matrix, b: Matrix) -> float:
     """
     if a.shape != b.shape:
         raise ShapeError(f"cannot compare a {a.rows}x{a.cols} and a {b.rows}x{b.cols} matrix")
-    na2, nb2 = _squares(a._a), _squares(b._a)
+    na2, nb2 = a._sum_squares(), b._sum_squares()
     if max(na2, nb2) <= _MAX_FLOAT:
         # no entry exceeds sqrt of the largest float, so neither can the difference
         diff = a._a - b._a

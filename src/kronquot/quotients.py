@@ -98,7 +98,7 @@ from .errors import (
     ZeroDivisorError,
 )
 from .matrix import (FactorShape, Matrix, _adopt_rescaled, _exponent, _ldexp, _norm,
-                     _overflow_message, _pairing_growth, _scaled_squares)
+                     _norm_bound, _overflow_message, _pairing_growth, _scaled_squares)
 from .pfp import _pair_blocks, pfp, pfp_scalar
 from .singular import SvdResult, svd
 
@@ -177,7 +177,7 @@ def leopardi_weights(a: Matrix) -> Matrix:
 
 def frobenius_weights(a: Matrix) -> Matrix:
     """Weight |a_ij|^2 / ||A||_F^2, each entry's share of the energy, taken on 2^-e A."""
-    norm2, exp = _scaled_squares(a._a)
+    norm2, exp = _scaled_squares(a._a, a._sum_squares())
     if norm2 == 0.0:
         raise ZeroDivisorError("cannot weight the zero matrix")
     arr = _ldexp(a._a, -exp)
@@ -246,7 +246,7 @@ def weighted_realization(rule: WeightRule, name: str | None = None) -> Realizati
 
 def _frobenius_q(a: Matrix) -> Matrix:
     """conj(A)/||A||_F^2, taken as 2^-e conj(A')/||A'||_F^2 with A' = 2^-e A."""
-    norm2, exp = _scaled_squares(a._a)
+    norm2, exp = _scaled_squares(a._a, a._sum_squares())
     if norm2 == 0.0:
         raise ZeroDivisorError("quotient by the zero matrix")
     return Matrix._adopt(_ldexp(_ldexp(a._a, -exp).conj() / complex(norm2), -exp))
@@ -515,7 +515,8 @@ def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     built on its own. Raises UnsupportedInputError, naming ``remainder``, where the
     quotient or the remainder overflows binary64; A kron C may overflow where the
     remainder fits, and then it is computed again from 2^-e M and 2^-e C (see
-    :func:`_adopt_rescaled`) and scaled back.
+    :func:`_adopt_rescaled`) and scaled back. Where ||M||_F + ||A||_F ||C||_F bounds
+    the remainder's parts below ``_PROOF_MAX``, it is adopted without a finite check.
     """
     _check_shapes(a, shape.m, shape.n, m, shape)
     c = _divide("remainder", realize(scheme, a), m, shape, "left")
@@ -526,20 +527,28 @@ def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
         np.subtract(_block_view(dividend, shape, "left"), r, out=r)
         return r.reshape(m.rows, m.cols)
 
-    # |M - A[j,k] C[u,v]| < 2^(k + max(e_A + 1, 0) + 1), plus a bit for rounding
+    # |M - A[j,k] C[u,v]| < 2^(k + max(e_A + 1, 0) + 1), plus a bit for rounding; and
+    # every part is at most |M[j,u,k,v]| + |A[j,k]| |C[u,v]| <= ||M|| + ||A|| ||C||
     return _adopt_rescaled(kernel, (m, c), lambda: max(_exponent(a._a) + 1, 0) + 2,
-                           "remainder", m, a, shape)
+                           "remainder", m, a, shape,
+                           bound=_norm_bound(m) + _norm_bound(a) * _norm_bound(c))
 
 
 def negligible_remainder(r: Matrix, m: Matrix) -> bool:
     """Whether a remainder r of M vanishes: ||r||_F <= REMAINDER_TOLERANCE * ||M||_F.
     Where ||M||_F overflows binary64, both norms are taken on r and M scaled by one
     exact power of two, so two infinite norms never compare equal."""
+    return _remainder_verdict(r, m)[0]
+
+
+def _remainder_verdict(r: Matrix, m: Matrix) -> tuple[bool, float]:
+    """:func:`negligible_remainder` of r and M, and ||r||_F, each norm taken once."""
     r_norm, m_norm = r.frobenius_norm(), m.frobenius_norm()
-    if m_norm == math.inf:
-        e = max(_exponent(r._a), _exponent(m._a))
-        r_norm, m_norm = _norm(_ldexp(r._a, -e)), _norm(_ldexp(m._a, -e))
-    return r_norm <= REMAINDER_TOLERANCE * m_norm
+    if m_norm < math.inf:
+        return r_norm <= REMAINDER_TOLERANCE * m_norm, r_norm
+    e = max(_exponent(r._a), _exponent(m._a))
+    scaled_r, scaled_m = _norm(_ldexp(r._a, -e)), _norm(_ldexp(m._a, -e))
+    return scaled_r <= REMAINDER_TOLERANCE * scaled_m, r_norm
 
 
 def is_divisor(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> bool:

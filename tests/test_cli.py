@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import kronquot.matrix as matrix
 from kronquot import cli
 from kronquot import (
     Matrix,
@@ -111,6 +112,25 @@ def test_rem_reports_divisor_and_residual(fixtures, tmp_path, capsys):
                  str(paths["A"]), str(paths["M"]), "-o", str(out)])
     assert code == 0
     assert capsys.readouterr().out.startswith("divisor=false residual=")
+
+
+def test_rem_takes_each_sum_of_squares_once(fixtures, capsys, monkeypatch):
+    # the verdict and the trailer share one ||R||, and ||M|| reuses the sum its read took
+    _, paths, _ = fixtures
+    sums, seen = [], {}
+    squares, rem = matrix._squares, cli.remainder
+    monkeypatch.setattr(matrix, "_squares", lambda arr: sums.append(arr) or squares(arr))
+
+    def remainder(scheme, a, m, shape):
+        seen.update(a=a, m=m, r=rem(scheme, a, m, shape))
+        return seen["r"]
+
+    monkeypatch.setattr(cli, "remainder", remainder)
+    assert main(["rem", "--scheme", "frobenius", "--shape", "2,2,2,2",
+                 str(paths["A"]), str(paths["M"])]) == 0
+    assert "# divisor=false residual=" in capsys.readouterr().out
+    counts = {key: sum(np.shares_memory(arr, x._a) for arr in sums) for key, x in seen.items()}
+    assert counts == {"a": 1, "m": 1, "r": 1}
 
 
 def test_rem_to_stdout_keeps_matrix_parseable(fixtures, capsys):

@@ -9,8 +9,9 @@ from pathlib import Path
 
 HARNESS = Path(__file__).resolve().parent.parent / "perf" / "layers.py"
 LAYERS = {"realize.leopardi", "realize.frobenius", "realize.operator", "realize.trace",
-          "svd", "kron", "check"}
-# the check layer's cases, whatever the sizes
+          "svd", "kron", "remainder", "check"}
+# the cases of the remainder and check layers, whatever the sizes
+REMAINDERS = {"4x4", "16x16", "32x32"}
 CHECKS = {"Q1", "Wcond", "Rcond", "PROJ", "Q1-operator-100"}
 STATS = {"median_us", "q1_us", "q3_us", "calls_per_batch"}
 
@@ -34,7 +35,8 @@ def test_a_short_run_writes_finite_positive_timings(tmp_path):
     assert set(report["layers"]) == LAYERS
     for layer, by_case in report["layers"].items():
         square = {"1x1", "2x2"}
-        expected = {"realize.trace": square, "check": CHECKS}.get(layer, square | {"1x2", "2x3"})
+        expected = {"realize.trace": square, "remainder": REMAINDERS,
+                    "check": CHECKS}.get(layer, square | {"1x2", "2x3"})
         assert set(by_case) == expected
         for stats in by_case.values():
             assert set(stats) == STATS
@@ -46,8 +48,9 @@ def test_compare_times_two_trees_in_lockstep():
     lines = _run("--compare", src, src, "--sizes", "1", "--repeats", "2").splitlines()
     assert lines[0].split() == ["layer", "case", "old", "us", "new", "us", "ratio"]
     assert sorted(tuple(line.split()[:2]) for line in lines[1:]) == sorted(
-        [(layer, case) for layer in LAYERS - {"check"} for case in ("1x1", "1x2")
-         if (layer, case) != ("realize.trace", "1x2")] + [("check", case) for case in CHECKS])
+        [(layer, case) for layer in LAYERS - {"remainder", "check"} for case in ("1x1", "1x2")
+         if (layer, case) != ("realize.trace", "1x2")]
+        + [("remainder", case) for case in REMAINDERS] + [("check", case) for case in CHECKS])
     for line in lines[1:]:
         fields = line.split()
         assert all(math.isfinite(float(x)) and float(x) > 0 for x in fields[2:5]), line

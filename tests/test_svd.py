@@ -204,13 +204,20 @@ def same_bits(r1, r2):
 
 
 # SHA-256 of U, sigma and V over small and large shapes, a rank-deficient and a
-# graded input, and of one operator law check, for comparing processes that
-# differ only in their environment
+# graded input, of one operator law check, of products and quotients, and of the
+# norms of 256 x 256 matrices, whose sums of squares exceed OpenBLAS's threading cut,
+# for comparing processes that differ only in their environment
 _DIGEST_SCRIPT = """
+import contextlib
 import hashlib
+import io
+import os
+import struct
+import tempfile
 import numpy as np
-from kronquot import (FactorShape, Matrix, check_axiom, kron, left_quotient, pfp, remainder,
-                      right_quotient, svd)
+from kronquot import (FactorShape, Matrix, check_axiom, is_divisor, kron, left_quotient, pfp,
+                      relative_residual, remainder, right_quotient, svd, write_matrix)
+from kronquot.cli import main
 digest = hashlib.sha256()
 rng = np.random.default_rng(55)
 def complex_uniform(rows, cols):
@@ -230,6 +237,17 @@ m = kron(a, b) + Matrix.from_array(rng.uniform(-1, 1, (256, 256)))
 shape = FactorShape(16, 16, 16, 16)
 digest.update(remainder("frobenius", a, m, shape).to_array().tobytes())
 digest.update(right_quotient("operator", m, b, shape).to_array().tobytes())
+other = Matrix.from_array(rng.uniform(-1, 1, (256, 256)) + 1j * rng.uniform(-1, 1, (256, 256)))
+digest.update(struct.pack("<3d", m.frobenius_norm(), other.frobenius_norm(),
+                          relative_residual(m, other)))
+digest.update(str(is_divisor("frobenius", a, m, shape)).encode())
+with tempfile.TemporaryDirectory() as tmp:
+    paths = [os.path.join(tmp, name) for name in ("a.mat", "m.mat", "r.mat")]
+    write_matrix(paths[0], a)
+    write_matrix(paths[1], m)
+    with contextlib.redirect_stdout(io.StringIO()) as trailer:
+        main(["rem", "--scheme", "frobenius", "--shape", "16,16,16,16", *paths[:2], "-o", paths[2]])
+    digest.update(trailer.getvalue().encode())  # divisor=... residual=||R||_F
 for rows, cols in ((32, 32), (32, 8)):
     a, b = (Matrix.from_array(rng.uniform(-1, 1, dims) + 1j * rng.uniform(-1, 1, dims))
             for dims in ((rows, cols), (cols, rows)))
