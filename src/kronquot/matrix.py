@@ -218,7 +218,8 @@ class Matrix:
         return m
 
     def _sum_squares(self) -> float:
-        """:func:`_squares` of the data: the sum adoption took, or taken now and kept."""
+        """:func:`_squares` of the data: the sum adoption took, or taken now and kept.
+        Threads that take it at once store the same value, so it needs no lock."""
         if self._sq is None:
             self._sq = _squares(self._a)
         return self._sq
@@ -518,9 +519,9 @@ def _squares(arr: np.ndarray) -> float:
     of at most ``_SQUARES_BLOCK`` entries, added in order, so that no call reaches
     OpenBLAS's thread pool and the bits do not depend on its thread count. Up to one
     block it is a single ``vdot(arr, arr)``."""
+    if arr.size <= _SQUARES_BLOCK:
+        return float(np.vdot(arr, arr).real)
     flat = arr.reshape(-1)
-    if flat.size <= _SQUARES_BLOCK:
-        return float(np.vdot(flat, flat).real)
     total = 0.0  # a Python float: a sum that overflows is inf, without a warning
     for start in range(0, flat.size, _SQUARES_BLOCK):
         part = flat[start:start + _SQUARES_BLOCK]
