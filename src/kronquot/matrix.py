@@ -71,10 +71,10 @@ _MAX_INDEX = np.iinfo(np.intp).max
 # for fewer than 2^52 entries.
 _SAFE_SQUARES_MIN = float(np.finfo(np.float64).tiny / np.finfo(np.float64).eps)
 _MAX_FLOAT = float(np.finfo(np.float64).max)
-# The largest bound that proves a result finite. A bound from norms computed by
-# _norm_bound is off by the relative error of a sum of n squares, under n u for
-# n < 2^51 entries (Higham, Accuracy and Stability of Numerical Algorithms, 2.2),
-# and by a few more roundings of u = 2^-53 each: the factor of two covers them all.
+# The largest bound that proves a result finite. Each rounding is off by at most
+# u = 2^-53 relative (Higham, Accuracy and Stability of Numerical Algorithms, 2.2),
+# a sum of n squares by under n u for n < 2^51 entries (3.1), and a bound from
+# _norm_bound takes a few more roundings: the factor of two covers them all.
 _PROOF_MAX = _MAX_FLOAT / 2
 # Entries per vdot call in _squares: below OpenBLAS's 10,000-entry threading cut
 _SQUARES_BLOCK = 8192
