@@ -21,16 +21,18 @@ The file records each case's median and quartiles of the per-call time
 over the repeats, in microseconds, with the machine and the build it ran
 on: the commit of ``--src`` and whether that directory differs from it.
 
-The timing runs in a worker process per tree, which imports kronquot from
-that tree's ``src/`` and times one batch at a time on request. Where the
-platform lets a process choose its CPUs, every worker runs on the lowest
-CPU the harness may use, so the trees share one core and its load (and
-OpenBLAS sizes its pool to that one CPU). ``--compare`` drives a worker for
-each of two trees in lockstep: for every repeat and case, both workers time
-the same batch one right after the other, the one that goes first
-alternating. So a drift in the machine's speed reaches both trees alike.
-It prints each case's ratio of medians, NEW over OLD, and flags a move
-only where the two interquartile ranges do not overlap.
+All the timing runs in this one process. Where the platform lets a process
+choose its CPUs, the harness first pins itself to the lowest CPU it may use,
+before numpy is imported, so OpenBLAS sizes its pool to that one CPU. Each
+tree's ``kronquot`` is then loaded from its directory as a package of its
+own, named ``kronquot-0``, ``kronquot-1`` and so on: no import statement can
+name it, so it cannot meet an installed kronquot, and the package's relative
+imports stay inside that tree. ``--compare`` times the two trees in lockstep:
+for every repeat and case, both trees time the same batch one right after
+the other, the one that goes first alternating. So a drift in the machine's
+speed reaches both trees alike. It prints each case's ratio of medians, NEW
+over OLD, and flags a move only where the two interquartile ranges do not
+overlap.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import glob
+import importlib.util
 import json
 import os
 import platform
@@ -54,7 +57,7 @@ CHECK_TRIALS = 8      # trials per check in the check layer
 REMAINDER_SIZES = (4, 16, 32)  # factor sizes k of the remainder layer
 
 
-# -- worker: one tree, one batch at a time --------------------------------
+# -- one tree: its cases and their timing -------------------------------
 
 def blas_threads(np) -> int | None:
     """OpenBLAS's thread count, read from the library numpy loaded; None if not found."""
@@ -121,84 +124,44 @@ def batch_size(call) -> int:
     return number
 
 
-def worker(src: str, sizes: list[int], cpu: int | None) -> None:
-    """Serve one tree on ``cpu``: announce its cases and environment, then answer each
-    request line, ``calibrate`` with every case's batch size and ``INDEX NUMBER`` with
-    the microseconds per call of one batch of that case, one JSON line each, until
-    stdin closes."""
-    if cpu is not None:
-        os.sched_setaffinity(0, {cpu})  # before numpy starts OpenBLAS's threads
-    sys.path.insert(0, src)
-    import numpy as np
-    import kronquot as kq
-
-    if os.path.realpath(os.path.dirname(kq.__file__)) != os.path.realpath(
-            os.path.join(src, "kronquot")):
-        sys.exit(f"layers: imported kronquot from {kq.__file__}, expected it under {src}")
-    calls = cases(kq, np, sizes)
-    env = {"nproc": os.cpu_count(), "cpu": cpu, "blas_threads": blas_threads(np),
-           "python": platform.python_version(), "numpy": np.__version__,
-           "machine": platform.machine()}
-    print(json.dumps({"cases": [[layer, case] for layer, case, _ in calls],
-                      "environment": env}), flush=True)
-    for line in sys.stdin:
-        if line.strip() == "calibrate":
-            answer = [batch_size(call) for _, _, call in calls]
-        else:
-            index, number = map(int, line.split())
-            answer = timed(calls[index][2], number) * 1e6
-        print(json.dumps(answer), flush=True)
+def load(src: str, index: int):
+    """The kronquot package in the ``src/`` directory ``src``, loaded as ``kronquot-INDEX``."""
+    name, path = f"kronquot-{index}", os.path.join(src, "kronquot")
+    spec = importlib.util.spec_from_file_location(name, os.path.join(path, "__init__.py"),
+                                                  submodule_search_locations=[path])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package  # before it runs, so its relative imports find it
+    spec.loader.exec_module(package)
+    return package
 
 
-# -- timing run: workers in lockstep -----------------------------------
-
-class Worker:
-    def __init__(self, src: str, sizes: list[int], cpu: int | None):
-        self.proc = subprocess.Popen(
-            [sys.executable, os.path.abspath(__file__), "--worker", "--src", src,
-             "--sizes", ",".join(map(str, sizes))] + ([] if cpu is None else ["--cpu", str(cpu)]),
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1)
-        self.hello = self.answer()
-
-    def ask(self, request: str):
-        self.proc.stdin.write(request + "\n")
-        self.proc.stdin.flush()
-        return self.answer()
-
-    def answer(self):
-        line = self.proc.stdout.readline()
-        if not line:
-            sys.exit(f"layers: the worker exited with status {self.proc.wait()}")
-        return json.loads(line)
-
-    def close(self) -> None:
-        self.proc.stdin.close()
-        self.proc.wait()
-
+# -- timing run: trees in lockstep ----------------------------------------
 
 def measure(srcs: list[str], sizes: list[int], repeats: int):
     """Every case timed under each tree in ``srcs``, in lockstep: the (layer, case)
-    list, the first worker's environment, each case's calls per batch and, per tree,
-    each case's per-call microseconds over the repeats."""
+    list, the environment, each case's calls per batch and, per tree, each case's
+    per-call microseconds over the repeats."""
     cpu = min(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else None
-    workers = [Worker(src, sizes, cpu) for src in srcs]
-    try:
-        hello = workers[0].hello
-        for w in workers:
-            if w.hello["cases"] != hello["cases"]:
-                sys.exit("layers: the trees time different cases")
-        batches = [w.ask("calibrate") for w in workers]
-        numbers = [max(column) for column in zip(*batches)]
-        samples = [[[] for _ in numbers] for _ in workers]
-        for rep in range(repeats):
-            for index, number in enumerate(numbers):
-                order = range(len(workers))
-                for w in (order if (rep + index) % 2 == 0 else reversed(order)):
-                    samples[w][index].append(workers[w].ask(f"{index} {number}"))
-    finally:
-        for w in workers:
-            w.close()
-    return [tuple(key) for key in hello["cases"]], hello["environment"], numbers, samples
+    if cpu is not None:
+        os.sched_setaffinity(0, {cpu})  # before numpy starts OpenBLAS's threads
+    import numpy as np
+
+    trees = [cases(load(src, index), np, sizes) for index, src in enumerate(srcs)]
+    keys = [(layer, case) for layer, case, _ in trees[0]]
+    if any([(layer, case) for layer, case, _ in calls] != keys for calls in trees):
+        sys.exit("layers: the trees time different cases")
+    batches = [[batch_size(call) for _, _, call in calls] for calls in trees]
+    numbers = [max(column) for column in zip(*batches)]
+    samples = [[[] for _ in numbers] for _ in trees]
+    for rep in range(repeats):
+        for index, number in enumerate(numbers):
+            order = range(len(trees))
+            for t in (order if (rep + index) % 2 == 0 else reversed(order)):
+                samples[t][index].append(timed(trees[t][index][2], number) * 1e6)
+    env = {"nproc": os.cpu_count(), "cpu": cpu, "blas_threads": blas_threads(np),
+           "python": platform.python_version(), "numpy": np.__version__,
+           "machine": platform.machine()}
+    return keys, env, numbers, samples
 
 
 def summary(times: list[float]) -> dict[str, float]:
@@ -265,15 +228,14 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_layers.json"))
     parser.add_argument("--compare", nargs=2, metavar=("OLD_SRC", "NEW_SRC"),
                         help="time two src/ directories in lockstep and print the ratios")
-    parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
-    parser.add_argument("--cpu", type=int, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    sizes = [int(k) for k in args.sizes.split(",")]
+    try:
+        sizes = [int(k) for k in args.sizes.split(",")]
+    except ValueError:
+        parser.error(f"--sizes takes comma-separated integers, got {args.sizes!r}")
     if args.repeats < 1 or not sizes or min(sizes) < 1:
         parser.error("--repeats and every size must be positive")
-    if args.worker:
-        worker(os.path.abspath(args.src), sizes, args.cpu)
-    elif args.compare:
+    if args.compare:
         old, new = (os.path.abspath(src) for src in args.compare)
         print("\n".join(compare(old, new, sizes, args.repeats)))
     else:

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,36 @@ def test_compare_times_two_trees_in_lockstep():
         fields = line.split()
         assert all(math.isfinite(float(x)) and float(x) > 0 for x in fields[2:5]), line
         assert fields[5:] in ([], ["faster"], ["slower"]), line
+
+
+def test_compare_times_each_tree_from_its_own_directory(tmp_path):
+    src = HARNESS.parent.parent / "src"
+    copy = tmp_path / "copy"
+    shutil.copytree(src / "kronquot", copy / "kronquot",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    lines = _run("--compare", str(src), str(copy), "--sizes", "1", "--repeats", "1").splitlines()
+    assert {tuple(line.split()[:2]) for line in lines[1:]} == (
+        {(layer, case) for layer in LAYERS - {"remainder", "check"} for case in ("1x1", "1x2")}
+        - {("realize.trace", "1x2")}
+        | {("remainder", case) for case in REMAINDERS} | {("check", case) for case in CHECKS})
+
+    broken = tmp_path / "broken"
+    shutil.copytree(copy, broken)
+    (broken / "kronquot" / "__init__.py").write_text("raise ImportError('broken tree')\n",
+                                                      encoding="utf-8")
+    proc = subprocess.run([sys.executable, str(HARNESS), "--compare", str(copy), str(broken),
+                           "--sizes", "1", "--repeats", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode != 0
+    assert str(broken / "kronquot") in proc.stderr and "broken tree" in proc.stderr
+
+
+def test_malformed_sizes_are_a_usage_error():
+    for sizes in ("1,,2", "x", "0"):
+        proc = subprocess.run([sys.executable, str(HARNESS), "--sizes", sizes],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, (sizes, proc.stderr)
+        assert "usage:" in proc.stderr and "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_a_move_is_flagged_only_where_the_interquartile_ranges_miss():
