@@ -153,8 +153,9 @@ class Matrix:
         try:
             a = np.array(values, dtype=np.complex128)
             if a.ndim != 1 or a.size != rows * cols:
-                raise ShapeError(f"expected {rows * cols} entries for a "
-                                 f"{rows}x{cols} matrix, got {a.size}")
+                got = a.size if a.ndim == 1 else f"shape {a.shape}"
+                raise ShapeError(f"expected a flat sequence of {rows * cols} entries for a "
+                                 f"{rows}x{cols} matrix, got {got}")
             adopted = Matrix._adopt(a.reshape(rows, cols))
             self._a, self._sq = adopted._a, adopted._sq
         except (TypeError, ValueError):

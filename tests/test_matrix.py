@@ -75,10 +75,18 @@ class TestConstruction:
         (lambda: Matrix.diagonal(["x"]), MatrixFormatError, "entry (1,1) is not a number: 'x'"),
         (lambda: Matrix.diagonal([1, None]), MatrixFormatError,
          "entry (2,2) is not a number: None"),
+        # the entries come flat, row-major; a nested sequence is named by its shape
+        (lambda: Matrix(2, 2, [[1, 2], [3, 4]]), ShapeError,
+         "expected a flat sequence of 4 entries for a 2x2 matrix, got shape (2, 2)"),
+        (lambda: Matrix(2, 3, np.ones((3, 2))), ShapeError,
+         "expected a flat sequence of 6 entries for a 2x3 matrix, got shape (3, 2)"),
+        (lambda: Matrix(2, 2, [1, 2, 3]), ShapeError,
+         "expected a flat sequence of 4 entries for a 2x2 matrix, got 3"),
     ], ids=["non-integer", "no-rows", "ragged", "array-ragged", "ndim", "empty-dim",
             "diagonal", "unit-index", "column-index", "unit-float-index",
             "column-float-index", "string-entries", "array-string-entry", "string-scalar",
-            "none-entry", "diagonal-string", "diagonal-none"])
+            "none-entry", "diagonal-string", "diagonal-none", "nested-entries",
+            "array-entries", "entry-count"])
     def test_malformed_construction_names_the_fault(self, make, error, text):
         with pytest.raises(error, match=re.escape(text)):
             make()
