@@ -47,8 +47,13 @@ cutoff, the degeneracy probe, the leading pair), so none of them needs
 more. A LinAlgError from LAPACK raises ConvergenceError.
 
 Everything is a pure function of the input bits: calling twice on equal
-inputs returns bit-identical results, whatever the BLAS thread count,
-for one build of numpy and its LAPACK.
+inputs returns bit-identical results, for one build of numpy and its
+LAPACK. Across BLAS thread counts the bits are pinned only up to 32 x 32:
+that is the largest shape ``tests/test_svd.py``'s ``_DIGEST_SCRIPT``
+decomposes under each count. A larger input may depend on the thread count
+through LAPACK's blocked BLAS calls; on numpy 2.4.6, complex 90 x 91 and
+128 x 128 inputs gave other sigma and U bits on one thread than on the
+default count.
 """
 
 from __future__ import annotations
