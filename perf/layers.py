@@ -7,14 +7,16 @@
 Times ``realize`` under each built-in scheme, ``svd`` and ``kron`` on seeded
 random complex factors: k x k and k x (k+1) for k <= 4 (the trace scheme
 takes square ones only), k x k above that; ``kron`` multiplies a factor by
-its transpose. Two layers run whatever the sizes. ``remainder`` times
-``remainder("frobenius", A, M, (k, k, k, k))`` for each k in
-``REMAINDER_SIZES``, with A a k x k factor and M a k^2 x k^2 random dividend.
-``check`` times one call of each public law check under frobenius
-(``CHECK_TRIALS`` trials at seed 42, ``max_dim`` 3): Q1, Wcond, Rcond and PROJ
-on the unit basis; and Q1 under operator at the scale of the benchmark's law
-checks, 100 trials at seed 42 and ``max_dim`` 4, where a cost paid once per
-check weighs as it does there.
+its transpose. The other layers run whatever the sizes. For each k in
+``DIVIDEND_SIZES``, with A a k x k factor, M a k^2 x k^2 random dividend
+and shape (k, k, k, k), four layers time one call on the same operands:
+``remainder("frobenius", A, M, shape)``, ``pfp(A, M)``,
+``left_quotient("frobenius", A, M, shape)`` and
+``right_quotient("frobenius", M, A, shape)``. ``check`` times one call of
+each public law check under frobenius (``CHECK_TRIALS`` trials at seed 42,
+``max_dim`` 3): Q1, Wcond, Rcond and PROJ on the unit basis; and Q1 under
+operator at the scale of the benchmark's law checks, 100 trials at seed 42
+and ``max_dim`` 4, where a cost paid once per check weighs as it does there.
 A timed batch is enough calls to dwarf the clock's resolution; each repeat
 times every (layer, case) once, in one fixed order.
 The file records each case's median and quartiles of the per-call time
@@ -47,6 +49,7 @@ import platform
 import statistics
 import subprocess
 import sys
+from functools import partial
 from time import perf_counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -54,7 +57,7 @@ SCHEMES = ("leopardi", "frobenius", "operator", "trace")
 SMALL = 4             # sizes up to this one also run a k x (k+1) case
 MIN_BATCH_S = 0.002   # each timed batch lasts at least this long
 CHECK_TRIALS = 8      # trials per check in the check layer
-REMAINDER_SIZES = (4, 16, 32)  # factor sizes k of the remainder layer
+DIVIDEND_SIZES = (4, 16, 32)  # factor sizes k of the layers on a k^2 x k^2 dividend
 
 
 # -- one tree: its cases and their timing -------------------------------
@@ -91,10 +94,15 @@ def cases(kq, np, sizes: list[int]) -> list[tuple[str, str, object]]:
     out += [("svd", case, lambda a=a: kq.svd(a)) for case, a in factors.items()]
     out += [("kron", case, lambda a=a: kq.kron(a, a.transpose()))
             for case, a in factors.items()]
-    for k in REMAINDER_SIZES:
-        a, m, shape = factor(k, k), factor(k * k, k * k), kq.FactorShape(k, k, k, k)
-        out.append(("remainder", f"{k}x{k}",
-                    lambda a=a, m=m, shape=shape: kq.remainder("frobenius", a, m, shape)))
+    dividends = {f"{k}x{k}": (factor(k, k), factor(k * k, k * k), kq.FactorShape(k, k, k, k))
+                 for k in DIVIDEND_SIZES}
+    on_dividends = {
+        "remainder": lambda a, m, shape: kq.remainder("frobenius", a, m, shape),
+        "pfp": lambda a, m, shape: kq.pfp(a, m),
+        "left_quotient": lambda a, m, shape: kq.left_quotient("frobenius", a, m, shape),
+        "right_quotient": lambda a, m, shape: kq.right_quotient("frobenius", m, a, shape)}
+    for layer, call in on_dividends.items():
+        out += [(layer, case, partial(call, *operands)) for case, operands in dividends.items()]
     unit_basis = [kq.Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)]
     checks = {"Q1": lambda: kq.check_axiom("Q1", "frobenius", CHECK_TRIALS, 42, 3),
               "Wcond": lambda: kq.check_weight_conditions(kq.frobenius_weights,

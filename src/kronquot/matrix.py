@@ -42,6 +42,17 @@ pfp, the quotients and the remainder, adopt their result through
 power of two before it reports an overflow. A
 non-finite scalar operand raises NonFiniteEntryError, and division by the
 scalar zero ZeroDivisorError.
+
+Every Kronecker computation shares one block layout, decided here. An
+(m*s) x (n*t) matrix M read as an m x n grid of s x t blocks is the 4-axis
+view M4[j, u, k, v] = M[j*s+u, k*t+v]: M.reshape(m, s, n, t), the
+rearrangement of Van Loan and Pitsianis, which turns kron(A, B) into
+A[j, k] B[u, v]. :func:`_block_view` reads M that way in place, and
+:func:`_block_product` computes A[j, k] B[u, v] into a fresh array of that
+layout. ``kron``, ``pfp``, the quotients and the remainder go through these
+two alone. A left divisor pairs against the block grid (j, k), a right
+divisor against the entries within each block (u, v), so the right view
+puts (u, j, v, k) first.
 """
 
 from __future__ import annotations
@@ -497,12 +508,25 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     cols = a.cols * b.cols
     if rows > _MAX_INDEX or cols > _MAX_INDEX or rows * cols > _MAX_INDEX:
         raise ShapeError(f"Kronecker product size {rows}x{cols} exceeds the platform index range")
-    # np.kron's own product, (a[j, k] b[u, v]) on the (j, u, k, v) block view
     with np.errstate(over="ignore", invalid="ignore"):
-        out = a._a[:, None, :, None] * b._a[None, :, None, :]
+        out = _block_product(a, b)
     # every part of a[j, k] b[u, v] is at most |a[j, k]| |b[u, v]| <= ||A||_F ||B||_F
     return _adopt_result(out.reshape(rows, cols), "kron", a, b,
                          bound=_norm_bound(a) * _norm_bound(b))
+
+
+def _block_view(x: Matrix, m: int, n: int, side: str = "left") -> np.ndarray:
+    """x read in place as an m x n grid of blocks, a view of its data and never a copy:
+    (j, u, k, v) for a divisor on the ``"left"``, which pairs against axes 0 and 2,
+    and (u, j, v, k) for one on the ``"right"``."""
+    blocks = x._a.reshape(m, x.rows // m, n, x.cols // n)
+    return blocks if side == "left" else blocks.transpose(1, 0, 3, 2)
+
+
+def _block_product(a: Matrix, b: Matrix) -> np.ndarray:
+    """a[j, k] b[u, v] in a fresh (m, s, n, t) array, for an m x n a and an s x t b:
+    kron(a, b) in block layout, by np.kron's own broadcast product."""
+    return a._a[:, None, :, None] * b._a[None, :, None, :]
 
 
 def block(m: Matrix, shape: FactorShape, i: int, j: int) -> Matrix:

@@ -9,7 +9,7 @@ The pairing is symmetric in its two arguments, bilinear (no conjugation
 anywhere), and collapses to the plain bilinear Frobenius pairing when
 s = t = 1. It is neither an inner product nor associative.
 
-It is computed on M's (m, s, n, t) block view, read in place: one batched
+It is computed on M's block view (see :mod:`kronquot.matrix`): one batched
 BLAS product pairs row j of A with the n x t matrix M4[j, u] for every
 (j, u) at once, and the m partial results are then added over j in one
 fixed order, ((j=0 + j=1) + j=2) + ..., whatever s is. So pairing against
@@ -28,7 +28,7 @@ import cmath
 import numpy as np
 
 from .errors import ShapeError, UnsupportedInputError
-from .matrix import Matrix, _adopt_rescaled, _overflow_message, _pairing_growth
+from .matrix import Matrix, _adopt_rescaled, _block_view, _overflow_message, _pairing_growth
 
 
 def _resolve_roles(a: Matrix, b: Matrix) -> tuple[Matrix, Matrix]:
@@ -60,9 +60,8 @@ def _pair_blocks(small: np.ndarray, blocks: np.ndarray) -> np.ndarray:
 def pfp(a: Matrix, m: Matrix) -> Matrix:
     """Partial Frobenius product of two matrices (symmetric in its arguments)."""
     small, big = _resolve_roles(a, m)
-    view = (small.rows, big.rows // small.rows, small.cols, big.cols // small.cols)
-    return _adopt_rescaled(lambda x: _pair_blocks(small._a, x._a.reshape(view)), (big,),
-                           lambda: _pairing_growth(small._a), "pfp", a, m)
+    return _adopt_rescaled(lambda x: _pair_blocks(small._a, _block_view(x, *small.shape)),
+                           (big,), lambda: _pairing_growth(small._a), "pfp", a, m)
 
 
 def pfp_scalar(a: Matrix, c: Matrix) -> complex:

@@ -35,18 +35,16 @@ applies once. ``BUILTIN_SCHEMES`` maps each built-in name to its
 :class:`Realization`, the one record that declares ``square_only``,
 ``support_sensitive`` and ``weights``.
 
-Every dividend kernel reads M in place through its block view,
-M[j*s+u, k*t+v] = M4[j, u, k, v] with M4 = M.reshape(m, s, n, t) (the
-rearrangement of Van Loan and Pitsianis). A left divisor pairs against
-the block grid (j, k), a right divisor against the entries within each
-block (u, v): the right quotient is the same pairing over the other two
-axes, and equals the left quotient of the perfect shuffle of M, which
-turns kron(A, B) into kron(B, A), without building that shuffled copy.
-Both pairings are the one kernel of :mod:`kronquot.pfp`, a batched BLAS
-row-vector x matrix product over the view followed by a sum over the
-divisor's rows in one fixed order. A remainder writes M - kron(A, C)
-into one fresh buffer of the same view. Where a quotient or a remainder
-overflows binary64, it raises UnsupportedInputError naming the
+Every dividend kernel reads M in place through the one block view of
+:mod:`kronquot.matrix`, which describes the layout. The right quotient
+is the left one's pairing over the other two axes, and equals the left
+quotient of the perfect shuffle of M, which turns kron(A, B) into
+kron(B, A), without building that shuffled copy. Both pairings are the
+one kernel of :mod:`kronquot.pfp`, a batched BLAS row-vector x matrix
+product over the view followed by a sum over the divisor's rows in one
+fixed order. A remainder subtracts the block product of A and C from
+M's view, in that product's fresh buffer. Where a quotient or a
+remainder overflows binary64, it raises UnsupportedInputError naming the
 operation, the operands' shapes and the factor shape. An intermediate
 overflow whose result fits does not: on that failure path the kernel
 runs again on the dividend scaled by an exact power of two.
@@ -97,8 +95,9 @@ from .errors import (
     UnsupportedInputError,
     ZeroDivisorError,
 )
-from .matrix import (FactorShape, Matrix, _adopt_rescaled, _exponent, _ldexp, _norm,
-                     _norm_bound, _overflow_message, _pairing_growth, _scaled_squares)
+from .matrix import (FactorShape, Matrix, _adopt_rescaled, _block_product, _block_view,
+                     _exponent, _ldexp, _norm, _norm_bound, _overflow_message,
+                     _pairing_growth, _scaled_squares)
 from .pfp import _pair_blocks, pfp, pfp_scalar
 from .singular import SvdResult, svd
 
@@ -214,14 +213,6 @@ def _check_nonzero(a: Matrix) -> None:
         raise ZeroDivisorError("quotient by the zero matrix")
 
 
-def _block_view(m: Matrix, shape: FactorShape, side: str) -> np.ndarray:
-    """M's (m, s, n, t) block view with the axes a divisor on ``side`` pairs against at
-    positions 0 and 2: (j, u, k, v) for a left divisor, (u, j, v, k) for a right one.
-    A view of M's data either way, never a copy."""
-    blocks = m._a.reshape(shape.m, shape.s, shape.n, shape.t)
-    return blocks if side == "left" else blocks.transpose(1, 0, 3, 2)
-
-
 # -- realizations of the built-in uniform schemes ----------------------
 
 def weighted_realization(rule: WeightRule, name: str | None = None) -> Realization:
@@ -249,7 +240,9 @@ def _frobenius_q(a: Matrix) -> Matrix:
     norm2, exp = _scaled_squares(a._a, a._sum_squares())
     if norm2 == 0.0:
         raise ZeroDivisorError("quotient by the zero matrix")
-    return Matrix._adopt(_ldexp(_ldexp(a._a, -exp).conj() / complex(norm2), -exp))
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _ldexp(_ldexp(a._a, -exp).conj() / complex(norm2), -exp)
+    return _adopt_q(q, a)
 
 
 def _adopt_q(q: np.ndarray, a: Matrix) -> Matrix:
@@ -389,7 +382,7 @@ class Divisor:
 
     def _apply(self, blocks: np.ndarray) -> np.ndarray:
         """Q(A) paired against axes 0 and 2 of a dividend's block view (see
-        :func:`_block_view`); for the left view this is ``quotient``."""
+        :func:`kronquot.matrix._block_view`); for the left view this is ``quotient``."""
         return _pair_blocks(self.q._a, blocks)
 
 
@@ -413,8 +406,8 @@ class LinearDivisor:
         return _divide("left_quotient", self, m, shape, "left")
 
     def _apply(self, blocks: np.ndarray) -> np.ndarray:
-        """The quotient on a dividend's block view (see :func:`_block_view`), whose
-        axes 1 and 3 give the s x t quotient shape. Component (u,v,u',v') adds
+        """The quotient on a dividend's block view (see :func:`kronquot.matrix._block_view`),
+        whose axes 1 and 3 give the s x t quotient shape. Component (u,v,u',v') adds
         sum_{j,k} Q[u,v,u',v'][j,k] * blocks[j,u,k,v] to entry (u',v'), read from the
         pairing of block row u alone: that row sums each entry in the order the full
         pairing does, and one entry alone would not."""
@@ -458,12 +451,13 @@ def _divide(op: str, divisor: Divisor | LinearDivisor, m: Matrix, shape: FactorS
     intermediate overflows, the divisor is applied again to 2^-e M (see
     :func:`_adopt_rescaled`) and the result scaled back."""
     if isinstance(divisor, LinearDivisor):
-        _, s, _, t = _block_view(m, shape, side).shape
-        growth = partial(divisor._growth, s, t)
+        # the quotient's shape, axes 1 and 3 of the view
+        rows, cols = (shape.s, shape.t) if side == "left" else (shape.m, shape.n)
+        growth = partial(divisor._growth, rows, cols)
     else:
         growth = partial(_pairing_growth, divisor.q._a)
-    return _adopt_rescaled(lambda x: divisor._apply(_block_view(x, shape, side)), (m,),
-                           growth, op, m, divisor.a, shape)
+    return _adopt_rescaled(lambda x: divisor._apply(_block_view(x, shape.m, shape.n, side)),
+                           (m,), growth, op, m, divisor.a, shape)
 
 
 def _overflow_error(a: Matrix) -> UnsupportedInputError:
@@ -510,21 +504,21 @@ def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
 def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     """M - kron(A, left_quotient(...)): what the divisor fails to explain.
 
-    Written into one fresh buffer in the block layout, r[j,u,k,v] = M4[j,u,k,v] - A[j,k] C[u,v]
-    with M4 the block view of M and C the left quotient, so no Kronecker product is
-    built on its own. Raises UnsupportedInputError, naming ``remainder``, where the
-    quotient or the remainder overflows binary64; A kron C may overflow where the
-    remainder fits, and then it is computed again from 2^-e M and 2^-e C (see
-    :func:`_adopt_rescaled`) and scaled back. Where ||M||_F + ||A||_F ||C||_F bounds
-    the remainder's parts below ``_PROOF_MAX``, it is adopted without a finite check.
+    Written into the fresh buffer of the block product in :mod:`kronquot.matrix`'s
+    layout, r[j,u,k,v] = M4[j,u,k,v] - A[j,k] C[u,v] with M4 the block view of M and
+    C the left quotient, so no Kronecker product is built on its own. Raises
+    UnsupportedInputError, naming ``remainder``, where the quotient or the remainder
+    overflows binary64; A kron C may overflow where the remainder fits, and then it
+    is computed again from 2^-e M and 2^-e C (see :func:`_adopt_rescaled`) and scaled
+    back. Where ||M||_F + ||A||_F ||C||_F bounds the remainder's parts below
+    ``_PROOF_MAX``, it is adopted without a finite check.
     """
     _check_shapes(a, shape.m, shape.n, m, shape)
     c = _divide("remainder", realize(scheme, a), m, shape, "left")
 
     def kernel(dividend: Matrix, quotient: Matrix) -> np.ndarray:
-        r = np.empty((shape.m, shape.s, shape.n, shape.t), dtype=np.complex128)
-        np.multiply(a._a[:, None, :, None], quotient._a[None, :, None, :], out=r)
-        np.subtract(_block_view(dividend, shape, "left"), r, out=r)
+        r = _block_product(a, quotient)
+        np.subtract(_block_view(dividend, shape.m, shape.n), r, out=r)
         return r.reshape(m.rows, m.cols)
 
     # |M - A[j,k] C[u,v]| < 2^(k + max(e_A + 1, 0) + 1), plus a bit for rounding; and

@@ -12,16 +12,21 @@ import pytest
 from kronquot import (
     ConfigurationError,
     Counterexample,
+    FactorShape,
     Matrix,
     QuotientScheme,
     Realization,
+    SingularRealizationError,
     TOLERANCE,
+    ZeroDivisorError,
     check_axiom,
     check_projection,
     check_realization_conditions,
     check_weight_conditions,
     demo_counterexamples,
     frobenius_weights,
+    kron,
+    left_quotient,
     leopardi_weights,
     parse_matrix,
     realization_for,
@@ -387,6 +392,19 @@ class TestDemos:
         assert values["A"].trace() == 0
         assert values["M"].trace() == 4
         assert replay_counterexample(report) == report.max_residual > TOLERANCE
+
+    def test_fixed_outcomes_are_what_the_calls_raise(self):
+        # the demos record these outcomes as fixed text; the calls must still raise
+        q4, q5 = demo_counterexamples()[:2]
+        v4, v5 = q4.counterexample.values(), q5.counterexample.values()
+        shape = FactorShape(2, 2, 2, 2)
+        with pytest.raises(ZeroDivisorError):
+            left_quotient("frobenius", v4["A"] @ v4["C"],
+                          kron(v4["A"], v4["B1"]) @ kron(v4["C"], v4["B2"]), shape)
+        assert q4.detail("right_hand_side") == "undefined (zero divisor)"
+        with pytest.raises(SingularRealizationError):
+            left_quotient("trace", v5["A"], v5["M"], shape)
+        assert q5.detail("trace_scheme") == "outside domain (tr A = 0)"
 
     def test_rank_gap_demo(self):
         report = demo_counterexamples()[2]

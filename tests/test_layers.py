@@ -10,9 +10,10 @@ from pathlib import Path
 
 HARNESS = Path(__file__).resolve().parent.parent / "perf" / "layers.py"
 LAYERS = {"realize.leopardi", "realize.frobenius", "realize.operator", "realize.trace",
-          "svd", "kron", "remainder", "check"}
-# the cases of the remainder and check layers, whatever the sizes
-REMAINDERS = {"4x4", "16x16", "32x32"}
+          "svd", "kron", "remainder", "pfp", "left_quotient", "right_quotient", "check"}
+# the layers on a k^2 x k^2 dividend, and their cases and those of check, whatever the sizes
+ON_DIVIDENDS = {"remainder", "pfp", "left_quotient", "right_quotient"}
+DIVIDENDS = {"4x4", "16x16", "32x32"}
 CHECKS = {"Q1", "Wcond", "Rcond", "PROJ", "Q1-operator-100"}
 STATS = {"median_us", "q1_us", "q3_us", "calls_per_batch"}
 
@@ -36,8 +37,8 @@ def test_a_short_run_writes_finite_positive_timings(tmp_path):
     assert set(report["layers"]) == LAYERS
     for layer, by_case in report["layers"].items():
         square = {"1x1", "2x2"}
-        expected = {"realize.trace": square, "remainder": REMAINDERS,
-                    "check": CHECKS}.get(layer, square | {"1x2", "2x3"})
+        expected = {"realize.trace": square, "check": CHECKS,
+                    **dict.fromkeys(ON_DIVIDENDS, DIVIDENDS)}.get(layer, square | {"1x2", "2x3"})
         assert set(by_case) == expected
         for stats in by_case.values():
             assert set(stats) == STATS
@@ -49,9 +50,10 @@ def test_compare_times_two_trees_in_lockstep():
     lines = _run("--compare", src, src, "--sizes", "1", "--repeats", "2").splitlines()
     assert lines[0].split() == ["layer", "case", "old", "us", "new", "us", "ratio"]
     assert sorted(tuple(line.split()[:2]) for line in lines[1:]) == sorted(
-        [(layer, case) for layer in LAYERS - {"remainder", "check"} for case in ("1x1", "1x2")
+        [(layer, case) for layer in LAYERS - ON_DIVIDENDS - {"check"} for case in ("1x1", "1x2")
          if (layer, case) != ("realize.trace", "1x2")]
-        + [("remainder", case) for case in REMAINDERS] + [("check", case) for case in CHECKS])
+        + [(layer, case) for layer in ON_DIVIDENDS for case in DIVIDENDS]
+        + [("check", case) for case in CHECKS])
     for line in lines[1:]:
         fields = line.split()
         assert all(math.isfinite(float(x)) and float(x) > 0 for x in fields[2:5]), line
@@ -65,9 +67,10 @@ def test_compare_times_each_tree_from_its_own_directory(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__"))
     lines = _run("--compare", str(src), str(copy), "--sizes", "1", "--repeats", "1").splitlines()
     assert {tuple(line.split()[:2]) for line in lines[1:]} == (
-        {(layer, case) for layer in LAYERS - {"remainder", "check"} for case in ("1x1", "1x2")}
+        {(layer, case) for layer in LAYERS - ON_DIVIDENDS - {"check"} for case in ("1x1", "1x2")}
         - {("realize.trace", "1x2")}
-        | {("remainder", case) for case in REMAINDERS} | {("check", case) for case in CHECKS})
+        | {(layer, case) for layer in ON_DIVIDENDS for case in DIVIDENDS}
+        | {("check", case) for case in CHECKS})
 
     broken = tmp_path / "broken"
     shutil.copytree(copy, broken)

@@ -21,8 +21,8 @@ from kronquot import (
     relative_residual,
     right_quotient,
 )
+from kronquot.matrix import _block_view
 from kronquot.pfp import _pair_blocks
-from kronquot.quotients import _block_view
 from oracles import allclose, family_from_realization, pair_by_index, pfp_by_double_sum
 
 
@@ -212,7 +212,7 @@ def test_pair_blocks_is_exact_on_dyadic_data(shape):
     dividend = Matrix.from_array(_small_integers(rng, mm * s, nn * t))
     for side, small_shape in _sides(shape):
         small = _dyadic(rng, *small_shape)
-        got = _pair_blocks(small, _block_view(dividend, factor, side))
+        got = _pair_blocks(small, _block_view(dividend, mm, nn, side))
         assert got.tobytes() == pair_by_index(small, dividend._a, factor, side).tobytes()
 
 
@@ -224,7 +224,7 @@ def test_pair_blocks_matches_the_index_oracle(shape):
     dividend = random_matrix(rng, mm * s, nn * t)
     for side, small_shape in _sides(shape):
         small = random_matrix(rng, *small_shape).to_array()
-        got = _pair_blocks(small, _block_view(dividend, factor, side))
+        got = _pair_blocks(small, _block_view(dividend, mm, nn, side))
         want = pair_by_index(small, dividend._a, factor, side)
         eps = np.finfo(np.float64).eps
         assert np.linalg.norm(got - want) <= 4 * eps * np.linalg.norm(want)
@@ -235,12 +235,11 @@ def test_one_block_row_pairs_as_that_row_of_the_full_pairing(shape):
     # a linear divisor reads each block row on its own; it must add over the
     # divisor's rows in the order the full pairing does, bit for bit
     rng = np.random.default_rng(40)
-    factor = FactorShape(*shape)
     mm, nn, s, t = shape
     dividend = random_matrix(rng, mm * s, nn * t)
     for side, small_shape in _sides(shape):
         small = random_matrix(rng, *small_shape).to_array()
-        blocks = _block_view(dividend, factor, side)
+        blocks = _block_view(dividend, mm, nn, side)
         full = _pair_blocks(small, blocks)
         for u in range(blocks.shape[1]):
             assert _pair_blocks(small, blocks[:, u:u + 1])[0].tobytes() == full[u].tobytes()

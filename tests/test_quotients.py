@@ -581,6 +581,11 @@ class TestRealize:
             realize(name, a)
         with pytest.raises(UnsupportedInputError, match="2x2 divisor overflows"):
             left_quotient(name, a, Matrix.ones(4, 4), FactorShape(2, 2, 2, 2))
+        # the realization called directly, as check_realization_conditions calls it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedInputError, match="2x2 divisor overflows"):
+                BUILTIN_SCHEMES[name].q_of(a)
 
 
     def test_weight_rule_on_a_subnormal_divisor_names_it(self):
@@ -661,7 +666,28 @@ def test_error_paths_name_the_fault(call, error, named):
         call()
 
 
+# (m, n, s, t) with a 1 in each place; the trace scheme takes the square divisors
+REMAINDER_SHAPES = [FactorShape(*dims) for dims in (
+    (1, 1, 1, 1), (1, 3, 2, 2), (3, 1, 2, 3), (2, 3, 1, 2), (3, 2, 2, 1),
+    (2, 2, 3, 3), (1, 1, 3, 2), (3, 3, 1, 1), (2, 2, 1, 4))]
+
+
 class TestRemainder:
+    @pytest.mark.parametrize("name,shape", [
+        pytest.param(name, shape, id=f"{name}-{shape}") for name in SCHEMES
+        for shape in REMAINDER_SHAPES if name != "trace" or shape.m == shape.n])
+    def test_bytes_of_m_minus_kron_of_the_quotient(self, name, shape):
+        # at scales where no rescale runs, the remainder takes the products and
+        # differences of M - kron(A, C), bit for bit
+        rng = np.random.default_rng(75)
+        mm, nn, s, t = shape
+        for _ in range(10):
+            a = random_nonzero(rng, mm, nn, need_trace=(name == "trace"))
+            m = random_matrix(rng, mm * s, nn * t)
+            c = left_quotient(name, a, m, shape)
+            want = (m - kron(a, c)).to_array()
+            assert remainder(name, a, m, shape).to_array().tobytes() == want.tobytes()
+
     def test_exact_kron_has_zero_remainder(self):
         rng = np.random.default_rng(71)
         for name, scheme in SCHEMES.items():
