@@ -240,8 +240,10 @@ def _frobenius_q(a: Matrix) -> Matrix:
     norm2, exp = _scaled_squares(a._a, a._sum_squares())
     if norm2 == 0.0:
         raise ZeroDivisorError("quotient by the zero matrix")
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = _ldexp(_ldexp(a._a, -exp).conj() / complex(norm2), -exp)
+    q = _ldexp(a._a, -exp).conj() / complex(norm2)
+    if exp:  # only scaling back can overflow: unscaled, every |Q[i,j]| <= 1/||A|| <= 2^485
+        with np.errstate(over="ignore"):
+            q = _ldexp(q, -exp)
     return _adopt_q(q, a)
 
 
