@@ -12,7 +12,11 @@ its transpose. The other layers run whatever the sizes. For each k in
 and shape (k, k, k, k), four layers time one call on the same operands:
 ``remainder("frobenius", A, M, shape)``, ``pfp(A, M)``,
 ``left_quotient("frobenius", A, M, shape)`` and
-``right_quotient("frobenius", M, A, shape)``. ``check`` times one call of
+``right_quotient("frobenius", M, A, shape)``; for k in ``LINEAR_SIZES``,
+``left_quotient.linear`` times ``left_quotient`` on them under the linear
+scheme whose family puts frobenius's Q(A) on every diagonal component
+(u, v, u, v), the frobenius quotient through the general linear path, which
+reads and checks k^2 components per call. ``check`` times one call of
 each public law check under frobenius (``CHECK_TRIALS`` trials at seed 42,
 ``max_dim`` 3): Q1, Wcond, Rcond and PROJ on the unit basis; and Q1 under
 operator at the scale of the benchmark's law checks, 100 trials at seed 42
@@ -58,6 +62,7 @@ SMALL = 4             # sizes up to this one also run a k x (k+1) case
 MIN_BATCH_S = 0.002   # each timed batch lasts at least this long
 CHECK_TRIALS = 8      # trials per check in the check layer
 DIVIDEND_SIZES = (4, 16, 32)  # factor sizes k of the layers on a k^2 x k^2 dividend
+LINEAR_SIZES = (4, 16)        # those of them the linear left_quotient layer runs at
 
 
 # -- one tree: its cases and their timing -------------------------------
@@ -103,6 +108,16 @@ def cases(kq, np, sizes: list[int]) -> list[tuple[str, str, object]]:
         "right_quotient": lambda a, m, shape: kq.right_quotient("frobenius", m, a, shape)}
     for layer, call in on_dividends.items():
         out += [(layer, case, partial(call, *operands)) for case, operands in dividends.items()]
+    frobenius = kq.realization_for("frobenius")
+
+    def diagonal(a, s, t):
+        q = frobenius.q_of(a)
+        return {(u, v, u, v): q for u in range(1, s + 1) for v in range(1, t + 1)}
+
+    linear = kq.QuotientScheme.linear(diagonal)
+    out += [("left_quotient.linear", f"{k}x{k}", partial(kq.left_quotient, linear,
+                                                       *dividends[f"{k}x{k}"]))
+            for k in LINEAR_SIZES]
     unit_basis = [kq.Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)]
     checks = {"Q1": lambda: kq.check_axiom("Q1", "frobenius", CHECK_TRIALS, 42, 3),
               "Wcond": lambda: kq.check_weight_conditions(kq.frobenius_weights,

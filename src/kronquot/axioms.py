@@ -221,9 +221,10 @@ def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     seed_words = _uint32_words(seed)
     entropy = seed_words + _uint32_words(start)
     count = stop - start
-    # one column per trial, so that every step is elementwise: the trials share every
-    # entropy word but the low word of t
-    consts = np.repeat(_hash_constants(len(entropy)), count, axis=1)
+    # one column of words per trial, so that every step is elementwise: the trials share
+    # every entropy word but the low word of t, and every hash constant, whose one column
+    # each step broadcasts
+    consts = _hash_constants(len(entropy))
     words = np.repeat(np.array(entropy + [0] * (_POOL_SIZE - len(entropy)),
                                dtype=np.uint32)[:, None], count, axis=1)
     low = start & 0xFFFFFFFF
@@ -429,8 +430,9 @@ def _eval_q5r(scheme, inputs: dict, divisors: dict) -> tuple[float]:
 
 def _weight_condition_residuals(rule, inputs: dict, divisors: dict) -> tuple[float, float]:
     a, b = inputs["A"], inputs["B"]
-    transpose_res = relative_residual(rule(a.transpose()), rule(a).transpose())
-    kron_res = relative_residual(rule(kron(a, b)), kron(rule(a), rule(b)))
+    w_t, w_a = rule(a.transpose()), rule(a)
+    transpose_res = relative_residual(w_t, w_a.transpose())
+    kron_res = relative_residual(rule(kron(a, b)), kron(w_a, rule(b)))
     return transpose_res, kron_res
 
 
@@ -438,9 +440,10 @@ def _realization_condition_residuals(realization: Realization, inputs: dict,
                                      divisors: dict) -> tuple[float, float, float]:
     a, b, k = inputs["A"], inputs["B"], inputs["k"]
     q = realization.q_of
-    transpose_res = relative_residual(q(a.transpose()), q(a).transpose())
-    scale_res = relative_residual(q(k * a), q(a) / k)
-    kron_res = relative_residual(q(kron(b, a)), kron(q(b), q(a)))
+    q_t, q_a = q(a.transpose()), q(a)
+    transpose_res = relative_residual(q_t, q_a.transpose())
+    scale_res = relative_residual(q(k * a), q_a / k)
+    kron_res = relative_residual(q(kron(b, a)), kron(q(b), q_a))
     return transpose_res, scale_res, kron_res
 
 

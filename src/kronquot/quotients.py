@@ -105,13 +105,14 @@ from .singular import SvdResult, svd
 ZERO_THRESHOLD = float(np.finfo(np.float64).tiny)
 
 REALIZATION_TOLERANCE = 1e-10
-# negligible_remainder's bound on ||R||_F / ||M||_F; no absolute term, so no scale decides
+# is_divisor's bound on ||R||_F / ||M||_F; no absolute term, so no scale decides
 REMAINDER_TOLERANCE = 1e-10
 WEIGHT_SUM_TOLERANCE = 1e-12
 FAMILY_TOLERANCE = 1e-10
 
 WeightRule = Callable[[Matrix], Matrix]
 FamilyRule = Callable[[Matrix, int, int], Mapping[tuple[int, int, int, int], Matrix]]
+_Kernel = tuple[Callable[[np.ndarray], np.ndarray], Callable[[], int]]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -276,15 +277,14 @@ def trace_realization(a: Matrix) -> Matrix:
     """Q(A) = I/tr(A), defined for square matrices with nonzero trace."""
     if not a.is_square():
         raise ShapeError(f"trace realization needs a square matrix, got {a.rows}x{a.cols}")
-    try:
-        tr = a.trace()
-    except UnsupportedInputError:
-        raise UnsupportedInputError(
-            f"tr(A) of the {a.rows}x{a.cols} divisor overflows binary64") from None
-    if tr == 0:
-        raise SingularRealizationError(
-            "trace realization Q(A) = I/tr(A) is undefined: tr(A) = 0")
     with np.errstate(over="ignore", invalid="ignore"):
+        tr = complex(a._a.trace())
+        if not (math.isfinite(tr.real) and math.isfinite(tr.imag)):
+            raise UnsupportedInputError(
+                f"tr(A) of the {a.rows}x{a.cols} divisor overflows binary64")
+        if tr == 0:
+            raise SingularRealizationError(
+                "trace realization Q(A) = I/tr(A) is undefined: tr(A) = 0")
         q = np.eye(a.rows, dtype=np.complex128) / tr  # the bits of Matrix.identity(n) / tr
     return _adopt_q(q, a)
 
@@ -382,10 +382,11 @@ class Divisor:
             raise UnsupportedInputError(
                 _overflow_message("left_quotient", m, self.a, shape)) from None
 
-    def _apply(self, blocks: np.ndarray) -> np.ndarray:
-        """Q(A) paired against axes 0 and 2 of a dividend's block view (see
-        :func:`kronquot.matrix._block_view`); for the left view this is ``quotient``."""
-        return _pair_blocks(self.q._a, blocks)
+    def _kernel(self, rows: int, cols: int) -> _Kernel:
+        """Q(A) paired against axes 0 and 2 of a dividend's block view, and its growth,
+        at any quotient shape (see :func:`_divide`); on the left view, ``quotient``."""
+        q = self.q._a
+        return partial(_pair_blocks, q), partial(_pairing_growth, q)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -394,7 +395,7 @@ class LinearDivisor:
 
     ``family(a, s, t)`` maps 1-based component indices (u, v, u', v') to
     m x n matrices; missing components count as zero. It depends on the
-    block size, so each quotient evaluates it and checks that component
+    block size, so each quotient evaluates it once and checks that component
     (u,v,u',v') pairs to delta_uu' * delta_vv' against A.
     """
 
@@ -407,15 +408,16 @@ class LinearDivisor:
         _check_shapes(self.a, shape.m, shape.n, m, shape)
         return _divide("left_quotient", self, m, shape, "left")
 
-    def _apply(self, blocks: np.ndarray) -> np.ndarray:
-        """The quotient on a dividend's block view (see :func:`kronquot.matrix._block_view`),
-        whose axes 1 and 3 give the s x t quotient shape. Component (u,v,u',v') adds
-        sum_{j,k} Q[u,v,u',v'][j,k] * blocks[j,u,k,v] to entry (u',v'), read from the
-        pairing of block row u alone: that row sums each entry in the order the full
-        pairing does, and one entry alone would not."""
+    def _kernel(self, s: int, t: int) -> _Kernel:
+        """The family read and checked once, for an s x t quotient, and the map and
+        growth (see :func:`_divide`) of its components; an entry adds one pairing per
+        component. Component (u,v,u',v') adds sum_{j,k} Q[u,v,u',v'][j,k] *
+        blocks[j,u,k,v] to entry (u',v'), read from the pairing of the block-row view u
+        alone: that row sums each entry in the order the full pairing does, and one
+        entry alone would not."""
         a = self.a
-        _, s, _, t = blocks.shape
-        components = dict(self.family(a, s, t))
+        with np.errstate(over="ignore", invalid="ignore"):  # a caller's rule, as in realize
+            components = dict(self.family(a, s, t))
         for (u, v, u2, v2), comp in components.items():
             if not (1 <= u <= s and 1 <= u2 <= s and 1 <= v <= t and 1 <= v2 <= t):
                 raise InvalidFamilyError(f"component index ({u},{v},{u2},{v2}) outside "
@@ -433,32 +435,28 @@ class LinearDivisor:
                 raise InvalidFamilyError(
                     f"component ({u},{v},{u2},{v2}) pairs to {paired} against the "
                     f"divisor, expected {expected}")
-        out = np.zeros((s, t), dtype=np.complex128)
-        for (u, v, u2, v2), comp in components.items():
-            out[u2 - 1, v2 - 1] += _pair_blocks(comp._a, blocks[:, u - 1:u])[0, v - 1]
-        return out
 
-    def _growth(self, s: int, t: int) -> int:
-        """The growth of ``_apply`` at block size s x t, as :func:`_adopt_rescaled`
-        takes it: an entry adds one pairing per component."""
-        components = [comp._a for comp in self.family(self.a, s, t).values()]
-        return (max(map(_pairing_growth, components))
-                + (len(components) - 1).bit_length())
+        def apply(blocks: np.ndarray) -> np.ndarray:
+            out = np.zeros((s, t), dtype=np.complex128)
+            for (u, v, u2, v2), comp in components.items():
+                out[u2 - 1, v2 - 1] += _pair_blocks(comp._a, blocks[:, u - 1:u])[0, v - 1]
+            return out
+
+        return apply, lambda: (max(_pairing_growth(comp._a) for comp in components.values())
+                               + (len(components) - 1).bit_length())
 
 
 def _divide(op: str, divisor: Divisor | LinearDivisor, m: Matrix, shape: FactorShape,
             side: str) -> Matrix:
     """The divisor on ``side`` applied to M's block view; UnsupportedInputError naming
-    ``op`` where the quotient overflows binary64, and only there: where an
-    intermediate overflows, the divisor is applied again to 2^-e M (see
-    :func:`_adopt_rescaled`) and the result scaled back."""
-    if isinstance(divisor, LinearDivisor):
-        # the quotient's shape, axes 1 and 3 of the view
-        rows, cols = (shape.s, shape.t) if side == "left" else (shape.m, shape.n)
-        growth = partial(divisor._growth, rows, cols)
-    else:
-        growth = partial(_pairing_growth, divisor.q._a)
-    return _adopt_rescaled(lambda x: divisor._apply(_block_view(x, shape.m, shape.n, side)),
+    ``op`` where the quotient overflows binary64, and only there. Either kind of
+    divisor gives, at the quotient's shape (axes 1 and 3 of the view), its kernel, a
+    map of the view, and the kernel's growth; where an intermediate overflows, the
+    kernel is applied again to 2^-e M (see :func:`_adopt_rescaled`) and the result
+    scaled back."""
+    rows, cols = (shape.s, shape.t) if side == "left" else (shape.m, shape.n)
+    kernel, growth = divisor._kernel(rows, cols)
+    return _adopt_rescaled(lambda x: kernel(_block_view(x, shape.m, shape.n, side)),
                            (m,), growth, op, m, divisor.a, shape)
 
 
@@ -530,15 +528,11 @@ def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
                            bound=_norm_bound(m) + _norm_bound(a) * _norm_bound(c))
 
 
-def negligible_remainder(r: Matrix, m: Matrix) -> bool:
-    """Whether a remainder r of M vanishes: ||r||_F <= REMAINDER_TOLERANCE * ||M||_F.
-    Where ||M||_F overflows binary64, both norms are taken on r and M scaled by one
-    exact power of two, so two infinite norms never compare equal."""
-    return _remainder_verdict(r, m)[0]
-
-
 def _remainder_verdict(r: Matrix, m: Matrix) -> tuple[bool, float]:
-    """:func:`negligible_remainder` of r and M, and ||r||_F, each norm taken once."""
+    """Whether a remainder r of M vanishes, ||r||_F <= REMAINDER_TOLERANCE * ||M||_F,
+    and ||r||_F, each norm taken once. Where ||M||_F overflows binary64, the verdict
+    takes both norms on r and M scaled by one exact power of two, so two infinite
+    norms never compare equal."""
     r_norm, m_norm = r.frobenius_norm(), m.frobenius_norm()
     if m_norm < math.inf:
         return r_norm <= REMAINDER_TOLERANCE * m_norm, r_norm
@@ -548,8 +542,9 @@ def _remainder_verdict(r: Matrix, m: Matrix) -> tuple[bool, float]:
 
 
 def is_divisor(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> bool:
-    """Whether the remainder vanishes relative to M: see :func:`negligible_remainder`."""
-    return negligible_remainder(remainder(scheme, a, m, shape), m)
+    """Whether the remainder vanishes relative to M, ||R||_F <= REMAINDER_TOLERANCE *
+    ||M||_F: see :func:`_remainder_verdict`."""
+    return _remainder_verdict(remainder(scheme, a, m, shape), m)[0]
 
 
 def right_quotient(scheme, m: Matrix, b: Matrix, shape: FactorShape) -> Matrix:

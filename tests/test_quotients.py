@@ -385,6 +385,25 @@ class TestLinear:
             left_quotient(QuotientScheme.linear(lambda a, s, t: family), Matrix.zero(1, 1), m,
                           shape)
 
+    @pytest.mark.parametrize("name", sorted(BUILTIN_SCHEMES))
+    def test_diagonal_family_keeps_the_uniform_bytes(self, name):
+        # each entry is one component's pairing over its block row, summed in the
+        # order of the full pairing, so the linear path gives the uniform bytes
+        linear = QuotientScheme.linear(family_from_realization(BUILTIN_SCHEMES[name]))
+        rng = np.random.default_rng(72)
+        for _ in range(50):
+            m, n, s, t = (int(x) for x in rng.integers(1, 6, 4))
+            if name == "trace":
+                n, t = m, s
+            shape = FactorShape(m, n, s, t)
+            a = random_nonzero(rng, m, n, need_trace=name == "trace")
+            b = random_nonzero(rng, s, t, need_trace=name == "trace")
+            mat = random_matrix(rng, m * s, n * t)
+            for scheme_op in (lambda scheme: left_quotient(scheme, a, mat, shape),
+                              lambda scheme: right_quotient(scheme, mat, b, shape)):
+                assert (scheme_op(linear).to_array().tobytes()
+                        == scheme_op(name).to_array().tobytes()), (name, shape)
+
     def test_zero_family_rejected_with_component_named(self):
         with pytest.raises(InvalidFamilyError, match=r"\(1,1,1,1\)"):
             left_quotient(QuotientScheme.linear(lambda a, s, t: {}), Matrix.identity(2),
@@ -990,6 +1009,29 @@ def test_cancelling_products_do_not_fail_a_quotient_that_fits(name):
         assert remainder(name, a, m, left) == m
         assert not is_divisor(name, a, m, left)
         assert pfp(Matrix.from_rows([[2, 2]]), m) == Matrix.from_rows([[0.0]])
+
+
+def test_a_linear_family_is_read_once_per_quotient():
+    # the overflow retry reuses the components the first pass checked
+    frobenius = family_from_realization(realization_for("frobenius"))
+    reads = []
+
+    def family(a, s, t):
+        reads.append((s, t))
+        return frobenius(a, s, t)
+
+    scheme = QuotientScheme.linear(family)
+    a = CANCELLING_DIVISOR
+    left, right = FactorShape(1, 2, 1, 1), FactorShape(1, 1, 1, 2)
+    for m in (Matrix.from_rows([[1.0, 2.0]]), CANCELLING_DIVIDEND):
+        for quotient in (lambda: left_quotient(scheme, a, m, left),
+                         lambda: right_quotient(scheme, m, a, right),
+                         lambda: realize(scheme, a).quotient(m, left)):
+            reads.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                quotient()
+            assert reads == [(1, 1)], m
 
 
 def test_trace_quotient_of_an_exact_product_near_the_top_of_the_range():
