@@ -222,8 +222,7 @@ def _seed_words(seed: int, start: int, stop: int) -> np.ndarray:
     entropy = seed_words + _uint32_words(start)
     count = stop - start
     # one column of words per trial, so that every step is elementwise: the trials share
-    # every entropy word but the low word of t, and every hash constant, whose one column
-    # each step broadcasts
+    # every entropy word but the low word of t, and each step broadcasts the constants
     consts = _hash_constants(len(entropy))
     words = np.repeat(np.array(entropy + [0] * (_POOL_SIZE - len(entropy)),
                                dtype=np.uint32)[:, None], count, axis=1)
