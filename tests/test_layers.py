@@ -12,12 +12,20 @@ HARNESS = Path(__file__).resolve().parent.parent / "perf" / "layers.py"
 LAYERS = {"realize.leopardi", "realize.frobenius", "realize.operator", "realize.trace",
           "svd", "kron", "remainder", "pfp", "left_quotient", "right_quotient",
           "left_quotient.linear", "check"}
-# the layers on a k^2 x k^2 dividend, and their cases and those of check, whatever the sizes
-ON_DIVIDENDS = {"remainder", "pfp", "left_quotient", "right_quotient"}
-DIVIDENDS = {"4x4", "16x16", "32x32"}
-LINEAR = {"4x4", "16x16"}  # the cases of left_quotient.linear, whatever the sizes
-CHECKS = {"Q1", "Wcond", "Rcond", "PROJ", "Q1-operator-100"}
+# the cases of the layers that run them whatever the sizes: those on a k^2 x k^2
+# dividend, the linear left quotient and check
+FIXED = {**dict.fromkeys({"remainder", "pfp", "left_quotient", "right_quotient"},
+                         {"4x4", "16x16", "32x32"}),
+         "left_quotient.linear": {"4x4", "16x16"},
+         "check": {"Q1", "Wcond", "Rcond", "PROJ", "Q1-operator-100"}}
 STATS = {"median_us", "q1_us", "q3_us", "calls_per_batch"}
+
+
+def _cases_at_size_1() -> set[tuple[str, str]]:
+    """Every (layer, case) a run with ``--sizes 1`` times."""
+    return ({(layer, case) for layer in LAYERS - FIXED.keys() for case in ("1x1", "1x2")}
+            - {("realize.trace", "1x2")}
+            | {(layer, case) for layer, cases in FIXED.items() for case in cases})
 
 
 def _run(*args: str) -> str:
@@ -39,8 +47,7 @@ def test_a_short_run_writes_finite_positive_timings(tmp_path):
     assert set(report["layers"]) == LAYERS
     for layer, by_case in report["layers"].items():
         square = {"1x1", "2x2"}
-        expected = {"realize.trace": square, "check": CHECKS, "left_quotient.linear": LINEAR,
-                    **dict.fromkeys(ON_DIVIDENDS, DIVIDENDS)}.get(layer, square | {"1x2", "2x3"})
+        expected = {"realize.trace": square, **FIXED}.get(layer, square | {"1x2", "2x3"})
         assert set(by_case) == expected
         for stats in by_case.values():
             assert set(stats) == STATS
@@ -51,12 +58,7 @@ def test_compare_times_two_trees_in_lockstep():
     src = str(HARNESS.parent.parent / "src")
     lines = _run("--compare", src, src, "--sizes", "1", "--repeats", "2").splitlines()
     assert lines[0].split() == ["layer", "case", "old", "us", "new", "us", "ratio"]
-    assert sorted(tuple(line.split()[:2]) for line in lines[1:]) == sorted(
-        [(layer, case) for layer in LAYERS - ON_DIVIDENDS - {"check", "left_quotient.linear"}
-         for case in ("1x1", "1x2") if (layer, case) != ("realize.trace", "1x2")]
-        + [(layer, case) for layer in ON_DIVIDENDS for case in DIVIDENDS]
-        + [("left_quotient.linear", case) for case in LINEAR]
-        + [("check", case) for case in CHECKS])
+    assert sorted(tuple(line.split()[:2]) for line in lines[1:]) == sorted(_cases_at_size_1())
     for line in lines[1:]:
         fields = line.split()
         assert all(math.isfinite(float(x)) and float(x) > 0 for x in fields[2:5]), line
@@ -69,13 +71,7 @@ def test_compare_times_each_tree_from_its_own_directory(tmp_path):
     shutil.copytree(src / "kronquot", copy / "kronquot",
                     ignore=shutil.ignore_patterns("__pycache__"))
     lines = _run("--compare", str(src), str(copy), "--sizes", "1", "--repeats", "1").splitlines()
-    assert {tuple(line.split()[:2]) for line in lines[1:]} == (
-        {(layer, case) for layer in LAYERS - ON_DIVIDENDS - {"check", "left_quotient.linear"}
-         for case in ("1x1", "1x2")}
-        - {("realize.trace", "1x2")}
-        | {(layer, case) for layer in ON_DIVIDENDS for case in DIVIDENDS}
-        | {("left_quotient.linear", case) for case in LINEAR}
-        | {("check", case) for case in CHECKS})
+    assert {tuple(line.split()[:2]) for line in lines[1:]} == _cases_at_size_1()
 
     broken = tmp_path / "broken"
     shutil.copytree(copy, broken)
