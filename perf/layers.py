@@ -16,11 +16,13 @@ and shape (k, k, k, k), four layers time one call on the same operands:
 ``left_quotient.linear`` times ``left_quotient`` on them under the linear
 scheme whose family puts frobenius's Q(A) on every diagonal component
 (u, v, u, v), the frobenius quotient through the general linear path, which
-reads and checks k^2 components per call. ``check`` times one call of
-each public law check under frobenius (``CHECK_TRIALS`` trials at seed 42,
-``max_dim`` 3): Q1, Wcond, Rcond and PROJ on the unit basis; and Q1 under
-operator at the scale of the benchmark's law checks, 100 trials at seed 42
-and ``max_dim`` 4, where a cost paid once per check weighs as it does there.
+reads and checks k^2 components per call. For k in ``FILE_SIZES``,
+``matfile.parse`` times ``parse_matrix`` of M's text and ``matfile.format``
+times ``format_matrix(M)``. ``check`` times one call of each public law
+check under frobenius (``CHECK_TRIALS`` trials at seed 42, ``max_dim`` 3):
+Q1, Wcond, Rcond and PROJ on the unit basis; and Q1 under operator at the
+scale of the benchmark's law checks, 100 trials at seed 42 and ``max_dim``
+4, where a cost paid once per check weighs as it does there.
 A timed batch is enough calls to dwarf the clock's resolution; each repeat
 times every (layer, case) once, in one fixed order.
 The file records each case's median and quartiles of the per-call time
@@ -63,6 +65,7 @@ MIN_BATCH_S = 0.002   # each timed batch lasts at least this long
 CHECK_TRIALS = 8      # trials per check in the check layer
 DIVIDEND_SIZES = (4, 16, 32)  # factor sizes k of the layers on a k^2 x k^2 dividend
 LINEAR_SIZES = (4, 16)        # those of them the linear left_quotient layer runs at
+FILE_SIZES = (4, 16)          # and those the matfile parse and format layers run at
 
 
 # -- one tree: its cases and their timing -------------------------------
@@ -118,6 +121,10 @@ def cases(kq, np, sizes: list[int]) -> list[tuple[str, str, object]]:
     out += [("left_quotient.linear", f"{k}x{k}", partial(kq.left_quotient, linear,
                                                        *dividends[f"{k}x{k}"]))
             for k in LINEAR_SIZES]
+    for k in FILE_SIZES:
+        m = dividends[f"{k}x{k}"][1]
+        out += [("matfile.parse", f"{k}x{k}", partial(kq.parse_matrix, kq.format_matrix(m))),
+                ("matfile.format", f"{k}x{k}", partial(kq.format_matrix, m))]
     unit_basis = [kq.Matrix.unit(2, 2, i, j) for i in (1, 2) for j in (1, 2)]
     checks = {"Q1": lambda: kq.check_axiom("Q1", "frobenius", CHECK_TRIALS, 42, 3),
               "Wcond": lambda: kq.check_weight_conditions(kq.frobenius_weights,

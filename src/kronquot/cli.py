@@ -11,6 +11,9 @@ Subcommands::
           [--trials N] [--seed S] [--dims D] [--json]
     demo  [--json]
 
+The five file commands (kron, quot, rquot, rem, pfp) are declared once, in
+``_FILE_COMMANDS``, and share one handler; check and demo have their own.
+
 Exit codes: 0 success / axiom holds; 1 axiom fails; 2 usage, parse or
 shape errors; 3 numerical failure (no convergence).
 """
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable, NamedTuple
 
 from . import matfile
 from .axioms import _CHECKED_LAWS, _LAWS, _run, demo_counterexamples
@@ -66,38 +70,50 @@ def _emit(matrix: Matrix, output: str | None, trailer: str | None = None) -> Non
             sys.stdout.write(trailer + "\n")
 
 
-def _cmd_kron(args) -> int:
-    result = kron(matfile.read_matrix(args.a), matfile.read_matrix(args.b))
-    _emit(result, args.output)
-    return 0
+class _FileCommand(NamedTuple):
+    """A subcommand that reads two matrix files and writes one matrix."""
+
+    help: str
+    operands: tuple[tuple[str, str | None], ...]  # (metavar, help) per file, in call order
+    scheme_shape: bool                              # whether it takes --scheme and --shape
+    call: Callable[..., Matrix]                     # (args, *operands) -> result
+    trailer: Callable[..., str] | None = None       # (result, *operands) -> trailer line
 
 
-def _cmd_quot(args) -> int:
-    result = left_quotient(args.scheme, matfile.read_matrix(args.a),
-                           matfile.read_matrix(args.m), args.shape)
-    _emit(result, args.output)
-    return 0
-
-
-def _cmd_rquot(args) -> int:
-    result = right_quotient(args.scheme, matfile.read_matrix(args.m),
-                            matfile.read_matrix(args.b), args.shape)
-    _emit(result, args.output)
-    return 0
-
-
-def _cmd_rem(args) -> int:
-    m = matfile.read_matrix(args.m)
-    rem = remainder(args.scheme, matfile.read_matrix(args.a), m, args.shape)
+def _divisor_trailer(rem: Matrix, a: Matrix, m: Matrix) -> str:
     divides, residual = _remainder_verdict(rem, m)
-    trailer = f"divisor={'true' if divides else 'false'} residual={residual:.17g}"
-    _emit(rem, args.output, trailer=trailer)
-    return 0
+    return f"divisor={'true' if divides else 'false'} residual={residual:.17g}"
 
 
-def _cmd_pfp(args) -> int:
-    result = pfp(matfile.read_matrix(args.a), matfile.read_matrix(args.m))
-    _emit(result, args.output)
+_DIVIDEND = ("M.mat", "dividend ((m*s) x (n*t))")
+
+# Each call names its library function, so the name is looked up when the command
+# runs: a wrapper rebound to this module's attribute (a tracer, a test) sees the call.
+_FILE_COMMANDS = {
+    "kron": _FileCommand("Kronecker product of two matrix files",
+                         (("A.mat", None), ("B.mat", None)), False,
+                         lambda args, a, b: kron(a, b)),
+    "quot": _FileCommand("left quotient: recover B from A and M ~ kron(A, B)",
+                         (("A.mat", "left divisor (m x n)"), _DIVIDEND), True,
+                         lambda args, a, m: left_quotient(args.scheme, a, m, args.shape)),
+    "rquot": _FileCommand("right quotient: recover A from M ~ kron(A, B) and B",
+                          (_DIVIDEND, ("B.mat", "right divisor (s x t)")), True,
+                          lambda args, m, b: right_quotient(args.scheme, m, b, args.shape)),
+    "rem": _FileCommand("left remainder M - kron(A, quot); prints divisor=true|false",
+                        (("A.mat", None), ("M.mat", None)), True,
+                        lambda args, a, m: remainder(args.scheme, a, m, args.shape),
+                        _divisor_trailer),
+    "pfp": _FileCommand("partial Frobenius product of two matrix files",
+                        (("A.mat", None), ("M.mat", None)), False,
+                        lambda args, a, m: pfp(a, m)),
+}
+
+
+def _cmd_file(args) -> int:
+    command = _FILE_COMMANDS[args.command]
+    operands = [matfile.read_matrix(getattr(args, dest)) for dest in args.inputs]
+    result = command.call(args, *operands)
+    _emit(result, args.output, command.trailer and command.trailer(result, *operands))
     return 0
 
 
@@ -123,47 +139,19 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Kronecker products, quotients, remainders and property checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output(p):
+    for name, command in _FILE_COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.scheme_shape:
+            p.add_argument("--scheme", choices=sorted(BUILTIN_SCHEMES), required=True)
+            p.add_argument("--shape", type=_shape_arg, required=True, metavar="m,n,s,t",
+                           help="block structure: the dividend is (m*s) x (n*t)")
+        # each file's dest is its metavar's first letter, lower-cased: A.mat is args.a
+        dests = tuple(metavar[0].lower() for metavar, _ in command.operands)
+        for dest, (metavar, text) in zip(dests, command.operands):
+            p.add_argument(dest, metavar=metavar, help=text)
         p.add_argument("-o", "--output", metavar="FILE", default=None,
                        help="write the result here instead of standard output")
-
-    def add_scheme_shape(p):
-        p.add_argument("--scheme", choices=sorted(BUILTIN_SCHEMES), required=True)
-        p.add_argument("--shape", type=_shape_arg, required=True, metavar="m,n,s,t",
-                       help="block structure: the dividend is (m*s) x (n*t)")
-
-    p = sub.add_parser("kron", help="Kronecker product of two matrix files")
-    p.add_argument("a", metavar="A.mat")
-    p.add_argument("b", metavar="B.mat")
-    add_output(p)
-    p.set_defaults(func=_cmd_kron, inputs=("a", "b"))
-
-    p = sub.add_parser("quot", help="left quotient: recover B from A and M ~ kron(A, B)")
-    add_scheme_shape(p)
-    p.add_argument("a", metavar="A.mat", help="left divisor (m x n)")
-    p.add_argument("m", metavar="M.mat", help="dividend ((m*s) x (n*t))")
-    add_output(p)
-    p.set_defaults(func=_cmd_quot, inputs=("a", "m"))
-
-    p = sub.add_parser("rquot", help="right quotient: recover A from M ~ kron(A, B) and B")
-    add_scheme_shape(p)
-    p.add_argument("m", metavar="M.mat", help="dividend ((m*s) x (n*t))")
-    p.add_argument("b", metavar="B.mat", help="right divisor (s x t)")
-    add_output(p)
-    p.set_defaults(func=_cmd_rquot, inputs=("m", "b"))
-
-    p = sub.add_parser("rem", help="left remainder M - kron(A, quot); prints divisor=true|false")
-    add_scheme_shape(p)
-    p.add_argument("a", metavar="A.mat")
-    p.add_argument("m", metavar="M.mat")
-    add_output(p)
-    p.set_defaults(func=_cmd_rem, inputs=("a", "m"))
-
-    p = sub.add_parser("pfp", help="partial Frobenius product of two matrix files")
-    p.add_argument("a", metavar="A.mat")
-    p.add_argument("m", metavar="M.mat")
-    add_output(p)
-    p.set_defaults(func=_cmd_pfp, inputs=("a", "m"))
+        p.set_defaults(func=_cmd_file, inputs=dests)
 
     p = sub.add_parser("check", help="randomized axiom check; exit 0 holds, 1 fails")
     p.add_argument("--axiom", choices=_CHECKED_LAWS, required=True)

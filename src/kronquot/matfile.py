@@ -38,7 +38,7 @@ import re
 import numpy as np
 
 from .errors import MatrixFormatError, NonFiniteEntryError
-from .matrix import Matrix
+from .matrix import Matrix, _scalar
 
 _FLOAT = r"(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 # a, a+bi / a-bi and bi, with the shared [+-]?F prefix factored out
@@ -80,8 +80,12 @@ def _signbit(x: float) -> bool:
 
 
 def format_scalar(z: complex) -> str:
-    """Format a scalar as the shortest of the a / bi / a+bi token forms."""
-    z = complex(z)
+    """Format a scalar as the shortest of the a / bi / a+bi token forms.
+
+    Like ``Matrix * k``, raises :class:`NonFiniteEntryError` for a NaN or infinite
+    part, which no token can spell, and :class:`MatrixFormatError` for a non-number.
+    """
+    z = _scalar(z)
     re_, im = z.real, z.imag
     if im == 0.0 and not _signbit(im):
         return _fmt(re_)

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -17,9 +18,12 @@ from kronquot import (
     check_realization_conditions,
     check_weight_conditions,
     kron,
+    left_quotient,
     pfp,
     read_matrix,
     relative_residual,
+    remainder,
+    right_quotient,
     write_matrix,
 )
 from kronquot.cli import main
@@ -426,6 +430,87 @@ def test_write_then_read_is_bit_exact_for_random_matrices(tmp_path):
         write_matrix(path, m)
         assert read_matrix(path) == m
         assert read_matrix(path).entries == m.entries
+
+
+SCHEMES = ["frobenius", "leopardi", "operator", "trace"]
+SCHEME_SHAPE = [(("--scheme",), "scheme", None, True, SCHEMES, None),
+                (("--shape",), "shape", "m,n,s,t", True, None, None)]
+OUTPUT = [(("-o", "--output"), "output", "FILE", False, None, None)]
+
+
+def _file(dest, metavar):
+    return ((), dest, metavar, True, None, None)
+
+
+# per subcommand, in parser order: each action but -h as (option strings, dest,
+# metavar, required, choices, default); positionals in the order they are given
+SUBCOMMAND_ARGUMENTS = {
+    "kron": [_file("a", "A.mat"), _file("b", "B.mat"), *OUTPUT],
+    "quot": [*SCHEME_SHAPE, _file("a", "A.mat"), _file("m", "M.mat"), *OUTPUT],
+    "rquot": [*SCHEME_SHAPE, _file("m", "M.mat"), _file("b", "B.mat"), *OUTPUT],
+    "rem": [*SCHEME_SHAPE, _file("a", "A.mat"), _file("m", "M.mat"), *OUTPUT],
+    "pfp": [_file("a", "A.mat"), _file("m", "M.mat"), *OUTPUT],
+    "check": [(("--axiom",), "axiom", None, True,
+               ["Q1", "Q2a", "Q2b", "Q3", "Q5R", "Wcond", "Rcond", "PROJ"], None),
+              (("--scheme",), "scheme", None, True, SCHEMES, None),
+              (("--trials",), "trials", None, False, None, 200),
+              (("--seed",), "seed", None, False, None, 42),
+              (("--dims",), "dims", "D", False, None, 4),
+              (("--json",), "json", None, False, None, False)],
+    "demo": [(("--json",), "json", None, False, None, False)],
+}
+
+
+def test_every_subcommand_takes_the_pinned_arguments():
+    # read from the action objects: argparse's formatted help differs across versions
+    commands = next(action for action in cli._PARSER._actions
+                    if action.dest == "command").choices
+    assert list(commands) == list(SUBCOMMAND_ARGUMENTS)
+    for name, parser in commands.items():
+        fields = [(tuple(action.option_strings), action.dest, action.metavar, action.required,
+                   None if action.choices is None else list(action.choices), action.default)
+                  for action in parser._actions if action.dest != "help"]
+        assert fields == SUBCOMMAND_ARGUMENTS[name], name
+
+
+def test_every_file_command_call_is_seen_by_a_rebinding_tracer(fixtures, monkeypatch, capsys):
+    # a tracer rebinds each kronquot module attribute bound to a library function, as
+    # bench/tracing.py does; a command that captured the function at import goes round it
+    _, paths, _ = fixtures
+    calls = {"kron": kron, "pfp": pfp, "quot": left_quotient, "rquot": right_quotient,
+             "rem": remainder}
+    seen = []
+    packages = [module for name, module in list(sys.modules.items())
+                if module is not None and (name == "kronquot" or name.startswith("kronquot."))]
+    for command, fn in calls.items():
+        def counted(*args, command=command, fn=fn, **kwargs):
+            seen.append(command)
+            return fn(*args, **kwargs)
+
+        for module in packages:
+            for attr in [attr for attr, value in vars(module).items() if value is fn]:
+                monkeypatch.setattr(module, attr, counted)
+    a, b, ab = str(paths["A"]), str(paths["B"]), str(paths["AB"])
+    options = ["--scheme", "frobenius", "--shape", "2,2,2,2"]
+    argvs = {"kron": [a, b], "pfp": [a, ab], "quot": [*options, a, ab],
+             "rquot": [*options, ab, b], "rem": [*options, a, ab]}
+    for command, args in argvs.items():
+        seen.clear()
+        assert main([command, *args]) == 0
+        assert seen.count(command) == 1, (command, seen)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["kron", "quot", "rquot", "rem", "pfp"])
+def test_a_file_command_reads_its_files_in_call_order(tmp_path, capsys, command):
+    # with both files malformed, the error names the first operand's file
+    first, second = tmp_path / "first.mat", tmp_path / "second.mat"
+    first.write_text("1 1\nx\n")
+    second.write_text("1 1\ny\n")
+    options = ["--scheme", "frobenius", "--shape", "1,1,1,1"]
+    argv = [command, *([] if command in ("kron", "pfp") else options), str(first), str(second)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"kronquot: error: {first}, line 2: bad scalar token 'x'\n"
 
 
 def test_calls_reuse_one_parser(fixtures, capsys, monkeypatch):

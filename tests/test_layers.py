@@ -11,12 +11,13 @@ from pathlib import Path
 HARNESS = Path(__file__).resolve().parent.parent / "perf" / "layers.py"
 LAYERS = {"realize.leopardi", "realize.frobenius", "realize.operator", "realize.trace",
           "svd", "kron", "remainder", "pfp", "left_quotient", "right_quotient",
-          "left_quotient.linear", "check"}
+          "left_quotient.linear", "matfile.parse", "matfile.format", "check"}
 # the cases of the layers that run them whatever the sizes: those on a k^2 x k^2
-# dividend, the linear left quotient and check
+# dividend, the linear left quotient, matfile parse and format, and check
 FIXED = {**dict.fromkeys({"remainder", "pfp", "left_quotient", "right_quotient"},
                          {"4x4", "16x16", "32x32"}),
-         "left_quotient.linear": {"4x4", "16x16"},
+         **dict.fromkeys({"left_quotient.linear", "matfile.parse", "matfile.format"},
+                         {"4x4", "16x16"}),
          "check": {"Q1", "Wcond", "Rcond", "PROJ", "Q1-operator-100"}}
 STATS = {"median_us", "q1_us", "q3_us", "calls_per_batch"}
 

@@ -66,6 +66,20 @@ def test_format_scalar_compact_forms():
     assert format_scalar(0.0) == "0"
 
 
+@pytest.mark.parametrize("z", [complex("inf"), complex("nan"), complex(1, math.inf),
+                               complex(-math.inf, 2), float("nan")])
+def test_format_scalar_rejects_a_non_finite_scalar(z):
+    # parse_scalar takes no inf or nan token, so no text could carry one back
+    with pytest.raises(NonFiniteEntryError):
+        format_scalar(z)
+
+
+@pytest.mark.parametrize("k", ["x", None, [1]])
+def test_format_scalar_rejects_a_non_number(k):
+    with pytest.raises(MatrixFormatError):
+        format_scalar(k)
+
+
 def test_scalar_round_trip_preserves_bits():
     rng = np.random.default_rng(21)
     specials = [0.0, -0.0, 1e-300, -1e-300, 0.1, 1 / 3, 2**-1074, 1.7976931348623157e308]
