@@ -48,11 +48,13 @@ Every Kronecker computation shares one block layout, decided here. An
 view M4[j, u, k, v] = M[j*s+u, k*t+v]: M.reshape(m, s, n, t), the
 rearrangement of Van Loan and Pitsianis, which turns kron(A, B) into
 A[j, k] B[u, v]. :func:`_block_view` reads M that way in place, and
-:func:`_block_product` computes A[j, k] B[u, v] into a fresh array of that
-layout. ``kron``, ``pfp``, the quotients and the remainder go through these
-two alone. A left divisor pairs against the block grid (j, k), a right
-divisor against the entries within each block (u, v), so the right view
-puts (u, j, v, k) first.
+:func:`_block_product`, the one kernel that computes Kronecker-product
+entries, writes A[j, k] B[u, v] into a fresh array of that layout, less a
+minuend where the remainder passes one, so that no product is formed apart
+from the work that consumes it. ``kron``, ``pfp``, the quotients and the
+remainder go through these two alone. A left divisor pairs against the block
+grid (j, k), a right divisor against the entries within each block (u, v),
+so the right view puts (u, j, v, k) first.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ _MAX_FLOAT = float(np.finfo(np.float64).max)
 _PROOF_MAX = _MAX_FLOAT / 2
 # Entries per vdot call in _squares: below OpenBLAS's 10,000-entry threading cut
 _SQUARES_BLOCK = 8192
+# Entries per chunk of _block_product, at most. numpy allocates a broadcast product's
+# ufunc buffers at the size of its call, up to 8,192 entries: chunks of half that keep
+# them small beside the result, and keep a chunk and its minuend in cache
+_PRODUCT_CHUNK = 4096
 
 ScalarLike = complex | float | int
 
@@ -502,8 +508,9 @@ def _pairing_growth(factor: np.ndarray) -> int:
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product: the block matrix whose (i, j) block is a[i,j] * b.
-    UnsupportedInputError where an entry overflows binary64."""
+    """Kronecker product: the block matrix whose (i, j) block is a[i,j] * b, written
+    by :func:`_block_product` in chunks of block rows, each entry the product np.kron
+    forms. UnsupportedInputError where an entry overflows binary64."""
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     if rows > _MAX_INDEX or cols > _MAX_INDEX or rows * cols > _MAX_INDEX:
@@ -511,8 +518,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     with np.errstate(over="ignore", invalid="ignore"):
         out = _block_product(a, b)
     # every part of a[j, k] b[u, v] is at most |a[j, k]| |b[u, v]| <= ||A||_F ||B||_F
-    return _adopt_result(out.reshape(rows, cols), "kron", a, b,
-                         bound=_norm_bound(a) * _norm_bound(b))
+    return _adopt_result(out, "kron", a, b, bound=_norm_bound(a) * _norm_bound(b))
 
 
 def _block_view(x: Matrix, m: int, n: int, side: str = "left") -> np.ndarray:
@@ -523,10 +529,38 @@ def _block_view(x: Matrix, m: int, n: int, side: str = "left") -> np.ndarray:
     return blocks if side == "left" else blocks.transpose(1, 0, 3, 2)
 
 
-def _block_product(a: Matrix, b: Matrix) -> np.ndarray:
-    """a[j, k] b[u, v] in a fresh (m, s, n, t) array, for an m x n a and an s x t b:
-    kron(a, b) in block layout, by np.kron's own broadcast product."""
-    return a._a[:, None, :, None] * b._a[None, :, None, :]
+def _block_product(a: Matrix, b: Matrix, minuend: np.ndarray | None = None) -> np.ndarray:
+    """kron(a, b), or ``minuend - kron(a, b)``, in a fresh (m*s) x (n*t) array, for an
+    m x n a and an s x t b; ``minuend`` is any C-contiguous complex array of that size,
+    read in place.
+
+    Block row j is the row a[j] repeated t times times b tiled n times, a[j, k] b[u, v]
+    at (u, k*t + v): each multiply runs over n*t contiguous entries of both operands,
+    and forms the products np.kron forms. The block rows go in chunks of at most
+    ``_PRODUCT_CHUNK`` entries, or of one block row where a row is larger, and each
+    chunk is subtracted from the minuend while it is still in cache, so no second
+    result-sized array is made and none is read twice. The tiled b is built in the
+    last block row and needs no array of its own: numpy reads an input that overlaps
+    its output as if it were copied first, and that row, a chunk of its own wherever
+    rows exceed half a chunk, in place as the identical view it is.
+    """
+    (m, n), (s, t) = a.shape, b.shape
+    out = np.empty((m, s, n * t), dtype=np.complex128)
+    tiled = out[m - 1:]
+    tiled.reshape(s, n, t)[...] = b._a[:, None, :]
+    rows = max(1, _PRODUCT_CHUNK // tiled.size)
+    repeated = np.empty((min(rows, m), 1, n * t), dtype=np.complex128)
+    spread = repeated.reshape(-1, n, t)
+    if minuend is not None:
+        minuend = minuend.reshape(out.shape)
+    for start in range(0, m, rows):
+        end = min(start + rows, m)
+        spread[:end - start] = a._a[start:end, :, None]
+        chunk = out[start:end]
+        np.multiply(repeated[:end - start], tiled, out=chunk)
+        if minuend is not None:
+            np.subtract(minuend[start:end], chunk, out=chunk)
+    return out.reshape(m * s, n * t)
 
 
 def block(m: Matrix, shape: FactorShape, i: int, j: int) -> Matrix:

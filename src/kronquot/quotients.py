@@ -504,9 +504,11 @@ def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
 def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     """M - kron(A, left_quotient(...)): what the divisor fails to explain.
 
-    Written into the fresh buffer of the block product in :mod:`kronquot.matrix`'s
-    layout, r[j,u,k,v] = M4[j,u,k,v] - A[j,k] C[u,v] with M4 the block view of M and
-    C the left quotient, so no Kronecker product is built on its own. Raises
+    One pass of the block product in :mod:`kronquot.matrix`'s layout, with M read in
+    place as its minuend: each chunk of block rows of A kron C, C the left quotient,
+    is subtracted from M while it is still in cache, r[j,u,k,v] = M4[j,u,k,v] -
+    A[j,k] C[u,v] with M4 the block view of M, so no Kronecker product is built on its
+    own and no second dividend-sized array is made or read. Raises
     UnsupportedInputError, naming ``remainder``, where the quotient or the remainder
     overflows binary64; A kron C may overflow where the remainder fits, and then it
     is computed again from 2^-e M and 2^-e C (see :func:`_adopt_rescaled`) and scaled
@@ -517,9 +519,7 @@ def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     c = _divide("remainder", realize(scheme, a), m, shape, "left")
 
     def kernel(dividend: Matrix, quotient: Matrix) -> np.ndarray:
-        r = _block_product(a, quotient)
-        np.subtract(_block_view(dividend, shape.m, shape.n), r, out=r)
-        return r.reshape(m.rows, m.cols)
+        return _block_product(a, quotient, dividend._a)
 
     # |M - A[j,k] C[u,v]| < 2^(k + max(e_A + 1, 0) + 1), plus a bit for rounding; and
     # every part is at most |M[j,u,k,v]| + |A[j,k]| |C[u,v]| <= ||M|| + ||A|| ||C||

@@ -51,13 +51,16 @@ SHAPE = FactorShape(K, K, K, K)
 
 
 @pytest.mark.parametrize("call,bound", [
-    (lambda: kron(A, B), 1.5),
+    # one result buffer, plus numpy's ufunc buffers at the size of one chunk of the
+    # block product (4,096 entries, 64 KiB: a sixteenth of this buffer) and the
+    # chunk's repeated row of A; a second result-sized temporary, or chunks big
+    # enough to fill numpy's 8,192-entry buffers (1.39 here), exceed the bound
+    (lambda: kron(A, B), 1.1),
     # the right quotient reads the dividend in place: no dividend-sized temporary
     (lambda: right_quotient("frobenius", M, B, SHAPE), 0.1),
-    # one result buffer, plus numpy's fixed ufunc buffers for the two broadcast
-    # factors of A kron C (2 x 8192 entries, 256 KiB: a quarter of this buffer)
-    (lambda: remainder("frobenius", A, M, SHAPE), 1.3),
-    (lambda: is_divisor("frobenius", A, M, SHAPE), 1.3),
+    # the same, with each chunk subtracted from the dividend, read in place
+    (lambda: remainder("frobenius", A, M, SHAPE), 1.1),
+    (lambda: is_divisor("frobenius", A, M, SHAPE), 1.1),
     (lambda: M.transpose(), 1.5),
     (lambda: M + M, 1.5),
     (lambda: 2 * M, 1.5),
