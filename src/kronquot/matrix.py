@@ -143,6 +143,9 @@ def _reject_non_numeric(values, cols: int = 1) -> None:
 
 
 def _scalar(k) -> complex:
+    # complex() parses text, and a number spelled as text is not a number here
+    if isinstance(k, (str, bytes)):
+        raise MatrixFormatError(f"scalar is not a number: {k!r}")
     try:
         z = complex(k)
     except (TypeError, ValueError):

@@ -74,9 +74,10 @@ def test_format_scalar_rejects_a_non_finite_scalar(z):
         format_scalar(z)
 
 
-@pytest.mark.parametrize("k", ["x", None, [1]])
+@pytest.mark.parametrize("k", ["x", None, [1], "2", " 1+2j ", b"1", np.str_("2")])
 def test_format_scalar_rejects_a_non_number(k):
-    with pytest.raises(MatrixFormatError):
+    # text is refused even where complex() would parse it
+    with pytest.raises(MatrixFormatError, match=re.escape(f"scalar is not a number: {k!r}")):
         format_scalar(k)
 
 

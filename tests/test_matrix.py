@@ -284,6 +284,15 @@ class TestArithmeticOverflow:
             with pytest.raises(NonFiniteEntryError, match="^scalar must be finite"):
                 Matrix.identity(2) / bad
 
+    @pytest.mark.parametrize("text", ["2", " 1+2j ", b"2", np.str_("2")])
+    def test_a_scalar_spelled_as_text_is_not_a_number(self, text):
+        # complex() would parse these; the operators refuse them as they refuse "x"
+        message = f"^{re.escape(f'scalar is not a number: {text!r}')}$"
+        for compute in (lambda: Matrix.identity(2) * text, lambda: text * Matrix.identity(2),
+                        lambda: Matrix.identity(2) / text):
+            with pytest.raises(MatrixFormatError, match=message):
+                compute()
+
     def test_division_by_zero(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
