@@ -1,6 +1,6 @@
 """Per-layer timings of kronquot's small-input layers, written to BENCH_layers.json.
 
-    python3 perf/layers.py [--sizes 1,2,3,4,16,32] [--repeats 21]
+    python3 perf/layers.py [--sizes 1,2,3,4,8,16,32] [--repeats 21]
                            [--src DIR] [--out BENCH_layers.json]
     python3 perf/layers.py --compare OLD_SRC NEW_SRC [--sizes ...] [--repeats ...]
 
@@ -63,9 +63,9 @@ SCHEMES = ("leopardi", "frobenius", "operator", "trace")
 SMALL = 4             # sizes up to this one also run a k x (k+1) case
 MIN_BATCH_S = 0.002   # each timed batch lasts at least this long
 CHECK_TRIALS = 8      # trials per check in the check layer
-DIVIDEND_SIZES = (4, 16, 32)  # factor sizes k of the layers on a k^2 x k^2 dividend
-LINEAR_SIZES = (4, 16)        # those of them the linear left_quotient layer runs at
-FILE_SIZES = (4, 16)          # and those the matfile parse and format layers run at
+DIVIDEND_SIZES = (4, 8, 16, 32)  # factor sizes k of the layers on a k^2 x k^2 dividend
+LINEAR_SIZES = (4, 16)           # those of them the linear left_quotient layer runs at
+FILE_SIZES = (4, 16)             # and those the matfile parse and format layers run at
 
 
 # -- one tree: its cases and their timing -------------------------------
@@ -250,7 +250,7 @@ def compare(old_src: str, new_src: str, sizes: list[int], repeats: int) -> list[
 
 def main(argv: list[str] | None = None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--sizes", default="1,2,3,4,16,32",
+    parser.add_argument("--sizes", default="1,2,3,4,8,16,32",
                         help="comma-separated factor sizes k")
     parser.add_argument("--repeats", type=int, default=21)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),

@@ -15,7 +15,7 @@ LAYERS = {"realize.leopardi", "realize.frobenius", "realize.operator", "realize.
 # the cases of the layers that run them whatever the sizes: those on a k^2 x k^2
 # dividend, the linear left quotient, matfile parse and format, and check
 FIXED = {**dict.fromkeys({"remainder", "pfp", "left_quotient", "right_quotient"},
-                         {"4x4", "16x16", "32x32"}),
+                         {"4x4", "8x8", "16x16", "32x32"}),
          **dict.fromkeys({"left_quotient.linear", "matfile.parse", "matfile.format"},
                          {"4x4", "16x16"}),
          "check": {"Q1", "Wcond", "Rcond", "PROJ", "Q1-operator-100"}}
