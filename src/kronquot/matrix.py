@@ -537,15 +537,17 @@ def _block_product(a: Matrix, b: Matrix, minuend: np.ndarray | None = None) -> n
     m x n a and an s x t b; ``minuend`` is any C-contiguous complex array of that size,
     read in place.
 
-    Block row j is the row a[j] repeated t times times b tiled n times, a[j, k] b[u, v]
-    at (u, k*t + v): each multiply runs over n*t contiguous entries of both operands,
-    and forms the products np.kron forms. The block rows go in chunks of at most
-    ``_PRODUCT_CHUNK`` entries, or of one block row where a row is larger, and each
-    chunk is subtracted from the minuend while it is still in cache, so no second
-    result-sized array is made and none is read twice. The tiled b is built in the
-    last block row and needs no array of its own: numpy reads an input that overlaps
-    its output as if it were copied first, and that row, a chunk of its own wherever
-    rows exceed half a chunk, in place as the identical view it is.
+    Block row j is a[j], each entry repeated t times, times b tiled n times, which
+    puts a[j, k] b[u, v] at (u, k*t + v): each multiply runs over n*t contiguous
+    entries of both operands and forms the products np.kron forms. The block rows go
+    in chunks of at most ``_PRODUCT_CHUNK`` entries, or of one block row where a row
+    is larger, and each chunk is subtracted from the minuend while it is still in
+    cache, so no second result-sized array is made and none is read twice.
+
+    The tiled b is built in the last block row, so it needs no array of its own. The
+    chunk holding that row reads it as an input that overlaps the output, which
+    numpy computes as if the input were copied first; where the row is a chunk by
+    itself, input and output are the same view, and numpy works in place.
     """
     (m, n), (s, t) = a.shape, b.shape
     out = np.empty((m, s, n * t), dtype=np.complex128)
