@@ -65,7 +65,7 @@ MIN_BATCH_S = 0.002   # each timed batch lasts at least this long
 CHECK_TRIALS = 8      # trials per check in the check layer
 DIVIDEND_SIZES = (4, 8, 16, 32)  # factor sizes k of the layers on a k^2 x k^2 dividend
 LINEAR_SIZES = (4, 16)           # those of them the linear left_quotient layer runs at
-FILE_SIZES = (4, 16)             # and those the matfile parse and format layers run at
+FILE_SIZES = (4, 8, 16)          # and those the matfile parse and format layers run at
 
 
 # -- one tree: its cases and their timing -------------------------------

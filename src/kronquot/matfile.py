@@ -24,8 +24,8 @@ Reads and writes go a row at a time. A data row of ASCII digits, ``.eE+-i``
 and blanks takes one ``complex`` call per token, which accepts exactly the
 grammar on those characters; the token regular expression runs only on a
 row with another character or a token ``complex`` refuses. A row is written
-with one ``str.format`` call. Errors name the line at fault and, through
-:func:`read_matrix`, the file.
+with one printf-style ``%`` call, and a scalar through the same templates.
+Errors name the line at fault and, through :func:`read_matrix`, the file.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ _ROW_CHARS = b"0123456789.eE+-i \t\n\r\x0b\x0c"
 
 # Token templates indexed by form: a+bi / a-bi, a, bi. The sign of the
 # general form is the sign bit of b, so -0.0 writes as "-0".
-_FORMS = np.array(["{:.17g}{:+.17g}i", "{:.17g}", "{:.17g}i"], dtype=object)
+_FORMS = np.array(["%.17g%+.17gi", "%.17g", "%.17gi"], dtype=object)
 
 
 def parse_scalar(token: str) -> complex:
@@ -71,10 +71,6 @@ def _ascii_int(text: str) -> int:
     return int(text)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _signbit(x: float) -> bool:
     return math.copysign(1.0, x) < 0
 
@@ -88,11 +84,10 @@ def format_scalar(z: complex) -> str:
     z = _scalar(z)
     re_, im = z.real, z.imag
     if im == 0.0 and not _signbit(im):
-        return _fmt(re_)
+        return _FORMS[1] % re_
     if re_ == 0.0 and not _signbit(re_):
-        return _fmt(im) + "i"
-    sign = "-" if (im < 0.0 or (im == 0.0 and _signbit(im))) else "+"
-    return _fmt(re_) + sign + _fmt(abs(im)) + "i"
+        return _FORMS[2] % im
+    return _FORMS[0] % (re_, im)
 
 
 def parse_matrix(text: str) -> Matrix:
@@ -158,7 +153,7 @@ def format_matrix(m: Matrix) -> str:
     used = np.stack((~imag_only, ~real_only), axis=-1).reshape(m.rows, 2 * m.cols)
     out = [f"{m.rows} {m.cols}"]
     for row_forms, parts, row_used in zip(forms, a.view(np.float64), used):
-        out.append(" ".join(_FORMS[row_forms].tolist()).format(*parts[row_used].tolist()))
+        out.append(" ".join(_FORMS[row_forms].tolist()) % tuple(parts[row_used].tolist()))
     out.append("")
     return "\n".join(out)
 
@@ -180,8 +175,11 @@ def read_matrix(path: str | os.PathLike) -> Matrix:
 
 
 def write_matrix(path: str | os.PathLike, m: Matrix) -> None:
+    """Write a matrix file; the text is rendered before the target is opened, so a
+    failed render leaves an existing file as it was."""
+    text = format_matrix(m)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(format_matrix(m))
+        fh.write(text)
 
 
 def to_line(m: Matrix) -> str:

@@ -21,7 +21,6 @@ from kronquot import (
     SvdResult,
     UnsupportedInputError,
     ZeroDivisorError,
-    format_scalar,
     kron,
     svd,
 )
@@ -80,9 +79,25 @@ def kron_by_index(a: Matrix, b: Matrix) -> Matrix:
     return Matrix.from_rows(out)
 
 
+def token_by_parts(z: complex) -> str:
+    """One entry's token, each part written by ``format(x, ".17g")``: ``a`` when b is
+    +0.0, else ``bi`` when a is +0.0, else ``a`` then b's sign (its sign bit, so -0.0
+    gives "-") then ``|b|i``."""
+    def plus_zero(x):
+        return x == 0.0 and math.copysign(1.0, x) > 0
+
+    re_, im = z.real, z.imag
+    if plus_zero(im):
+        return format(re_, ".17g")
+    if plus_zero(re_):
+        return format(im, ".17g") + "i"
+    sign = "-" if math.copysign(1.0, im) < 0 else "+"
+    return format(re_, ".17g") + sign + format(abs(im), ".17g") + "i"
+
+
 def format_matrix_by_scalar(m: Matrix) -> str:
-    """The matrix text format written one entry at a time with format_scalar."""
-    rows = [" ".join(format_scalar(m.entry(i, j)) for j in range(1, m.cols + 1))
+    """The matrix text format written one entry at a time with token_by_parts."""
+    rows = [" ".join(token_by_parts(m.entry(i, j)) for j in range(1, m.cols + 1))
             for i in range(1, m.rows + 1)]
     return "\n".join([f"{m.rows} {m.cols}", *rows]) + "\n"
 

@@ -16,8 +16,8 @@ LAYERS = {"realize.leopardi", "realize.frobenius", "realize.operator", "realize.
 # dividend, the linear left quotient, matfile parse and format, and check
 FIXED = {**dict.fromkeys({"remainder", "pfp", "left_quotient", "right_quotient"},
                          {"4x4", "8x8", "16x16", "32x32"}),
-         **dict.fromkeys({"left_quotient.linear", "matfile.parse", "matfile.format"},
-                         {"4x4", "16x16"}),
+         "left_quotient.linear": {"4x4", "16x16"},
+         **dict.fromkeys({"matfile.parse", "matfile.format"}, {"4x4", "8x8", "16x16"}),
          "check": {"Q1", "Wcond", "Rcond", "PROJ", "Q1-operator-100"}}
 STATS = {"median_us", "q1_us", "q3_us", "calls_per_batch"}
 

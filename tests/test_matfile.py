@@ -114,9 +114,51 @@ def test_file_round_trip(tmp_path):
     assert path.read_bytes() == first
 
 
+def test_a_failed_render_leaves_the_target_as_it_was(tmp_path, monkeypatch):
+    path = tmp_path / "m.mat"
+    write_matrix(path, Matrix.from_rows([[1, 2j]]))
+    before = path.read_bytes()
+
+    def failing(m):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(matfile, "format_matrix", failing)
+    with pytest.raises(KeyboardInterrupt):
+        write_matrix(path, Matrix.from_rows([[3]]))
+    assert path.read_bytes() == before
+
+
 def test_emits_17_significant_digits():
     text = format_matrix(Matrix.from_rows([[0.1]]))
     assert "0.10000000000000001" in text
+
+
+# the literal text at %g's notation switches, the extremes and the signed zeros
+_PINNED = [
+    (1e16, "10000000000000000"),
+    (1e17, "1e+17"),
+    (1e-05, "1.0000000000000001e-05"),
+    (0.0001, "0.0001"),
+    (5e-324, "4.9406564584124654e-324"),
+    (1.7976931348623157e+308, "1.7976931348623157e+308"),
+    (-0.0, "-0"),
+    (2.0, "2"),
+    (complex(1.0, -0.0), "1-0i"),
+    (complex(-0.0, 1.0), "-0+1i"),
+    (complex(0.0, -0.0), "-0i"),
+]
+
+
+@pytest.mark.parametrize("z,text", _PINNED)
+def test_the_writers_pinned_text(z, text):
+    assert format_scalar(z) == text
+    assert format_matrix(Matrix.from_array(np.array([[z]], dtype=np.complex128))) == \
+        f"1 1\n{text}\n"
+
+
+def test_the_writers_pinned_text_in_one_row():
+    m = Matrix.from_array(np.array([[z for z, _ in _PINNED]], dtype=np.complex128))
+    assert format_matrix(m) == f"1 {len(_PINNED)}\n" + " ".join(t for _, t in _PINNED) + "\n"
 
 
 def test_comments_and_blank_lines_skipped():
