@@ -24,18 +24,20 @@ pass decide; the verdict is the entrywise one either way. The matrix
 keeps that sum, so its norm, and any bound built from it, costs no
 second pass. Or the operation proves it: ``kron`` and the remainder bound
 every real and imaginary part of their result by their operands' norms
-(:func:`_norm_bound`), and where that bound is at most ``_PROOF_MAX``
-the result is adopted without reading it; its sum of squares is then
-taken on first use. A sum of squares is BLAS ``vdot`` over consecutive
-blocks of at most 8,192 entries, added in order: OpenBLAS splits a dot
-product of more than 10,000 entries over its thread pool, whose partial
-sums, and so whose bits, depend on the thread count.
+(:func:`_norm_bound`), and the frobenius Q(A) by 2^485 unless it scales
+up, and where that bound is at most ``_PROOF_MAX`` the result is computed
+with no ``np.errstate`` and adopted without reading it; its sum of
+squares is then taken on first use. A sum of squares is BLAS ``vdot``
+over consecutive blocks of at most 8,192 entries, added in order:
+OpenBLAS splits a dot product of more than 10,000 entries over its thread
+pool, whose partial sums, and so whose bits, depend on the thread count.
 
 An operation on finite operands can yield a non-finite entry only by
-overflowing binary64. The operations, the arithmetic operators among
-them, compute under ``np.errstate`` so numpy does not warn, and
-:func:`_adopt_result` turns such a result into UnsupportedInputError
-naming the operation and its operands' shapes. A pairing kernel can also
+overflowing binary64. Every operation, the arithmetic operators and the
+built-in Q(A) rules among them, computes its result through
+:func:`_adopt_result`, the one place that computes a result under
+``np.errstate`` so numpy does not warn, and that turns such a result into
+UnsupportedInputError naming the operation and its operands' shapes. A pairing kernel can also
 overflow in an intermediate whose final sum fits; the kernels that can,
 pfp, the quotients and the remainder, adopt their result through
 :func:`_adopt_rescaled`, which retries on operands scaled by an exact
@@ -362,17 +364,13 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other, "add")
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._a + other._a
-        return _adopt_result(out, "add", self, other)
+        return _adopt_result(lambda: self._a + other._a, "add", self, other)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_shape(other, "subtract")
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._a - other._a
-        return _adopt_result(out, "subtract", self, other)
+        return _adopt_result(lambda: self._a - other._a, "subtract", self, other)
 
     def __neg__(self):
         return Matrix._adopt(-self._a)
@@ -381,9 +379,7 @@ class Matrix:
         if isinstance(k, Matrix):
             raise TypeError("use A @ B for the matrix product")
         k = _scalar(k)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._a * k
-        return _adopt_result(out, "multiply", self, k)
+        return _adopt_result(lambda: self._a * k, "multiply", self, k)
 
     __rmul__ = __mul__
 
@@ -393,9 +389,7 @@ class Matrix:
         k = _scalar(k)
         if k == 0:
             raise ZeroDivisorError(f"cannot divide a {self.rows}x{self.cols} matrix by zero")
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._a / k
-        return _adopt_result(out, "divide", self, k)
+        return _adopt_result(lambda: self._a / k, "divide", self, k)
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -403,9 +397,7 @@ class Matrix:
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._a @ other._a
-        return _adopt_result(out, "matmul", self, other)
+        return _adopt_result(lambda: self._a @ other._a, "matmul", self, other)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -453,11 +445,20 @@ class FactorShape:
                 f"{self.m * self.s}x{self.n * self.t} for factor shape {self}")
 
 
-def _overflow_message(op: str, x: Matrix, y: Matrix | complex,
+def _factor_shape(shape) -> FactorShape:
+    if not isinstance(shape, FactorShape):  # a tuple such as (2, 2, 2, 2) included
+        raise UnsupportedInputError(f"shape must be a FactorShape, got {shape!r}")
+    return shape
+
+
+def _overflow_message(op: str, x: Matrix, y: Matrix | complex | None = None,
                       shape: FactorShape | None = None) -> str:
     """Says that ``op`` on x and y overflows binary64, naming the operands: a pair of
-    matrices, a matrix and a scalar y, or with a factor shape, the dividend x and the
-    divisor y."""
+    matrices, a matrix and a scalar y, with a factor shape the dividend x and the
+    divisor y, or with no y, Q(A) of the divisor x."""
+    if y is None:
+        return (f"{op} of the {x.rows}x{x.cols} divisor overflows binary64: "
+                "its entries are too small to invert")
     if shape is not None:
         return (f"{op} of the {x.rows}x{x.cols} dividend by the {y.rows}x{y.cols} divisor "
                 f"overflows binary64 at factor shape {shape}")
@@ -466,23 +467,29 @@ def _overflow_message(op: str, x: Matrix, y: Matrix | complex,
     return f"{op} of a {x.rows}x{x.cols} matrix by {_py(y)!r} overflows binary64"
 
 
-def _adopt_result(arr: np.ndarray, op: str, x: Matrix, y: Matrix | complex,
-                  shape: FactorShape | None = None, bound: float = math.inf) -> Matrix:
-    """``Matrix._adopt(arr, bound)`` for the result of ``op`` on finite operands x and
-    y, computed under ``np.errstate(over="ignore", invalid="ignore")``. A non-finite
-    entry can only come from an overflow, and raises UnsupportedInputError with
-    :func:`_overflow_message`."""
+def _adopt_result(compute: Callable[[], np.ndarray], op: str, x: Matrix,
+                  y: Matrix | complex | None = None, shape: FactorShape | None = None,
+                  bound: float = math.inf) -> Matrix:
+    """The matrix holding ``compute()``, the fresh result of ``op`` on finite operands x
+    and y, computed under ``np.errstate(over="ignore", invalid="ignore")`` unless
+    ``bound``, on every real and imaginary part of it, is at most ``_PROOF_MAX``: then
+    nothing can overflow, and the result is adopted unread. A non-finite entry can only
+    come from an overflow, and raises UnsupportedInputError with :func:`_overflow_message`."""
+    if bound <= _PROOF_MAX:
+        return Matrix._adopt(compute(), bound)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = compute()
     try:
-        return Matrix._adopt(arr, bound)
+        return Matrix._adopt(out)
     except NonFiniteEntryError:
         raise UnsupportedInputError(_overflow_message(op, x, y, shape)) from None
 
 
 def _adopt_rescaled(kernel: Callable[..., np.ndarray], operands: Sequence[Matrix],
-                    growth: Callable[[], int], op: str, x: Matrix, y: Matrix | complex,
+                    growth: Callable[[], int], op: str, x: Matrix, y: Matrix,
                     shape: FactorShape | None = None, bound: float = math.inf) -> Matrix:
-    """``_adopt_result(kernel(*operands), op, x, y, shape, bound)`` for a kernel linear
-    in its matrix ``operands`` jointly, computed under ``np.errstate`` here.
+    """``_adopt_result(lambda: kernel(*operands), op, x, y, shape, bound)`` for a kernel
+    linear in its matrix ``operands`` jointly.
 
     Where the result is not finite, an intermediate may have overflowed while the
     result fits, as when two huge products cancel. Only then is ``growth()`` called:
@@ -492,14 +499,12 @@ def _adopt_rescaled(kernel: Callable[..., np.ndarray], operands: Sequence[Matrix
     reaches 2^1022, and its result is scaled back by 2^e, exactly wherever the scaled
     values are normal. UnsupportedInputError only where that result overflows too.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = kernel(*operands)
-        try:
-            return Matrix._adopt(out, bound)
-        except NonFiniteEntryError:
-            e = max(max(_exponent(z._a) for z in operands) + growth() - 1022, 1)
-            out = _ldexp(kernel(*(Matrix._adopt(_ldexp(z._a, -e)) for z in operands)), e)
-    return _adopt_result(out, op, x, y, shape)
+    try:
+        return _adopt_result(lambda: kernel(*operands), op, x, y, shape, bound)
+    except UnsupportedInputError:
+        e = max(max(_exponent(z._a) for z in operands) + growth() - 1022, 1)
+    scaled = [Matrix._adopt(_ldexp(z._a, -e)) for z in operands]
+    return _adopt_result(lambda: _ldexp(kernel(*scaled), e), op, x, y, shape)
 
 
 def _pairing_growth(factor: np.ndarray) -> int:
@@ -518,10 +523,9 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     cols = a.cols * b.cols
     if rows > _MAX_INDEX or cols > _MAX_INDEX or rows * cols > _MAX_INDEX:
         raise ShapeError(f"Kronecker product size {rows}x{cols} exceeds the platform index range")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _block_product(a, b)
     # every part of a[j, k] b[u, v] is at most |a[j, k]| |b[u, v]| <= ||A||_F ||B||_F
-    return _adopt_result(out, "kron", a, b, bound=_norm_bound(a) * _norm_bound(b))
+    return _adopt_result(lambda: _block_product(a, b), "kron", a, b,
+                         bound=_norm_bound(a) * _norm_bound(b))
 
 
 def _block_view(x: Matrix, m: int, n: int, side: str = "left") -> np.ndarray:
@@ -570,7 +574,7 @@ def _block_product(a: Matrix, b: Matrix, minuend: np.ndarray | None = None) -> n
 
 def block(m: Matrix, shape: FactorShape, i: int, j: int) -> Matrix:
     """The s x t block in block-row i, block-column j (1-based)."""
-    shape.require(m)
+    _factor_shape(shape).require(m)
     i, j = _as_index(i, "block row"), _as_index(j, "block column")
     if not (1 <= i <= shape.m and 1 <= j <= shape.n):
         raise BlockIndexError(f"block ({i},{j}) outside the {shape.m}x{shape.n} block grid")

@@ -95,9 +95,9 @@ from .errors import (
     UnsupportedInputError,
     ZeroDivisorError,
 )
-from .matrix import (FactorShape, Matrix, _adopt_rescaled, _block_product, _block_view,
-                     _exponent, _ldexp, _norm, _norm_bound, _overflow_message,
-                     _pairing_growth, _scaled_squares)
+from .matrix import (FactorShape, Matrix, _adopt_rescaled, _adopt_result, _block_product,
+                     _block_view, _exponent, _factor_shape, _ldexp, _norm, _norm_bound,
+                     _overflow_message, _pairing_growth, _scaled_squares)
 from .pfp import _pair_blocks, pfp, pfp_scalar
 from .singular import SvdResult, svd
 
@@ -201,8 +201,11 @@ def _validate_weights(w: Matrix, a: Matrix, support: np.ndarray) -> np.ndarray:
 
 # -- operand checks --------------------------------------------------
 
-def _check_shapes(divisor: Matrix, rows: int, cols: int, m: Matrix, shape: FactorShape) -> None:
-    """The divisor is rows x cols and the dividend fits the factor shape."""
+def _check_shapes(divisor: Matrix, m: Matrix, shape: FactorShape, side: str = "left") -> None:
+    """The shape is a FactorShape, the divisor is m x n on the ``"left"`` and s x t on
+    the ``"right"``, and the dividend fits the factor shape."""
+    shape = _factor_shape(shape)
+    rows, cols = (shape.m, shape.n) if side == "left" else (shape.s, shape.t)
     if divisor.shape != (rows, cols):
         raise ShapeError(f"divisor is {divisor.rows}x{divisor.cols}, expected "
                          f"{rows}x{cols} for factor shape {shape}")
@@ -227,10 +230,11 @@ def weighted_realization(rule: WeightRule, name: str | None = None) -> Realizati
         support = np.abs(arr) >= ZERO_THRESHOLD
         if not np.count_nonzero(support):
             _check_nonzero(a)
-            raise _overflow_error(a)
-        warr = _validate_weights(rule(a), a, support)
-        return Matrix._adopt(np.divide(warr, arr, out=np.zeros(arr.shape, np.complex128),
-                                       where=support))
+            raise UnsupportedInputError(_overflow_message("Q(A)", a))
+        # a caller's weight rule runs under the helper's guard too
+        return _adopt_result(lambda: np.divide(_validate_weights(rule(a), a, support), arr,
+                                               out=np.zeros(arr.shape, np.complex128),
+                                               where=support), "Q(A)", a)
 
     return Realization(q_of=q_of, label=name or getattr(rule, "__name__", "custom"),
                        support_sensitive=True, weights=rule)
@@ -241,36 +245,23 @@ def _frobenius_q(a: Matrix) -> Matrix:
     norm2, exp = _scaled_squares(a._a, a._sum_squares())
     if norm2 == 0.0:
         raise ZeroDivisorError("quotient by the zero matrix")
-    q = _ldexp(a._a, -exp).conj() / complex(norm2)
-    if exp:  # only scaling back can overflow: unscaled, every |Q[i,j]| <= 1/||A|| <= 2^485
-        with np.errstate(over="ignore"):
-            q = _ldexp(q, -exp)
-    return _adopt_q(q, a)
+    # unscaled, every |Q[i,j]| <= 1/||A'|| <= 2^485, and scaling back by 2^-exp can
+    # overflow only where exp < 0
+    return _adopt_result(lambda: _ldexp(_ldexp(a._a, -exp).conj() / complex(norm2), -exp),
+                         "Q(A)", a, bound=2.0**485 if exp >= 0 else math.inf)
 
 
-def _adopt_q(q: np.ndarray, a: Matrix) -> Matrix:
-    """Q(A) computed under ``np.errstate``, adopted; :func:`_overflow_error` where it
-    overflows binary64."""
-    try:
-        return Matrix._adopt(q)
-    except NonFiniteEntryError:
-        raise _overflow_error(a) from None
-
-
-def _operator_q_from(a: Matrix, decomposition: SvdResult) -> Matrix:
-    """conj(u1) v1^T / sigma1 from the leading singular pair of a nonzero A, computed
-    under ``np.errstate`` by the caller. The pair is read from the first columns of
-    the compact U and V as a contiguous conjugated column times a contiguous row:
-    the operands the matrix product of two Matrix values takes."""
+def _operator_q(a: Matrix, decomposition: SvdResult | None = None) -> Matrix:
+    """conj(u1) v1^T / sigma1 from the leading singular pair of a nonzero A, read from
+    ``decomposition``, the SVD of A, or from one taken here. The pair is the first
+    columns of the compact U and V as a contiguous conjugated column times a
+    contiguous row: the operands the matrix product of two Matrix values takes."""
+    if decomposition is None:
+        _check_nonzero(a)
+        decomposition = svd(a)
     u1 = decomposition._u_rank[:, :1].conj()
     v1 = np.ascontiguousarray(decomposition._v_rank[:, :1].T)
-    return _adopt_q((u1 @ v1) / complex(decomposition.sigma[0]), a)
-
-
-def _operator_q(a: Matrix) -> Matrix:
-    _check_nonzero(a)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _operator_q_from(a, svd(a))
+    return _adopt_result(lambda: (u1 @ v1) / complex(decomposition.sigma[0]), "Q(A)", a)
 
 
 def trace_realization(a: Matrix) -> Matrix:
@@ -279,14 +270,12 @@ def trace_realization(a: Matrix) -> Matrix:
         raise ShapeError(f"trace realization needs a square matrix, got {a.rows}x{a.cols}")
     with np.errstate(over="ignore", invalid="ignore"):
         tr = complex(a._a.trace())
-        if not (math.isfinite(tr.real) and math.isfinite(tr.imag)):
-            raise UnsupportedInputError(
-                f"tr(A) of the {a.rows}x{a.cols} divisor overflows binary64")
-        if tr == 0:
-            raise SingularRealizationError(
-                "trace realization Q(A) = I/tr(A) is undefined: tr(A) = 0")
-        q = np.eye(a.rows, dtype=np.complex128) / tr  # the bits of Matrix.identity(n) / tr
-    return _adopt_q(q, a)
+    if not (math.isfinite(tr.real) and math.isfinite(tr.imag)):
+        raise UnsupportedInputError(f"tr(A) of the {a.rows}x{a.cols} divisor overflows binary64")
+    if tr == 0:
+        raise SingularRealizationError("trace realization Q(A) = I/tr(A) is undefined: tr(A) = 0")
+    # the bits of Matrix.identity(n) / tr
+    return _adopt_result(lambda: np.eye(a.rows, dtype=np.complex128) / tr, "Q(A)", a)
 
 
 # The one table of built-in schemes: the CLI's --scheme choices, scheme
@@ -375,7 +364,7 @@ class Divisor:
         """A quot M = pfp(Q(A), M), once A and M fit the factor shape.
         UnsupportedInputError, named as by :func:`left_quotient`, where it
         overflows binary64."""
-        _check_shapes(self.a, shape.m, shape.n, m, shape)
+        _check_shapes(self.a, m, shape)
         try:
             return pfp(self.q, m)
         except UnsupportedInputError:  # pfp raises it only for an overflow
@@ -405,7 +394,7 @@ class LinearDivisor:
 
     def quotient(self, m: Matrix, shape: FactorShape) -> Matrix:
         """Entry (u',v') is the sum over u, v of pfp(Q[u,v,u',v'], M)[u,v]."""
-        _check_shapes(self.a, shape.m, shape.n, m, shape)
+        _check_shapes(self.a, m, shape)
         return _divide("left_quotient", self, m, shape, "left")
 
     def _kernel(self, s: int, t: int) -> _Kernel:
@@ -460,19 +449,17 @@ def _divide(op: str, divisor: Divisor | LinearDivisor, m: Matrix, shape: FactorS
                            (m,), growth, op, m, divisor.a, shape)
 
 
-def _overflow_error(a: Matrix) -> UnsupportedInputError:
-    return UnsupportedInputError(f"Q(A) of the {a.rows}x{a.cols} divisor overflows binary64: "
-                                 "its entries are too small to invert")
-
-
 def realize(scheme, a: Matrix) -> Divisor | LinearDivisor:
     """A divisor under a scheme in any form :func:`resolve_scheme` accepts: a
     :class:`Divisor` for a uniform scheme, a :class:`LinearDivisor` for a linear one.
 
     Raises ZeroDivisorError for an exactly zero A. Under a uniform scheme it
     also raises what the realization raises, UnsupportedInputError when Q(A)
-    or its pairing against A overflows binary64, and InvalidRealizationError
-    when Q(A) lacks A's shape or does not pair to 1 against A.
+    or its pairing against A overflows binary64, or naming a caller's rule
+    that builds a non-finite matrix, and InvalidRealizationError when Q(A)
+    lacks A's shape or does not pair to 1 against A. The rules made in this
+    module guard their own arithmetic, and a weighted rule its caller's weight
+    rule; any other rule runs under ``np.errstate`` here.
     """
     realization = resolve_scheme(scheme)
     _check_nonzero(a)
@@ -480,10 +467,17 @@ def realize(scheme, a: Matrix) -> Divisor | LinearDivisor:
         return LinearDivisor(realization.family, a)
     decomposition = svd(a) if realization.q_of is _operator_q else None
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            q = realization.q_of(a) if decomposition is None else _operator_q_from(a, decomposition)
-    except NonFiniteEntryError:
-        raise _overflow_error(a) from None
+        if decomposition is not None:
+            q = _operator_q(a, decomposition)
+        elif getattr(realization.q_of, "__module__", None) == __name__:
+            q = realization.q_of(a)  # the rules made here guard their own arithmetic
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                q = realization.q_of(a)
+    except NonFiniteEntryError:  # the package adopts no non-finite Q(A): a caller's rule built it
+        raise UnsupportedInputError(
+            f"realization {realization.label!r} built a non-finite matrix for Q(A) of "
+            f"the {a.rows}x{a.cols} divisor") from None
     if not isinstance(q, Matrix) or q.shape != a.shape:
         raise InvalidRealizationError("realization must return a matrix of the divisor's shape")
     unit = pfp_scalar(q, a)
@@ -497,7 +491,7 @@ def left_quotient(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     """Left quotient of M by A under a scheme, given by name or as a scheme object:
     the shapes are checked, A is realized and the divisor applied to M's block view.
     UnsupportedInputError where the quotient overflows binary64."""
-    _check_shapes(a, shape.m, shape.n, m, shape)
+    _check_shapes(a, m, shape)
     return _divide("left_quotient", realize(scheme, a), m, shape, "left")
 
 
@@ -515,7 +509,7 @@ def remainder(scheme, a: Matrix, m: Matrix, shape: FactorShape) -> Matrix:
     back. Where ||M||_F + ||A||_F ||C||_F bounds the remainder's parts below
     ``_PROOF_MAX``, it is adopted without a finite check.
     """
-    _check_shapes(a, shape.m, shape.n, m, shape)
+    _check_shapes(a, m, shape)
     c = _divide("remainder", realize(scheme, a), m, shape, "left")
 
     def kernel(dividend: Matrix, quotient: Matrix) -> np.ndarray:
@@ -557,5 +551,5 @@ def right_quotient(scheme, m: Matrix, b: Matrix, shape: FactorShape) -> Matrix:
     turns kron(A, B) into kron(B, A); the shuffled copy is never made.
     UnsupportedInputError where the quotient overflows binary64.
     """
-    _check_shapes(b, shape.s, shape.t, m, shape)
+    _check_shapes(b, m, shape, "right")
     return _divide("right_quotient", realize(scheme, b), m, shape, "right")

@@ -20,7 +20,13 @@ from kronquot import (
     ZeroDivisorError,
     block,
     kron,
+    left_quotient,
+    pfp,
+    realize,
     relative_residual,
+    remainder,
+    right_quotient,
+    weighted_realization,
 )
 from oracles import allclose, kron_by_index
 
@@ -254,26 +260,61 @@ class TestEntrywiseOps:
         assert adjoint == Matrix.from_array(a.to_array().conj().T)
 
 
-class TestArithmeticOverflow:
-    """An operator whose result overflows binary64 raises UnsupportedInputError naming
-    the operation and the shapes, and numpy does not warn."""
+HUGE = Matrix.from_array(np.full((2, 2), 1.5e308))
+HUGE_DIVIDEND = Matrix.from_array(np.full((4, 4), 1.5e308))
+# every nonzero entry is subnormal: Q(A) ~ 1/1e-310 overflows binary64
+SUBNORMAL_DIVISOR = Matrix.from_rows([[1e-310, 0], [0, 0]])
+SHAPE = FactorShape(2, 2, 2, 2)
+AT_SHAPE = " overflows binary64 at factor shape (m=2, n=2, s=2, t=2)"
+Q_OVERFLOW = "Q(A) of the 2x2 divisor overflows binary64: its entries are too small to invert"
 
-    HUGE = Matrix.from_array(np.full((2, 2), 1.5e308))
+
+def _lopsided_weights(a):
+    # sums to 1 on the diagonal support, and 1e10 / 2.3e-308 overflows binary64
+    return Matrix.diagonal([1e10, 1 - 1e10])
+
+
+class TestArithmeticOverflow:
+    """An operation whose result overflows binary64, each arithmetic operator, kron, pfp,
+    the quotients, the remainder and the Q(A) rules, raises UnsupportedInputError naming
+    the operation and the shapes; numpy does not warn, and its error state is as it was."""
 
     @pytest.mark.parametrize("compute, message", [
-        (lambda m: m + m, "add of a 2x2 and a 2x2 matrix"),
-        (lambda m: m - (-m), "subtract of a 2x2 and a 2x2 matrix"),
-        (lambda m: 10 * m, "multiply of a 2x2 matrix by 10.0"),
-        (lambda m: m * (2 + 1j), "multiply of a 2x2 matrix by (2+1j)"),
-        (lambda m: m / 0.1, "divide of a 2x2 matrix by 0.1"),
-        (lambda m: m @ m, "matmul of a 2x2 and a 2x2 matrix"),
-    ], ids=["add", "subtract", "rmul", "mul-complex", "truediv", "matmul"])
+        (lambda: HUGE + HUGE, "add of a 2x2 and a 2x2 matrix overflows binary64"),
+        (lambda: HUGE - (-HUGE), "subtract of a 2x2 and a 2x2 matrix overflows binary64"),
+        (lambda: 10 * HUGE, "multiply of a 2x2 matrix by 10.0 overflows binary64"),
+        (lambda: HUGE * (2 + 1j), "multiply of a 2x2 matrix by (2+1j) overflows binary64"),
+        (lambda: HUGE / 0.1, "divide of a 2x2 matrix by 0.1 overflows binary64"),
+        (lambda: HUGE @ HUGE, "matmul of a 2x2 and a 2x2 matrix overflows binary64"),
+        (lambda: kron(HUGE, HUGE), "kron of a 2x2 and a 2x2 matrix overflows binary64"),
+        (lambda: pfp(HUGE, HUGE_DIVIDEND), "pfp of a 2x2 and a 4x4 matrix overflows binary64"),
+        # Q(A) of diag(1e-300, 1e-300) is about 5e299 I, and each quotient entry 1.5e608
+        (lambda: left_quotient("frobenius", Matrix.diagonal([1e-300, 1e-300]), HUGE_DIVIDEND,
+                               SHAPE),
+         "left_quotient of the 4x4 dividend by the 2x2 divisor" + AT_SHAPE),
+        (lambda: right_quotient("frobenius", HUGE_DIVIDEND, Matrix.diagonal([1e-300, 1e-300]),
+                                SHAPE),
+         "right_quotient of the 4x4 dividend by the 2x2 divisor" + AT_SHAPE),
+        # the quotient fits, but 1.7e308 - (-3) C[1, 1] does not
+        (lambda: remainder("frobenius", Matrix.diagonal([1, -3]),
+                           Matrix.diagonal([1.7e308, 1.7e308]), FactorShape(2, 2, 1, 1)),
+         "remainder of the 2x2 dividend by the 2x2 divisor overflows binary64 "
+         "at factor shape (m=2, n=2, s=1, t=1)"),
+        (lambda: realize("frobenius", SUBNORMAL_DIVISOR), Q_OVERFLOW),
+        (lambda: realize("operator", SUBNORMAL_DIVISOR), Q_OVERFLOW),
+        (lambda: realize("trace", SUBNORMAL_DIVISOR), Q_OVERFLOW),
+        (lambda: realize(weighted_realization(_lopsided_weights),
+                         Matrix.diagonal([2.3e-308, 1])), Q_OVERFLOW),
+    ], ids=["add", "subtract", "rmul", "mul-complex", "truediv", "matmul", "kron", "pfp",
+            "left_quotient", "right_quotient", "remainder", "realize-frobenius",
+            "realize-operator", "realize-trace", "realize-weighted"])
     def test_overflow_is_a_typed_error_that_names_the_op(self, compute, message):
+        state = np.geterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(UnsupportedInputError,
-                               match=f"^{re.escape(message)} overflows binary64$"):
-                compute(self.HUGE)
+            with pytest.raises(UnsupportedInputError, match=f"^{re.escape(message)}$"):
+                compute()
+        assert np.geterr() == state
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1, math.inf)])
     def test_non_finite_scalar_is_rejected(self, bad):

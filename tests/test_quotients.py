@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from kronquot import (
     SingularRealizationError,
     UnsupportedInputError,
     ZeroDivisorError,
+    block,
     check_axiom,
     check_projection,
     check_realization_conditions,
@@ -419,6 +421,22 @@ class TestDispatchAndErrors:
             left_quotient(SCHEMES["leopardi"], Matrix.identity(3), Matrix.identity(4),
                           FactorShape(2, 2, 2, 2))
 
+    @pytest.mark.parametrize("call", [
+        lambda a, m, shape: left_quotient("frobenius", a, m, shape),
+        lambda a, m, shape: right_quotient("frobenius", m, a, shape),
+        lambda a, m, shape: remainder("frobenius", a, m, shape),
+        lambda a, m, shape: is_divisor("frobenius", a, m, shape),
+        lambda a, m, shape: realize("frobenius", a).quotient(m, shape),
+        lambda a, m, shape: realize(QuotientScheme.linear(
+            family_from_realization(realization_for("frobenius"))), a).quotient(m, shape),
+        lambda a, m, shape: block(m, shape, 1, 1),
+    ], ids=["left_quotient", "right_quotient", "remainder", "is_divisor", "Divisor.quotient",
+            "LinearDivisor.quotient", "block"])
+    def test_a_tuple_shape_is_refused(self, call):
+        with pytest.raises(UnsupportedInputError,
+                           match=r"^shape must be a FactorShape, got \(2, 2, 2, 2\)$"):
+            call(Matrix.identity(2), Matrix.identity(4), (2, 2, 2, 2))
+
     @pytest.mark.parametrize("name", ["leopardi", "frobenius", "operator"])
     def test_zero_divisor_everywhere(self, name):
         with pytest.raises(ZeroDivisorError):
@@ -606,6 +624,21 @@ class TestRealize:
             with pytest.raises(UnsupportedInputError, match="2x2 divisor overflows"):
                 BUILTIN_SCHEMES[name].q_of(a)
 
+    @pytest.mark.parametrize("realization", [
+        Realization(lambda a: Matrix.from_array(np.full(a.shape, np.inf + 0j)), "inf-rule"),
+        weighted_realization(lambda a: Matrix.from_array(np.full(a.shape, np.inf + 0j)),
+                             "inf-rule"),
+    ], ids=["q_of", "weight-rule"])
+    def test_a_callers_rule_that_builds_a_non_finite_matrix_is_named(self, realization):
+        # the rule is at fault, not the divisor: the message names the rule's label
+        message = "realization 'inf-rule' built a non-finite matrix for Q(A) of the 2x2 divisor"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (lambda: realize(realization, Matrix.identity(2)),
+                         lambda: left_quotient(realization, Matrix.identity(2),
+                                               Matrix.ones(4, 4), FactorShape(2, 2, 2, 2))):
+                with pytest.raises(UnsupportedInputError, match=f"^{re.escape(message)}$"):
+                    call()
 
     def test_weight_rule_on_a_subnormal_divisor_names_it(self):
         # nonzero, but no entry is normal: not the zero matrix's error
